@@ -29,6 +29,7 @@ from .interval_map import (
     fixed_point_solutions,
     is_odd_map,
     iterate,
+    iterates,
     load_map_file,
     parse_map_file,
 )
@@ -78,7 +79,7 @@ __all__ = [
     "ODD_MAP_DERIVED_PSI", "PHI1_CLOSURE", "NO_GUARANTEE",
     # interval_map
     "PLMap", "PieceCapExceededError", "InfiniteSolutionsError",
-    "DEFAULT_PIECE_CAP", "build_gj", "compose", "iterate",
+    "DEFAULT_PIECE_CAP", "build_gj", "compose", "iterates", "iterate",
     "fixed_point_solutions", "antifixed_point_solutions", "count_fixed",
     "count_antifixed", "is_odd_map", "parse_map_file", "load_map_file",
     # symbolic

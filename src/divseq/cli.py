@@ -8,7 +8,8 @@ compares the recurrence, oracle, and edge-engine values side by side, and
 reports neutrally and always exits 0).
 
 Exit codes: 0 success/agreement, 1 verification failure or disagreement,
-2 usage error, 3 piece cap exceeded.
+2 usage error (including a map with a whole segment on y = x or y = -x,
+whose solution count is infinite), 3 piece cap exceeded.
 """
 
 from __future__ import annotations
@@ -22,11 +23,12 @@ from . import __version__
 from .arith import divisibility_check, phi1, phi2
 from .interval_map import (
     DEFAULT_PIECE_CAP,
+    InfiniteSolutionsError,
     PieceCapExceededError,
     build_gj,
-    compose,
     count_antifixed,
     count_fixed,
+    iterates,
     load_map_file,
 )
 from .sequences import (
@@ -290,23 +292,23 @@ def run_crosscheck(j: int, n_max: int,
     g = build_gj(j)
     phi_seq, psi_seq = make_theorem5_phi(j), make_theorem5_psi(j)
     tensor = initial_tensor(j) if j >= 3 else None
-    power = None
-    cap_msg = None
+    powers = iterates(g, n_max, piece_cap)
+    capped = False
     rows = []
     for n in range(1, n_max + 1):
-        if cap_msg is None:
+        if not capped:
             try:
-                power = g if n == 1 else compose(g, power, piece_cap)
-            except PieceCapExceededError as exc:
-                cap_msg = f"error:piece-cap(n={n}: {exc})"
+                power = next(powers)
+            except PieceCapExceededError:
+                capped = True
         if tensor is not None and n > 1:
             tensor = step(tensor)
         for equation, rec, oracle, sym in (
             ("fixed", phi_seq(n),
-             "error:piece-cap" if cap_msg else count_fixed(power, 1, piece_cap),
+             "error:piece-cap" if capped else count_fixed(power, 1, piece_cap),
              None if tensor is None else c_count(tensor)),
             ("antifixed", psi_seq(n),
-             "error:piece-cap" if cap_msg else count_antifixed(power, 1, piece_cap),
+             "error:piece-cap" if capped else count_antifixed(power, 1, piece_cap),
              None if tensor is None else d_count(tensor)),
         ):
             present = [rec] + [v for v in (oracle, sym)
@@ -452,17 +454,15 @@ def cmd_oracle(args) -> int:
     else:
         gmap = load_map_file(args.map_file)
         source = {"map_file": args.map_file}
+    count = count_fixed if args.equation == "fixed" else count_antifixed
     rows = []
-    power = None
-    for n in range(1, args.n_max + 1):
-        try:
-            power = gmap if n == 1 else compose(gmap, power, args.piece_cap)
-        except PieceCapExceededError as exc:
-            raise PieceCapExceededError(f"oracle stopped at n={n}: {exc}") from None
-        if args.equation == "fixed":
-            rows.append((n, count_fixed(power, 1, args.piece_cap)))
-        else:
-            rows.append((n, count_antifixed(power, 1, args.piece_cap)))
+    try:
+        for n, power in enumerate(
+                iterates(gmap, args.n_max, args.piece_cap), start=1):
+            rows.append((n, count(power, 1, args.piece_cap)))
+    except PieceCapExceededError as exc:
+        raise PieceCapExceededError(
+            f"oracle stopped at n={exc.n}: {exc}") from None
     meta = {"command": "oracle",
             "params": {**source, "equation": args.equation,
                        "n_max": args.n_max, "piece_cap": args.piece_cap},
@@ -567,10 +567,17 @@ def main(argv: list[str] | None = None) -> int:
     if args.n_max < 1:
         print("divseq: --n-max must be >= 1", file=sys.stderr)
         return 2
+    if args.piece_cap < 1:
+        print("divseq: --piece-cap must be >= 1", file=sys.stderr)
+        return 2
     try:
         return args.func(args)
     except (UsageError, ExpressionError, ValueError, LookupError, OSError) as exc:
         print(f"divseq: {exc}", file=sys.stderr)
+        return 2
+    except InfiniteSolutionsError as exc:
+        print(f"divseq: {exc}, so the solution count is infinite",
+              file=sys.stderr)
         return 2
     except PieceCapExceededError as exc:
         print(f"divseq: {exc}", file=sys.stderr)

@@ -3,13 +3,16 @@
 This is the brute-force oracle behind everything else: compose and iterate
 maps with exact rational breakpoints, then count solutions of f^n(x) = x and
 g^n(x) = -x by enumerating sign changes segment by segment. No floats
-anywhere; equality of solutions is equality of reduced fractions.
+anywhere. A map keeps its nodes as integer numerators over one common
+denominator, so composing and counting run on Python ints; Fractions appear
+only where a map is built from or read back as rationals.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from math import gcd, lcm
 
 __all__ = [
     "PLMap",
@@ -18,6 +21,7 @@ __all__ = [
     "DEFAULT_PIECE_CAP",
     "build_gj",
     "compose",
+    "iterates",
     "iterate",
     "fixed_point_solutions",
     "antifixed_point_solutions",
@@ -34,7 +38,12 @@ DEFAULT_PIECE_CAP = 10_000_000
 
 
 class PieceCapExceededError(RuntimeError):
-    """Composition would produce more linear pieces than the configured cap."""
+    """Composition would produce more linear pieces than the configured cap.
+
+    When raised by `iterates`, `n` is the iterate that would exceed it.
+    """
+
+    n: int | None = None
 
 
 class InfiniteSolutionsError(ArithmeticError):
@@ -45,13 +54,18 @@ class InfiniteSolutionsError(ArithmeticError):
 class PLMap:
     """Continuous piecewise-linear self-map of [xs[0], xs[-1]].
 
-    Stored as parallel tuples of breakpoints xs (strictly increasing
-    Fractions, at least two) and values ys; linear interpolation in between.
-    Every value must lie inside the domain, so any PLMap is a self-map and
+    Given as parallel sequences of breakpoints xs (strictly increasing, at
+    least two) and values ys, with linear interpolation in between. Every
+    value must lie inside the domain, so any PLMap is a self-map and
     iteration is always defined. Instances are immutable.
+
+    The nodes are stored as integer numerators `xnum`, `ynum` over one
+    positive common denominator `den`, the lcm of the node denominators.
+    That form is canonical, so equality and hashing compare integers. `xs`
+    and `ys` are tuples of Fractions, built from the numerators on first use.
     """
 
-    __slots__ = ("xs", "ys")
+    __slots__ = ("den", "xnum", "ynum", "_xs", "_ys")
 
     def __init__(self, xs, ys):
         xs = tuple(Fraction(x) for x in xs)
@@ -63,48 +77,94 @@ class PLMap:
         for a, b in zip(xs, xs[1:]):
             if not a < b:
                 raise ValueError(f"breakpoints not strictly increasing at {a}")
-        lo, hi = xs[0], xs[-1]
-        for x, y in zip(xs, ys):
-            if not lo <= y <= hi:
-                raise ValueError(
-                    f"not a self-map: value {y} at x={x} is outside [{lo}, {hi}]")
-        object.__setattr__(self, "xs", xs)
-        object.__setattr__(self, "ys", ys)
+        den = lcm(*(v.denominator for v in xs + ys))
+        xnum = tuple(v.numerator * (den // v.denominator) for v in xs)
+        ynum = tuple(v.numerator * (den // v.denominator) for v in ys)
+        _check_self_map(den, xnum, ynum)
+        self._init(den, xnum, ynum, xs, ys)
+
+    @classmethod
+    def _trusted(cls, den: int, xnum: tuple, ynum: tuple) -> PLMap:
+        """A map from numerators already known to be valid, self-mapping and
+        canonical; nothing is checked."""
+        self = object.__new__(cls)
+        self._init(den, xnum, ynum, None, None)
+        return self
+
+    def _init(self, den, xnum, ynum, xs, ys):
+        for name, value in zip(PLMap.__slots__, (den, xnum, ynum, xs, ys)):
+            object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
         raise AttributeError("PLMap is immutable")
 
     @property
+    def xs(self) -> tuple[Fraction, ...]:
+        if self._xs is None:
+            object.__setattr__(self, "_xs",
+                               tuple(Fraction(x, self.den) for x in self.xnum))
+        return self._xs
+
+    @property
+    def ys(self) -> tuple[Fraction, ...]:
+        if self._ys is None:
+            object.__setattr__(self, "_ys",
+                               tuple(Fraction(y, self.den) for y in self.ynum))
+        return self._ys
+
+    @property
     def domain(self) -> tuple[Fraction, Fraction]:
-        return (self.xs[0], self.xs[-1])
+        return (Fraction(self.xnum[0], self.den),
+                Fraction(self.xnum[-1], self.den))
 
     @property
     def pieces(self) -> int:
-        return len(self.xs) - 1
+        return len(self.xnum) - 1
 
     def __call__(self, x) -> Fraction:
-        x = Fraction(x)
-        xs, ys = self.xs, self.ys
-        if not xs[0] <= x <= xs[-1]:
-            raise ValueError(f"{x} is outside the domain [{xs[0]}, {xs[-1]}]")
-        i = bisect_right(xs, x) - 1
-        if i >= len(xs) - 1:
-            return ys[-1]
-        x0, x1 = xs[i], xs[i + 1]
-        y0, y1 = ys[i], ys[i + 1]
-        return y0 + (y1 - y0) * (x - x0) / (x1 - x0)
+        if type(x) is int:
+            p, q = x, 1
+        else:
+            x = Fraction(x)
+            p, q = x.numerator, x.denominator
+        xnum, den = self.xnum, self.den
+        t = p * den                     # x * den == t / q
+        if not xnum[0] * q <= t <= xnum[-1] * q:
+            lo, hi = self.domain
+            raise ValueError(f"{x} is outside the domain [{lo}, {hi}]")
+        i = bisect_right(xnum, t // q) - 1
+        x0 = xnum[i]
+        if x0 * q == t:
+            return Fraction(self.ynum[i], den)
+        x1, y0, y1 = xnum[i + 1], self.ynum[i], self.ynum[i + 1]
+        return Fraction(y0 * q * (x1 - x0) + (y1 - y0) * (t - x0 * q),
+                        den * q * (x1 - x0))
 
     def __eq__(self, other):
         if not isinstance(other, PLMap):
             return NotImplemented
-        return self.xs == other.xs and self.ys == other.ys
+        return (self.den == other.den and self.xnum == other.xnum
+                and self.ynum == other.ynum)
 
     def __hash__(self):
-        return hash((self.xs, self.ys))
+        return hash((self.den, self.xnum, self.ynum))
 
     def __repr__(self):
         lo, hi = self.domain
         return f"<PLMap [{lo}, {hi}] with {self.pieces} pieces>"
+
+
+def _check_self_map(den: int, xnum, ynum):
+    """Raise ValueError naming the first value outside the domain."""
+    lo, hi = xnum[0], xnum[-1]
+    if lo <= min(ynum) and max(ynum) <= hi:
+        return
+    for x, y in zip(xnum, ynum):
+        if not lo <= y <= hi:
+            raise ValueError(
+                f"not a self-map: value {Fraction(y, den)} at "
+                f"x={Fraction(x, den)} is outside "
+                f"[{Fraction(lo, den)}, {Fraction(hi, den)}]")
 
 
 def build_gj(j: int) -> PLMap:
@@ -126,7 +186,7 @@ def build_gj(j: int) -> PLMap:
     return PLMap(xs, ys)
 
 
-def _pruned(xs: list[Fraction], ys: list[Fraction]):
+def _pruned(xs: list[int], ys: list[int]):
     """Drop interior nodes where three consecutive points are collinear."""
     out_x = [xs[0]]
     out_y = [ys[0]]
@@ -134,7 +194,7 @@ def _pruned(xs: list[Fraction], ys: list[Fraction]):
         while len(out_x) >= 2:
             x0, x1 = out_x[-2], out_x[-1]
             y0, y1 = out_y[-2], out_y[-1]
-            # collinear iff slopes match: cross-multiplied to stay in integers
+            # collinear iff slopes match, cross-multiplied
             if (y1 - y0) * (x2 - x1) == (y2 - y1) * (x1 - x0):
                 out_x.pop()
                 out_y.pop()
@@ -145,72 +205,152 @@ def _pruned(xs: list[Fraction], ys: list[Fraction]):
     return out_x, out_y
 
 
+def _affine(num: int, slope: int, den: int):
+    """v -> (num + slope*v) / den as (num, slope, den) in lowest common
+    terms with den > 0."""
+    if den < 0:
+        num, slope, den = -num, -slope, -den
+    g = gcd(den, num, slope)
+    return num // g, slope // g, den // g
+
+
 def compose(outer: PLMap, inner: PLMap,
             piece_cap: int = DEFAULT_PIECE_CAP) -> PLMap:
     """Exact composition outer(inner(x)) on inner's domain.
 
     Breakpoints are inner's nodes plus, on every non-constant inner segment,
     the preimages of outer's breakpoints whose levels fall strictly between
-    the segment's endpoint values. The result is linear on each cell, so
-    evaluating at the nodes determines it.
+    the segment's endpoint values. The result is linear on each cell, so its
+    node values determine it. On one inner segment a preimage is an affine
+    function of the level's numerator, and the value there is outer's node
+    value, so each one costs a few integer operations. Either argument order
+    works; it is cheapest with the map of fewer pieces inside, as `iterates`
+    does.
     """
-    lo, hi = outer.domain
-    if min(inner.ys) < lo or max(inner.ys) > hi:
+    do, xo, yo = outer.den, outer.xnum, outer.ynum
+    di, xi, yi = inner.den, inner.xnum, inner.ynum
+    # An inner value y/di meets outer's level xo[k]/do where y*do == xo[k]*di,
+    # so the floor and ceiling of y*do/di locate levels by bisection on xo.
+    scaled = [y * do for y in yi]
+    if min(scaled) < xo[0] * di or max(scaled) > xo[-1] * di:
         raise ValueError("range of inner map exceeds domain of outer map")
-    levels = outer.xs
-    new_xs: list[Fraction] = [inner.xs[0]]
-    for i in range(len(inner.xs) - 1):
-        x0, x1 = inner.xs[i], inner.xs[i + 1]
-        y0, y1 = inner.ys[i], inner.ys[i + 1]
-        if y0 < y1:
-            for b in levels[bisect_right(levels, y0):bisect_left(levels, y1)]:
-                new_xs.append(x0 + (b - y0) * (x1 - x0) / (y1 - y0))
-        elif y0 > y1:
-            cut = levels[bisect_right(levels, y1):bisect_left(levels, y0)]
-            for b in reversed(cut):
-                new_xs.append(x0 + (b - y0) * (x1 - x0) / (y1 - y0))
-        # constant segments (y0 == y1) contribute no cuts
-        new_xs.append(x1)
-    if len(new_xs) - 1 > piece_cap:
+    floor = [s // di for s in scaled]
+    ceil = [-(-s // di) for s in scaled]
+    segments = len(xi) - 1
+    cuts = {}       # segment -> (first, stop, x at level xo[k] as affine in xo[k])
+    needed = segments
+    for i in range(segments):
+        if yi[i] < yi[i + 1]:
+            first, stop = bisect_right(xo, floor[i]), bisect_left(xo, ceil[i + 1])
+        elif yi[i] > yi[i + 1]:
+            first, stop = bisect_right(xo, floor[i + 1]), bisect_left(xo, ceil[i])
+        else:       # constant segments contribute no cuts
+            continue
+        if first < stop:
+            # x = x0 + (b - y0) * dx / dy at b = xo[k]/do, over di*do*dy
+            dx, dy = xi[i + 1] - xi[i], yi[i + 1] - yi[i]
+            cuts[i] = (first, stop, _affine(do * (xi[i] * dy - yi[i] * dx),
+                                            di * dx, di * do * dy))
+            needed += stop - first
+    if needed > piece_cap:
         raise PieceCapExceededError(
-            f"composition needs {len(new_xs) - 1} pieces; cap is {piece_cap}")
-    new_ys = [outer(inner(x)) for x in new_xs]
-    return PLMap(*_pruned(new_xs, new_ys))
+            f"composition needs {needed} pieces; cap is {piece_cap}")
+    # outer at inner's node value y/di, on outer's piece k, as affine in y
+    last = len(xo) - 2
+    branches = {}
+    node_values = []
+    for f in floor:
+        k = min(bisect_right(xo, f) - 1, last)
+        if k not in branches:
+            dx, dy = xo[k + 1] - xo[k], yo[k + 1] - yo[k]
+            branches[k] = _affine(di * (yo[k] * dx - dy * xo[k]), do * dy,
+                                  di * do * dx)
+        node_values.append(branches[k])
+    den = lcm(di, do, *(e for _, _, (_, _, e) in cuts.values()),
+              *(e for _, _, e in branches.values()))
+
+    new_x, new_y = [], []
+    for i in range(segments + 1):
+        a, c, e = node_values[i]
+        new_x.append(xi[i] * (den // di))
+        new_y.append((a + c * yi[i]) * (den // e))
+        if i in cuts:
+            first, stop, (a, c, e) = cuts[i]
+            a, c = a * (den // e), c * (den // e)
+            levels, values = xo[first:stop], yo[first:stop]
+            if yi[i] > yi[i + 1]:
+                levels, values = levels[::-1], values[::-1]
+            new_x.extend([a + c * x for x in levels])
+            new_y.extend([y * (den // do) for y in values])
+    new_x, new_y = _pruned(new_x, new_y)
+    g = gcd(den, *new_x, *new_y)
+    if g > 1:
+        den //= g
+        new_x = [x // g for x in new_x]
+        new_y = [y // g for y in new_y]
+    _check_self_map(den, new_x, new_y)
+    return PLMap._trusted(den, tuple(new_x), tuple(new_y))
+
+
+def iterates(f: PLMap, n_max: int, piece_cap: int = DEFAULT_PIECE_CAP):
+    """Yield f, f^2, ..., f^n_max.
+
+    Each f^n is compose(f^(n-1), f): every new breakpoint is then a
+    pull-back of a breakpoint of f^(n-1) through one of f's few branches.
+    A PieceCapExceededError carries the failing iterate in its `n`.
+    """
+    if n_max < 1:
+        return
+    power = f
+    yield power
+    for n in range(2, n_max + 1):
+        try:
+            power = compose(power, f, piece_cap)
+        except PieceCapExceededError as exc:
+            exc.n = n
+            raise
+        yield power
 
 
 def iterate(f: PLMap, n: int, piece_cap: int = DEFAULT_PIECE_CAP) -> PLMap:
     """The n-th iterate f composed with itself, n >= 1; iterate(f, 1) is f."""
     if n < 1:
         raise ValueError(f"iterate requires n >= 1, got {n}")
-    power = f
-    for k in range(2, n + 1):
-        try:
-            power = compose(f, power, piece_cap)
-        except PieceCapExceededError as exc:
-            raise PieceCapExceededError(f"at iterate n={k}: {exc}") from None
+    try:
+        for power in iterates(f, n, piece_cap):
+            pass
+    except PieceCapExceededError as exc:
+        raise PieceCapExceededError(f"at iterate n={exc.n}: {exc}") from None
     return power
 
 
 def _line_solutions(f: PLMap, sign: int) -> tuple[Fraction, ...]:
-    """All x with f(x) = sign*x, found segmentwise; shared-breakpoint roots
-    deduplicate through the set."""
-    line = "x" if sign > 0 else "-x"
-    sols: set[Fraction] = set()
-    xs, ys = f.xs, f.ys
-    for i in range(len(xs) - 1):
-        x0, x1 = xs[i], xs[i + 1]
-        d0 = ys[i] - sign * x0
-        d1 = ys[i + 1] - sign * x1
-        if d0 == 0 and d1 == 0:
-            raise InfiniteSolutionsError(
-                f"segment [{x0}, {x1}] coincides with y = {line}")
-        if d0 == 0:
-            sols.add(x0)
+    """All x with f(x) = sign*x, in increasing order.
+
+    One pass over the integer differences y - sign*x at the nodes: a zero
+    difference is a root at that node, a strict sign change between two
+    nodes a root inside the segment.
+    """
+    den, xnum = f.den, f.xnum
+    if sign > 0:
+        diffs = [y - x for x, y in zip(xnum, f.ynum)]
+    else:
+        diffs = [y + x for x, y in zip(xnum, f.ynum)]
+    sols = []
+    x0 = d0 = None
+    for x1, d1 in zip(xnum, diffs):
         if d1 == 0:
-            sols.add(x1)
-        if (d0 > 0 > d1) or (d0 < 0 < d1):
-            sols.add(x0 + (x1 - x0) * d0 / (d0 - d1))
-    return tuple(sorted(sols))
+            if d0 == 0:
+                line = "x" if sign > 0 else "-x"
+                raise InfiniteSolutionsError(
+                    f"segment [{Fraction(x0, den)}, {Fraction(x1, den)}] "
+                    f"coincides with y = {line}")
+            sols.append(Fraction(x1, den))
+        elif d0 and (d0 > 0) != (d1 > 0):
+            # the zero of the difference, linear from d0 at x0 to d1 at x1
+            sols.append(Fraction(x1 * d0 - x0 * d1, den * (d0 - d1)))
+        x0, d0 = x1, d1
+    return tuple(sols)
 
 
 def fixed_point_solutions(f: PLMap, n: int = 1,

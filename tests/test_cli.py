@@ -260,6 +260,19 @@ def test_oracle_piece_cap_exits_three(capsys):
     assert "oracle stopped at n=" in err
 
 
+@pytest.mark.parametrize("equation", ["fixed", "antifixed"])
+def test_oracle_segment_on_the_line_is_usage_error(capsys, tmp_path, equation):
+    # y = x on [-1, 0] and y = -x on [0, 1]: infinitely many solutions
+    path = tmp_path / "diagonal.map"
+    path.write_text("domain -1 1\n-1 -1\n0 0\n1 -1\n")
+    code, out, err = run_main(capsys, "oracle", "--map-file", str(path),
+                              "--equation", equation)
+    assert code == 2
+    assert out == ""
+    assert err.startswith("divseq: segment [")
+    assert err.endswith("so the solution count is infinite\n")
+
+
 def test_oracle_rejects_bad_j(capsys):
     code, _, err = run_main(capsys, "oracle", "--j", "1", "--n-max", "2")
     assert code == 2
@@ -342,6 +355,15 @@ def test_n_max_zero_rejected(capsys):
                             "--n-max", "0")
     assert code == 2
     assert "--n-max" in err
+
+
+@pytest.mark.parametrize("cap", ["0", "-5"])
+def test_piece_cap_below_one_rejected(capsys, cap):
+    code, out, err = run_main(capsys, "oracle", "--j", "2",
+                              "--piece-cap", cap)
+    assert code == 2
+    assert out == ""
+    assert err == "divseq: --piece-cap must be >= 1\n"
 
 
 def test_version_flag(capsys):

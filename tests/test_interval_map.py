@@ -5,8 +5,11 @@ from __future__ import annotations
 
 import random
 from fractions import Fraction
+from math import lcm
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from divseq.interval_map import (
     InfiniteSolutionsError,
@@ -20,6 +23,7 @@ from divseq.interval_map import (
     fixed_point_solutions,
     is_odd_map,
     iterate,
+    iterates,
     load_map_file,
     parse_map_file,
 )
@@ -106,6 +110,11 @@ def test_compose_rejects_domain_mismatch():
     big = PLMap([-2, 2], [-2, 2])
     with pytest.raises(ValueError):
         compose(small, big)  # big's range [-2,2] escapes small's domain
+    # outer maps inner's range inside its own domain, but out of inner's
+    tent = PLMap([-1, Fraction(1, 2), 2], [-1, 2, -1])
+    with pytest.raises(ValueError, match=r"^not a self-map: value 2 at "
+                                         r"x=1/2 is outside \[0, 1\]$"):
+        compose(tent, small)
 
 
 def test_iterate_basics():
@@ -127,6 +136,10 @@ def test_piece_cap_reports_iterate_step():
     g2 = build_gj(2)
     with pytest.raises(PieceCapExceededError, match="n="):
         iterate(g2, 9, piece_cap=50)
+    # pieces of g_2^n run 3, 7, 17, 41, 99: the fifth iterate is refused
+    with pytest.raises(PieceCapExceededError, match="needs 99 pieces") as info:
+        list(iterates(g2, 9, piece_cap=50))
+    assert info.value.n == 5
 
 
 def test_iterate_agrees_with_pointwise_application():
@@ -296,3 +309,104 @@ def test_load_map_file(tmp_path):
     path = tmp_path / "tent.map"
     path.write_text(TENT_FILE)
     assert load_map_file(path) == tent()
+
+
+# -- properties of the integer representation ----------------------------------
+
+@st.composite
+def domains(draw):
+    """[lo, hi] with small-denominator ends, symmetric about 0 half the time."""
+    if draw(st.booleans()):
+        hi = Fraction(draw(st.integers(1, 40)), draw(st.integers(1, 12)))
+        return -hi, hi
+    lo = Fraction(draw(st.integers(-40, 40)), draw(st.integers(1, 12)))
+    return lo, lo + Fraction(draw(st.integers(1, 40)), draw(st.integers(1, 12)))
+
+
+@st.composite
+def pl_maps(draw, domain):
+    """A continuous PL self-map of `domain` whose interior breakpoints and
+    values have two-digit denominators, like the benchmark's map files; some
+    pieces are constant and some nodes collinear (left unpruned)."""
+    lo, hi = domain
+
+    def rational():
+        q = draw(st.integers(10, 99))
+        return lo + (hi - lo) * Fraction(draw(st.integers(0, q)), q)
+
+    interior = {rational() for _ in range(draw(st.integers(0, 4)))}
+    xs = [lo, *sorted(interior - {lo, hi}), hi]
+    ys = []
+    for _ in xs:
+        constant_piece = ys and draw(st.integers(0, 3)) == 0
+        ys.append(ys[-1] if constant_piece else rational())
+    nodes = [(xs[0], ys[0])]
+    for x0, x1, y0, y1 in zip(xs, xs[1:], ys, ys[1:]):
+        if draw(st.booleans()):     # a collinear node inside the segment
+            nodes.append(((x0 + x1) / 2, (y0 + y1) / 2))
+        nodes.append((x1, y1))
+    return PLMap([x for x, _ in nodes], [y for _, y in nodes])
+
+
+@st.composite
+def map_pairs(draw):
+    domain = draw(domains())
+    return draw(pl_maps(domain)), draw(pl_maps(domain))
+
+
+random_maps = domains().flatmap(pl_maps)
+
+
+@settings(max_examples=80, deadline=None)
+@given(pair=map_pairs(),
+       ts=st.lists(st.fractions(0, 1, max_denominator=999), max_size=5))
+def test_compose_agrees_with_pointwise_application(pair, ts):
+    a, b = pair
+    ab = compose(a, b)
+    lo, hi = b.domain
+    for x in a.xs + b.xs + tuple(lo + (hi - lo) * t for t in ts):
+        assert ab(x) == a(b(x))
+
+
+@settings(max_examples=40, deadline=None)
+@given(g=random_maps, n=st.integers(2, 3))
+def test_both_composition_orders_build_the_same_iterate(g, n):
+    power = iterate(g, n - 1)
+    assert compose(g, power) == compose(power, g) \
+        == list(iterates(g, n))[-1] == iterate(g, n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=random_maps, n=st.integers(1, 3))
+def test_random_map_counts_match_sign_change_oracle(f, n):
+    power = iterate(f, n)
+    lo, hi = f.domain
+    for sign, count in ((1, count_fixed), (-1, count_antifixed)):
+        if sign < 0 and lo != -hi:
+            continue
+        try:
+            got = count(f, n)
+        except InfiniteSolutionsError:
+            assert any(y0 == sign * x0 and y1 == sign * x1 for x0, x1, y0, y1
+                       in zip(power.xs, power.xs[1:], power.ys, power.ys[1:]))
+        else:
+            assert got == _count_by_sign_changes(power, sign)
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=random_maps, n=st.integers(1, 2))
+def test_rational_views_round_trip(f, n):
+    for m in (f, iterate(f, n)):
+        copy = PLMap(m.xs, m.ys)
+        assert copy == m and hash(copy) == hash(m)
+        assert m.den == lcm(*(v.denominator for v in m.xs + m.ys))
+
+
+@settings(max_examples=40, deadline=None)
+@given(inner=random_maps)
+def test_composition_leaving_the_domain_raises(inner):
+    lo, hi = inner.domain
+    # a tent on a wider domain that sends inner's value at lo to hi + 1
+    outer = PLMap([lo - 1, inner.ys[0], hi + 1], [lo - 1, hi + 1, lo - 1])
+    with pytest.raises(ValueError, match="not a self-map"):
+        compose(outer, inner)
