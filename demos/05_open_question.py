@@ -15,7 +15,7 @@ from divseq.cli import run_divisibility
 
 for j in (2, 3):
     psi = make_theorem5_psi(j)
-    report = run_divisibility(psi, "phi1-of-psi", 36)
+    report = run_divisibility(psi, "phi1-mod-n", 36)
     status = "no counterexample" if report.failures == 0 \
         else f"counterexample at n={report.first_failure}"
     print(f"j={j}: scanned n=1..{report.checked}, {status}")

@@ -38,6 +38,7 @@ from .sequences import (
     NO_GUARANTEE,
     ODD_MAP_DERIVED_PSI,
     PHI1_CLOSURE,
+    LinearRecurrence,
     Sequence,
     TableRangeError,
     constant,
@@ -73,10 +74,10 @@ __all__ = [
     "Factorization", "IntSequence", "factorize", "phi1", "phi2",
     "divisibility_check",
     # sequences
-    "Sequence", "TableRangeError", "make_theorem4", "make_theorem5_phi",
-    "make_theorem5_psi", "constant", "linear_combine", "dilate", "dilate_odd",
-    "product", "parse_table", "load_table", "MAP_DERIVED_PHI",
-    "ODD_MAP_DERIVED_PSI", "PHI1_CLOSURE", "NO_GUARANTEE",
+    "Sequence", "LinearRecurrence", "TableRangeError", "make_theorem4",
+    "make_theorem5_phi", "make_theorem5_psi", "constant", "linear_combine",
+    "dilate", "dilate_odd", "product", "parse_table", "load_table",
+    "MAP_DERIVED_PHI", "ODD_MAP_DERIVED_PSI", "PHI1_CLOSURE", "NO_GUARANTEE",
     # interval_map
     "PLMap", "PieceCapExceededError", "InfiniteSolutionsError",
     "DEFAULT_PIECE_CAP", "build_gj", "compose", "iterates", "iterate",

@@ -257,7 +257,6 @@ class CrossCheckReport:
 _MODES = {
     "phi1-mod-n": (phi1, 1),
     "phi2-mod-2n": (phi2, 2),
-    "phi1-of-psi": (phi1, 1),
 }
 
 
@@ -323,77 +322,53 @@ def run_crosscheck(j: int, n_max: int,
 # rendering (csv | tsv | json); identical invocations must emit identical
 # bytes, so everything is assembled as a string with LF endings
 
-def _bool(b: bool) -> str:
-    return "true" if b else "false"
+def _cell(value, blank: str) -> str:
+    if value is None:
+        return blank
+    if isinstance(value, bool):
+        return "true" if value else "false"
+    return str(value)
 
 
-def _render_table(fmt: str, meta: dict, rows) -> str:
+def _render(fmt: str, meta: dict, header, rows, summary: dict | None = None,
+            blank: str = "") -> str:
+    """One table in fmt from an iterable of row dicts.
+
+    JSON writes the dicts as they are (big values must already be strings,
+    so they keep every digit). csv/tsv write the header columns of each row,
+    booleans as true/false and None as blank, and draw one row at a time, so
+    a caller passing a generator never holds the cells of every row at once.
+    """
     if fmt == "json":
-        payload = {"meta": meta,
-                   "rows": [{"n": n, "value": str(v)} for n, v in rows]}
+        payload = {"meta": meta, "rows": list(rows)}
+        if summary is not None:
+            payload["summary"] = summary
         return json.dumps(payload, indent=2) + "\n"
     sep = "," if fmt == "csv" else "\t"
-    lines = ["n" + sep + "value"]
-    lines.extend(f"{n}{sep}{v}" for n, v in rows)
+    lines = [sep.join(header)]
+    lines.extend(sep.join(_cell(row[key], blank) for key in header)
+                 for row in rows)
     return "\n".join(lines) + "\n"
 
 
-def _render_report(fmt: str, meta: dict, report: DivisibilityReport) -> str:
-    if fmt == "json":
-        rows = []
+def _opt_str(value) -> str | None:
+    return None if value is None else str(value)
+
+
+def _report_table(report: DivisibilityReport):
+    """Header, row dicts and summary of a divisibility report for _render."""
+    def rows():
         for r in report.rows:
-            row = {"n": r.n,
-                   "q": None if r.q is None else str(r.q),
-                   "phi": None if r.phi is None else str(r.phi),
-                   "modulus": r.modulus,
-                   "remainder": None if r.remainder is None else str(r.remainder),
+            row = {"n": r.n, "q": _opt_str(r.q), "phi": _opt_str(r.phi),
+                   "modulus": r.modulus, "remainder": _opt_str(r.remainder),
                    "pass": r.passed}
             if r.error is not None:
                 row["error"] = r.error
-            rows.append(row)
-        payload = {"meta": meta,
-                   "rows": rows,
-                   "summary": {"checked": report.checked,
-                               "failures": report.failures,
-                               "first_failure": report.first_failure}}
-        return json.dumps(payload, indent=2) + "\n"
-    sep = "," if fmt == "csv" else "\t"
-    lines = [sep.join(("n", "q", "phi", "modulus", "remainder", "pass"))]
-    for r in report.rows:
-        cells = (str(r.n),
-                 "" if r.q is None else str(r.q),
-                 "" if r.phi is None else str(r.phi),
-                 str(r.modulus),
-                 "" if r.remainder is None else str(r.remainder),
-                 _bool(r.passed))
-        lines.append(sep.join(cells))
-    return "\n".join(lines) + "\n"
+            yield row
 
-
-def _render_crosscheck(fmt: str, meta: dict, report: CrossCheckReport) -> str:
-    if fmt == "json":
-        rows = [{"n": r.n,
-                 "equation": r.equation,
-                 "recurrence": str(r.recurrence),
-                 "oracle": r.oracle if isinstance(r.oracle, str) else str(r.oracle),
-                 "symbolic": None if r.symbolic is None else str(r.symbolic),
-                 "agree": r.agree}
-                for r in report.rows]
-        payload = {"meta": meta,
-                   "rows": rows,
-                   "summary": {"rows": len(report.rows),
-                               "disagreements": report.disagreements,
-                               "piece_cap_hit": report.cap_hit}}
-        return json.dumps(payload, indent=2) + "\n"
-    sep = "," if fmt == "csv" else "\t"
-    lines = [sep.join(("n", "equation", "recurrence", "oracle", "symbolic",
-                       "agree"))]
-    for r in report.rows:
-        cells = (str(r.n), r.equation, str(r.recurrence), str(r.oracle),
-                 "n/a" if r.symbolic is None else str(r.symbolic),
-                 _bool(r.agree))
-        lines.append(sep.join(cells))
-    return "\n".join(lines) + "\n"
+    return (("n", "q", "phi", "modulus", "remainder", "pass"), rows(),
+            {"checked": report.checked, "failures": report.failures,
+             "first_failure": report.first_failure})
 
 
 def _report_errors_to_stderr(report: DivisibilityReport):
@@ -425,11 +400,12 @@ def _seq_from_flags(args) -> Sequence:
 
 def cmd_seq(args) -> int:
     seq = _seq_from_flags(args)
-    rows = [(n, seq(n)) for n in range(1, args.n_max + 1)]
     meta = {"command": "seq", "params": {"kind": args.kind, "id": seq.id,
                                          "n_max": args.n_max},
             "version": __version__}
-    sys.stdout.write(_render_table(args.format, meta, rows))
+    sys.stdout.write(_render(args.format, meta, ("n", "value"),
+                             ({"n": n, "value": str(seq(n))}
+                              for n in range(1, args.n_max + 1))))
     return 0
 
 
@@ -441,7 +417,7 @@ def cmd_verify(args) -> int:
                        "mode": args.mode, "guarantee": seq.guarantee,
                        "n_max": args.n_max},
             "version": __version__}
-    sys.stdout.write(_render_report(args.format, meta, report))
+    sys.stdout.write(_render(args.format, meta, *_report_table(report)))
     if args.format != "json":
         _report_errors_to_stderr(report)
     return 1 if report.failures else 0
@@ -459,7 +435,8 @@ def cmd_oracle(args) -> int:
     try:
         for n, power in enumerate(
                 iterates(gmap, args.n_max, args.piece_cap), start=1):
-            rows.append((n, count(power, 1, args.piece_cap)))
+            rows.append({"n": n,
+                         "value": str(count(power, 1, args.piece_cap))})
     except PieceCapExceededError as exc:
         raise PieceCapExceededError(
             f"oracle stopped at n={exc.n}: {exc}") from None
@@ -467,7 +444,7 @@ def cmd_oracle(args) -> int:
             "params": {**source, "equation": args.equation,
                        "n_max": args.n_max, "piece_cap": args.piece_cap},
             "version": __version__}
-    sys.stdout.write(_render_table(args.format, meta, rows))
+    sys.stdout.write(_render(args.format, meta, ("n", "value"), rows))
     return 0
 
 
@@ -477,7 +454,16 @@ def cmd_crosscheck(args) -> int:
             "params": {"j": args.j, "n_max": args.n_max,
                        "piece_cap": args.piece_cap},
             "version": __version__}
-    sys.stdout.write(_render_crosscheck(args.format, meta, report))
+    rows = ({"n": r.n, "equation": r.equation,
+             "recurrence": str(r.recurrence), "oracle": str(r.oracle),
+             "symbolic": _opt_str(r.symbolic), "agree": r.agree}
+            for r in report.rows)
+    summary = {"rows": len(report.rows),
+               "disagreements": report.disagreements,
+               "piece_cap_hit": report.cap_hit}
+    header = ("n", "equation", "recurrence", "oracle", "symbolic", "agree")
+    sys.stdout.write(_render(args.format, meta, header, rows, summary,
+                             blank="n/a"))
     if report.cap_hit:
         print("divseq: oracle column hit the piece cap", file=sys.stderr)
         return 3
@@ -486,11 +472,11 @@ def cmd_crosscheck(args) -> int:
 
 def cmd_conjecture(args) -> int:
     seq = make_theorem5_psi(args.j)
-    report = run_divisibility(seq, "phi1-of-psi", args.n_max)
+    report = run_divisibility(seq, "phi1-mod-n", args.n_max)
     meta = {"command": "conjecture",
             "params": {"j": args.j, "n_max": args.n_max},
             "version": __version__}
-    sys.stdout.write(_render_report(args.format, meta, report))
+    sys.stdout.write(_render(args.format, meta, *_report_table(report)))
     # open question: counterexamples are findings to report, not failures,
     # so the exit status stays 0 either way
     return 0
@@ -560,19 +546,26 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = _build_parser()
-    args = parser.parse_args(argv)
-    if args.n_max is None:
-        args.n_max = DEFAULT_N_MAX[args.command]
-    if args.n_max < 1:
-        print("divseq: --n-max must be >= 1", file=sys.stderr)
-        return 2
-    if args.piece_cap < 1:
-        print("divseq: --piece-cap must be >= 1", file=sys.stderr)
-        return 2
+    # values gain digits linearly in n and soon pass Python's default limit
+    # on int<->str conversion (4300 digits, Python >= 3.11); lift it while
+    # the command runs
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is not None:
+        sys.set_int_max_str_digits(0)
     try:
+        parser = _build_parser()
+        args = parser.parse_args(argv)
+        if args.n_max is None:
+            args.n_max = DEFAULT_N_MAX[args.command]
+        if args.n_max < 1:
+            print("divseq: --n-max must be >= 1", file=sys.stderr)
+            return 2
+        if args.piece_cap < 1:
+            print("divseq: --piece-cap must be >= 1", file=sys.stderr)
+            return 2
         return args.func(args)
-    except (UsageError, ExpressionError, ValueError, LookupError, OSError) as exc:
+    except (UsageError, ExpressionError, ValueError, LookupError,
+            OSError) as exc:
         print(f"divseq: {exc}", file=sys.stderr)
         return 2
     except InfiniteSolutionsError as exc:
@@ -582,6 +575,9 @@ def main(argv: list[str] | None = None) -> int:
     except PieceCapExceededError as exc:
         print(f"divseq: {exc}", file=sys.stderr)
         return 3
+    finally:
+        if limit is not None:
+            sys.set_int_max_str_digits(limit)
 
 
 if __name__ == "__main__":

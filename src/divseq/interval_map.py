@@ -13,6 +13,7 @@ from __future__ import annotations
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import gcd, lcm
+from operator import add, sub
 
 __all__ = [
     "PLMap",
@@ -324,19 +325,22 @@ def iterate(f: PLMap, n: int, piece_cap: int = DEFAULT_PIECE_CAP) -> PLMap:
     return power
 
 
-def _line_solutions(f: PLMap, sign: int) -> tuple[Fraction, ...]:
-    """All x with f(x) = sign*x, in increasing order.
+def _roots(f: PLMap, n: int, piece_cap: int, sign: int):
+    """Each x with f^n(x) = sign*x, in increasing order, as an unreduced
+    (numerator, denominator) pair.
 
-    One pass over the integer differences y - sign*x at the nodes: a zero
-    difference is a root at that node, a strict sign change between two
-    nodes a root inside the segment.
+    One pass over the integer differences y - sign*x at the nodes of f^n: a
+    zero difference is a root at that node, a strict sign change between two
+    nodes a root inside the segment. sign = -1 requires a domain symmetric
+    about 0, so that -x stays inside it.
     """
-    den, xnum = f.den, f.xnum
-    if sign > 0:
-        diffs = [y - x for x, y in zip(xnum, f.ynum)]
-    else:
-        diffs = [y + x for x, y in zip(xnum, f.ynum)]
-    sols = []
+    if sign < 0:
+        lo, hi = f.domain
+        if lo != -hi:
+            raise ValueError(f"domain [{lo}, {hi}] is not symmetric about 0")
+    power = iterate(f, n, piece_cap)
+    den, xnum = power.den, power.xnum
+    diffs = map(sub if sign > 0 else add, power.ynum, xnum)
     x0 = d0 = None
     for x1, d1 in zip(xnum, diffs):
         if d1 == 0:
@@ -345,39 +349,35 @@ def _line_solutions(f: PLMap, sign: int) -> tuple[Fraction, ...]:
                 raise InfiniteSolutionsError(
                     f"segment [{Fraction(x0, den)}, {Fraction(x1, den)}] "
                     f"coincides with y = {line}")
-            sols.append(Fraction(x1, den))
+            yield x1, den
         elif d0 and (d0 > 0) != (d1 > 0):
             # the zero of the difference, linear from d0 at x0 to d1 at x1
-            sols.append(Fraction(x1 * d0 - x0 * d1, den * (d0 - d1)))
+            yield x1 * d0 - x0 * d1, den * (d0 - d1)
         x0, d0 = x1, d1
-    return tuple(sols)
 
 
 def fixed_point_solutions(f: PLMap, n: int = 1,
                           piece_cap: int = DEFAULT_PIECE_CAP):
     """Sorted exact solutions of f^n(x) = x."""
-    return _line_solutions(iterate(f, n, piece_cap), 1)
+    return tuple(Fraction(p, q) for p, q in _roots(f, n, piece_cap, 1))
 
 
 def antifixed_point_solutions(g: PLMap, n: int = 1,
                               piece_cap: int = DEFAULT_PIECE_CAP):
     """Sorted exact solutions of g^n(x) = -x; requires a domain symmetric
     about 0 so that -x stays inside it."""
-    lo, hi = g.domain
-    if lo != -hi:
-        raise ValueError(f"domain [{lo}, {hi}] is not symmetric about 0")
-    return _line_solutions(iterate(g, n, piece_cap), -1)
+    return tuple(Fraction(p, q) for p, q in _roots(g, n, piece_cap, -1))
 
 
 def count_fixed(f: PLMap, n: int = 1, piece_cap: int = DEFAULT_PIECE_CAP) -> int:
     """Number of distinct solutions of f^n(x) = x."""
-    return len(fixed_point_solutions(f, n, piece_cap))
+    return sum(1 for _ in _roots(f, n, piece_cap, 1))
 
 
 def count_antifixed(g: PLMap, n: int = 1,
                     piece_cap: int = DEFAULT_PIECE_CAP) -> int:
     """Number of distinct solutions of g^n(x) = -x."""
-    return len(antifixed_point_solutions(g, n, piece_cap))
+    return sum(1 for _ in _roots(g, n, piece_cap, -1))
 
 
 def is_odd_map(f: PLMap) -> bool:

@@ -10,9 +10,11 @@ skips a check because of them.
 from __future__ import annotations
 
 import threading
+from operator import mul
 
 __all__ = [
     "Sequence",
+    "LinearRecurrence",
     "TableRangeError",
     "make_theorem4",
     "make_theorem5_phi",
@@ -55,8 +57,6 @@ class Sequence:
     a lock; concurrent eval() calls return identical values.
     """
 
-    kind = "abstract"
-
     def __init__(self, seq_id: str, params: dict | None = None,
                  guarantee: str = NO_GUARANTEE):
         self.id = seq_id
@@ -85,100 +85,39 @@ class Sequence:
         return f"<{type(self).__name__} {self.id}>"
 
 
-class ConstantSequence(Sequence):
-    kind = "constant"
+class LinearRecurrence(Sequence):
+    """q(n) = head(n) for n <= order = len(coeffs), then
+    q(n) = coeffs[0]*q(n-1) + ... + coeffs[order-1]*q(n-order) + constant.
 
-    def __init__(self, value: int):
-        super().__init__(f"const({value})", {"value": value}, PHI1_CLOSURE)
-        self.value = value
+    head is called only for the n being filled, so a family with a large
+    order computes none of its seed values before they are asked for.
+    """
 
-    def _compute(self, n: int) -> int:
-        return self.value
-
-
-class Theorem4Sequence(Sequence):
-    """The theorem4 family: m*(2**n - 1) + k seeded up to n = j, then an
-    order-j sum recurrence with a constant correction -(j-1)*k."""
-
-    kind = "theorem4"
-
-    def __init__(self, j: int, k: int, m: int):
-        if j < 2:
-            raise ValueError(f"theorem4 requires j >= 2, got {j}")
-        # k=0, m=1 is the plain 2**n - 1 family, which counts fixed points of
-        # an interval map; any other offset is a linear-combination closure.
-        guarantee = MAP_DERIVED_PHI if (k == 0 and m == 1) else PHI1_CLOSURE
-        super().__init__(f"theorem4(j={j},k={k},m={m})",
-                         {"j": j, "k": k, "m": m}, guarantee)
-        self.j, self.k, self.m = j, k, m
+    def __init__(self, seq_id: str, params: dict, guarantee: str, head,
+                 coeffs, constant: int):
+        super().__init__(seq_id, params, guarantee)
+        self.head = head
+        self.coeffs = tuple(coeffs)
+        self.constant = constant
 
     def _compute(self, n: int) -> int:
-        if n <= self.j:
-            return self.m * (2**n - 1) + self.k
-        return sum(self._values[n - 1 - self.j : n - 1]) - (self.j - 1) * self.k
+        if n <= len(self.coeffs):
+            return self.head(n)
+        # reversed() walks the cache from q(n-1) down; map stops at the
+        # last coefficient
+        return sum(map(mul, self.coeffs, reversed(self._values))) \
+            + self.constant
 
 
 def _zigzag_coeffs(j: int) -> tuple[int, ...]:
     """Coefficients of the order-(2j-1) recurrence shared by the theorem5
     families: 2i-1 for lags i = 1..j, then 4j-2i-1 for lags i = j+1..2j-1."""
-    head = [2 * i - 1 for i in range(1, j + 1)]
-    tail = [4 * j - 2 * i - 1 for i in range(j + 1, 2 * j)]
-    return tuple(head + tail)
-
-
-class Theorem5PhiSequence(Sequence):
-    """The theorem5-phi family: counts of solutions of h^n(x) = x for the
-    zigzag map of [-j, j] (see divseq.interval_map.build_gj)."""
-
-    kind = "theorem5-phi"
-
-    def __init__(self, j: int):
-        if j < 2:
-            raise ValueError(f"theorem5-phi requires j >= 2, got {j}")
-        super().__init__(f"theorem5phi(j={j})", {"j": j}, MAP_DERIVED_PHI)
-        self.j = j
-        self._coeffs = _zigzag_coeffs(j)
-
-    def _compute(self, n: int) -> int:
-        j = self.j
-        if n <= j:
-            return 3**n - 2
-        if n <= 2 * j - 1:
-            return 3**n - 2 - 4 * n * 3 ** (n - j - 1)
-        return sum(c * self._values[n - 1 - i]
-                   for i, c in enumerate(self._coeffs, start=1))
-
-
-class Theorem5PsiSequence(Sequence):
-    """The theorem5-psi family: counts of solutions of h^n(x) = -x for the
-    zigzag map of [-j, j]; same recurrence coefficients as theorem5-phi."""
-
-    kind = "theorem5-psi"
-
-    def __init__(self, j: int):
-        if j < 2:
-            raise ValueError(f"theorem5-psi requires j >= 2, got {j}")
-        super().__init__(f"theorem5psi(j={j})", {"j": j}, ODD_MAP_DERIVED_PSI)
-        self.j = j
-        self._coeffs = _zigzag_coeffs(j)
-
-    def _compute(self, n: int) -> int:
-        j = self.j
-        if n <= j - 1:
-            return 3**n
-        if n == j:
-            return 3**j - 2 * j
-        if n <= 2 * j - 1:
-            return 3**n - 4 * n * 3 ** (n - j - 1)
-        return sum(c * self._values[n - 1 - i]
-                   for i, c in enumerate(self._coeffs, start=1))
+    return tuple(2 * min(i, 2 * j - i) - 1 for i in range(1, 2 * j))
 
 
 class TableSequence(Sequence):
     """Values loaded from an external table; evaluation past the end is an
     error, never an extrapolation."""
-
-    kind = "external-table"
 
     def __init__(self, values, source: str = "<table>"):
         values = tuple(int(v) for v in values)
@@ -199,8 +138,6 @@ class TableSequence(Sequence):
 
 
 class LinearCombinationSequence(Sequence):
-    kind = "linear-combination"
-
     def __init__(self, k: int, a: Sequence, m: int, b: Sequence):
         # phi1 is linear, so phi1 divisibility survives any integer
         # combination; phi2 is not linear (its power-of-two branch subtracts
@@ -221,8 +158,6 @@ class DilationSequence(Sequence):
     sampling a map's count sequence at multiples of k is the count sequence
     of the k-th iterate of the same map (an odd map when k is odd)."""
 
-    kind = "dilation"
-
     def __init__(self, seq: Sequence, k: int, seq_id: str, guarantee: str):
         super().__init__(seq_id, {"k": k}, guarantee)
         self.base = seq
@@ -233,8 +168,6 @@ class DilationSequence(Sequence):
 
 
 class ProductSequence(Sequence):
-    kind = "product"
-
     def __init__(self, seqs):
         seqs = tuple(seqs)
         if not seqs:
@@ -263,23 +196,56 @@ class ProductSequence(Sequence):
 def make_theorem4(j: int, k: int, m: int) -> Sequence:
     """Sequence with base values m*(2**n - 1) + k for n <= j and recurrence
     sum of the previous j values minus (j-1)*k afterwards. j >= 2."""
-    return Theorem4Sequence(j, k, m)
+    if j < 2:
+        raise ValueError(f"theorem4 requires j >= 2, got {j}")
+    # k=0, m=1 is the plain 2**n - 1 family, which counts fixed points of
+    # an interval map; any other offset is a linear-combination closure.
+    guarantee = MAP_DERIVED_PHI if (k == 0 and m == 1) else PHI1_CLOSURE
+    return LinearRecurrence(f"theorem4(j={j},k={k},m={m})",
+                            {"j": j, "k": k, "m": m}, guarantee,
+                            lambda n: m * (2**n - 1) + k, (1,) * j,
+                            -(j - 1) * k)
 
 
 def make_theorem5_phi(j: int) -> Sequence:
     """The theorem5-phi family for j >= 2: 3**n - 2 up to n = j, a middle band
-    3**n - 2 - 4n*3**(n-j-1), then the order-(2j-1) recurrence."""
-    return Theorem5PhiSequence(j)
+    3**n - 2 - 4n*3**(n-j-1), then the order-(2j-1) recurrence. It counts
+    solutions of h^n(x) = x for the zigzag map of [-j, j] (see
+    divseq.interval_map.build_gj)."""
+    if j < 2:
+        raise ValueError(f"theorem5-phi requires j >= 2, got {j}")
+
+    def head(n):
+        if n <= j:
+            return 3**n - 2
+        return 3**n - 2 - 4 * n * 3 ** (n - j - 1)
+
+    return LinearRecurrence(f"theorem5phi(j={j})", {"j": j}, MAP_DERIVED_PHI,
+                            head, _zigzag_coeffs(j), 0)
 
 
 def make_theorem5_psi(j: int) -> Sequence:
     """The theorem5-psi family for j >= 2: 3**n up to n = j-1, 3**j - 2j at
-    n = j, a middle band 3**n - 4n*3**(n-j-1), then the shared recurrence."""
-    return Theorem5PsiSequence(j)
+    n = j, a middle band 3**n - 4n*3**(n-j-1), then the shared recurrence.
+    It counts solutions of h^n(x) = -x for the same zigzag map."""
+    if j < 2:
+        raise ValueError(f"theorem5-psi requires j >= 2, got {j}")
+
+    def head(n):
+        if n < j:
+            return 3**n
+        if n == j:
+            return 3**j - 2 * j
+        return 3**n - 4 * n * 3 ** (n - j - 1)
+
+    return LinearRecurrence(f"theorem5psi(j={j})", {"j": j},
+                            ODD_MAP_DERIVED_PSI, head, _zigzag_coeffs(j), 0)
 
 
 def constant(value: int) -> Sequence:
-    return ConstantSequence(value)
+    """The order-0 recurrence q(n) = value."""
+    return LinearRecurrence(f"const({value})", {"value": value},
+                            PHI1_CLOSURE, None, (), value)
 
 
 def linear_combine(k: int, seq1: Sequence, m: int, seq2: Sequence) -> Sequence:

@@ -193,7 +193,7 @@ def _bucket_of(j: int, x0: Fraction, x1: Fraction) -> int:
         return mid.numerator // mid.denominator  # floor(mid)
     if -1 < mid < 1:
         return 0
-    raise AssertionError(f"edge extent [{x0}, {x1}] straddles a bucket boundary")
+    raise RuntimeError(f"edge extent [{x0}, {x1}] straddles a bucket boundary")
 
 
 def _tally(j: int, laps) -> EdgeTensor:
@@ -230,7 +230,8 @@ def expand_word(j: int, n: int, word_cap: int = DEFAULT_WORD_CAP) -> EdgeTensor:
 
     def gi(s: int) -> int:
         out = g(s)
-        assert out.denominator == 1
+        if out.denominator != 1:
+            raise RuntimeError(f"g_{j}({s}) = {out} is not an integer")
         return int(out)
 
     # seed: values of the map at the nonzero integers, linear in between

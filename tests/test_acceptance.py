@@ -146,7 +146,7 @@ def test_criterion_7_open_question_scan(capsys):
                    "phi1 of the antisymmetric family stays divisible, "
                    "j in 2..3, n <= 36 (no counterexample)"):
         for j in (2, 3):
-            report = run_divisibility(make_theorem5_psi(j), "phi1-of-psi", 36)
+            report = run_divisibility(make_theorem5_psi(j), "phi1-mod-n", 36)
             assert report.failures == 0, (j, report.first_failure)
 
 

@@ -229,6 +229,43 @@ def test_verify_bad_expression_is_usage_error(capsys):
     assert "divseq:" in err
 
 
+# -- values past Python's default int<->str digit limit ------------------------
+
+# 5001 digits, over the 4300-digit default of Python >= 3.11; the test
+# writes the decimal text itself, since str(10**5000) would hit that limit
+BIG = "1" + "0" * 5000
+BIG_PLUS_2 = "1" + "0" * 4999 + "2"
+
+
+def _digit_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+def test_seq_table_parses_and_renders_big_values(capsys, tmp_path):
+    path = tmp_path / "big.txt"
+    path.write_text(f"{BIG}\n-{BIG}\n")
+    limit = _digit_limit()
+    code, out, err = run_main(capsys, "seq", "table", "--file", str(path),
+                              "--n-max", "2")
+    assert (code, err) == (0, "")
+    assert out == f"n,value\n1,{BIG}\n2,-{BIG}\n"
+    code, out, _ = run_main(capsys, "seq", "table", "--file", str(path),
+                            "--n-max", "2", "--format", "json")
+    assert code == 0
+    assert json.loads(out)["rows"][1]["value"] == f"-{BIG}"
+    assert _digit_limit() == limit  # restored after the command
+
+
+def test_verify_table_with_big_values(capsys, tmp_path):
+    path = tmp_path / "big.txt"
+    path.write_text(f"{BIG}\n{BIG_PLUS_2}\n")  # phi1 at n = 2 is 2
+    code, out, err = run_main(capsys, "verify", f"table({path})",
+                              "--mode", "phi1-mod-n", "--n-max", "2")
+    assert (code, err) == (0, "")
+    assert out.splitlines()[1:] == [f"1,{BIG},{BIG},1,0,true",
+                                    f"2,{BIG_PLUS_2},2,2,0,true"]
+
+
 # -- oracle ------------------------------------------------------------------
 
 def test_oracle_zigzag_fixed(capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import threading
+import time
 
 import pytest
 from hypothesis import given, settings
@@ -14,6 +15,7 @@ from divseq.sequences import (
     NO_GUARANTEE,
     ODD_MAP_DERIVED_PSI,
     PHI1_CLOSURE,
+    LinearRecurrence,
     TableRangeError,
     constant,
     dilate,
@@ -26,6 +28,7 @@ from divseq.sequences import (
     parse_table,
     product,
 )
+from divseq.symbolic import c_count, d_count, initial_tensor, step
 
 
 def values(seq, n_max):
@@ -92,6 +95,68 @@ def test_values_grow_past_machine_words():
     # geometric growth (ratio 1+sqrt(2) for j=2) leaves 64-bit range near n=50
     phi_2 = make_theorem5_phi(2)
     assert phi_2(120) > 2**63
+
+
+# -- the recurrence core -------------------------------------------------------
+
+def test_linear_recurrence_head_coeffs_and_constant():
+    fib = LinearRecurrence("fib", {}, NO_GUARANTEE, lambda n: 1, (1, 1), 0)
+    assert values(fib, 8) == [1, 1, 2, 3, 5, 8, 13, 21]
+    # coeffs[0] weights q(n-1): q(n) = 2q(n-1) + 0q(n-2) + 1
+    lopsided = LinearRecurrence("x", {}, NO_GUARANTEE, lambda n: n, (2, 0), 1)
+    assert values(lopsided, 5) == [1, 2, 5, 11, 23]
+
+
+def theorem4_by_definition(j, k, m, n_max):
+    q = {}
+    for n in range(1, n_max + 1):
+        if n <= j:
+            q[n] = m * (2**n - 1) + k
+        else:
+            q[n] = sum(q[n - i] for i in range(1, j + 1)) - (j - 1) * k
+    return [q[n] for n in range(1, n_max + 1)]
+
+
+def test_theorem4_matches_its_definition():
+    for j in range(2, 7):
+        for k, m in ((0, 1), (1, 1), (-3, 2), (5, 0), (2, -7)):
+            assert values(make_theorem4(j, k, m), 80) \
+                == theorem4_by_definition(j, k, m, 80), (j, k, m)
+
+
+def test_theorem5_matches_the_edge_engine():
+    for j in range(3, 7):
+        phi, psi = make_theorem5_phi(j), make_theorem5_psi(j)
+        t = initial_tensor(j)
+        for n in range(1, 61):
+            assert (phi(n), psi(n)) == (c_count(t), d_count(t)), (j, n)
+            t = step(t)
+
+
+def test_constant_negative_and_zero():
+    assert values(constant(-12), 5) == [-12] * 5
+    assert values(constant(0), 5) == [0] * 5
+    assert constant(-12).id == "const(-12)"
+    assert constant(0).params == {"value": 0}
+
+
+def test_seed_values_are_computed_only_when_filled():
+    calls = []
+
+    def head(n):
+        calls.append(n)
+        return n
+
+    seq = LinearRecurrence("x", {}, NO_GUARANTEE, head, (1,) * 10**5, 0)
+    assert values(seq, 3) == [1, 2, 3]
+    assert calls == [1, 2, 3]
+    # nor may the factories: an order-10**5 family has 10**5 seed values,
+    # powers of 2 or 3 with up to ~10**5 digits
+    start = time.perf_counter()
+    assert values(make_theorem4(10**5, 0, 1), 3) == [1, 3, 7]
+    assert values(make_theorem5_phi(10**5), 3) == [1, 7, 25]
+    assert values(make_theorem5_psi(10**5), 3) == [3, 9, 27]
+    assert time.perf_counter() - start < 2.0
 
 
 # -- combinators -------------------------------------------------------------

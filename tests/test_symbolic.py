@@ -4,6 +4,7 @@ and the literal word-substitution cross-check."""
 from __future__ import annotations
 
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -11,6 +12,7 @@ from divseq.sequences import make_theorem5_phi, make_theorem5_psi
 from divseq.symbolic import (
     EdgeTensor,
     WordLengthError,
+    _bucket_of,
     bucket_interval,
     c_count,
     d_count,
@@ -231,3 +233,10 @@ def test_bucket_intervals():
         bucket_interval(3, 3)
     with pytest.raises(ValueError):
         label_pair(3, 5)
+
+
+def test_bucket_of_straddling_extent_raises_runtime_error():
+    # midpoint -1 sits on the boundary between buckets -1 and 0; the check
+    # is an explicit exception, so it also holds under python -O
+    with pytest.raises(RuntimeError, match="straddles"):
+        _bucket_of(3, Fraction(-2), Fraction(0))
