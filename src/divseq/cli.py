@@ -43,6 +43,7 @@ from .sequences import (
     make_theorem5_phi,
     make_theorem5_psi,
     product,
+    unlimited_int_digits,
 )
 from .symbolic import c_count, d_count, initial_tensor, step
 
@@ -546,38 +547,30 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    # values gain digits linearly in n and soon pass Python's default limit
-    # on int<->str conversion (4300 digits, Python >= 3.11); lift it while
-    # the command runs
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if limit is not None:
-        sys.set_int_max_str_digits(0)
-    try:
-        parser = _build_parser()
-        args = parser.parse_args(argv)
-        if args.n_max is None:
-            args.n_max = DEFAULT_N_MAX[args.command]
-        if args.n_max < 1:
-            print("divseq: --n-max must be >= 1", file=sys.stderr)
+    with unlimited_int_digits():
+        try:
+            parser = _build_parser()
+            args = parser.parse_args(argv)
+            if args.n_max is None:
+                args.n_max = DEFAULT_N_MAX[args.command]
+            if args.n_max < 1:
+                print("divseq: --n-max must be >= 1", file=sys.stderr)
+                return 2
+            if args.piece_cap < 1:
+                print("divseq: --piece-cap must be >= 1", file=sys.stderr)
+                return 2
+            return args.func(args)
+        except (UsageError, ExpressionError, ValueError, LookupError,
+                OSError) as exc:
+            print(f"divseq: {exc}", file=sys.stderr)
             return 2
-        if args.piece_cap < 1:
-            print("divseq: --piece-cap must be >= 1", file=sys.stderr)
+        except InfiniteSolutionsError as exc:
+            print(f"divseq: {exc}, so the solution count is infinite",
+                  file=sys.stderr)
             return 2
-        return args.func(args)
-    except (UsageError, ExpressionError, ValueError, LookupError,
-            OSError) as exc:
-        print(f"divseq: {exc}", file=sys.stderr)
-        return 2
-    except InfiniteSolutionsError as exc:
-        print(f"divseq: {exc}, so the solution count is infinite",
-              file=sys.stderr)
-        return 2
-    except PieceCapExceededError as exc:
-        print(f"divseq: {exc}", file=sys.stderr)
-        return 3
-    finally:
-        if limit is not None:
-            sys.set_int_max_str_digits(limit)
+        except PieceCapExceededError as exc:
+            print(f"divseq: {exc}", file=sys.stderr)
+            return 3
 
 
 if __name__ == "__main__":

@@ -9,7 +9,9 @@ skips a check because of them.
 
 from __future__ import annotations
 
+import sys
 import threading
+from contextlib import contextmanager
 from operator import mul
 
 __all__ = [
@@ -31,6 +33,9 @@ __all__ = [
     "PHI1_CLOSURE",
     "NO_GUARANTEE",
 ]
+
+# longest bad table token quoted in full in an error message
+_QUOTE_CAP = 40
 
 # Provenance flags. MAP_DERIVED_PHI marks fixed-point counts of some self-map
 # (phi1 values divisible by n); ODD_MAP_DERIVED_PSI marks g^n(x) = -x counts
@@ -276,18 +281,39 @@ def product(seqs) -> Sequence:
     return ProductSequence(seqs)
 
 
+@contextmanager
+def unlimited_int_digits():
+    """Lift Python's limit on int<->str conversion (4300 digits by default,
+    Python >= 3.11) inside the block and restore it afterwards; values gain
+    digits linearly in n and soon pass it."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is None:
+        yield
+        return
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def parse_table(text: str, source: str = "<table>") -> Sequence:
     """Parse an external table: one decimal signed integer per line, line i
-    holding the value at n = i; blank lines and # comments are ignored."""
+    holding the value at n = i; blank lines and # comments are ignored.
+    Values may have any number of digits."""
     values = []
-    for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].strip()
-        if not line:
-            continue
-        try:
-            values.append(int(line))
-        except ValueError:
-            raise ValueError(f"{source}:{lineno}: not a decimal integer: {line!r}")
+    with unlimited_int_digits():
+        for lineno, raw in enumerate(text.splitlines(), start=1):
+            line = raw.split("#", 1)[0].strip()
+            if not line:
+                continue
+            try:
+                values.append(int(line))
+            except ValueError:
+                shown = repr(line) if len(line) <= _QUOTE_CAP else (
+                    f"{line[:_QUOTE_CAP]!r}... ({len(line)} characters)")
+                raise ValueError(
+                    f"{source}:{lineno}: not a decimal integer: {shown}")
     return TableSequence(values, source)
 
 

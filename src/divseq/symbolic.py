@@ -9,12 +9,22 @@ aggregates that count solutions of h^n(x) = x and h^n(x) = -x, and a
 literal word-substitution expander used only to cross-validate the
 recurrence. j = 2 is excluded: the substitution rules are stated for
 j >= 3 only, and j = 2 claims are checked through the interval oracle.
+
+Both paths are exact and cheap per step. `step` shares the two partial sums
+a(0) + a(-(j-1)) and a(0) + a(j-1) within each row, so a row costs 2j-1
+big-int additions. `expand_word` keeps lap x-coordinates as integer
+numerators over one denominator per depth, multiplied by lcm(1, 2j, j+1)
+each depth so that every station is an integer numerator, and reads g_j at
+the integer stations from a table built once. Validation still runs on every
+tensor, each one `step` returns included.
 """
 
 from __future__ import annotations
 
+from collections import Counter
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 
 from .interval_map import build_gj
 
@@ -60,9 +70,10 @@ class EdgeTensor:
         if self.n < 1:
             raise ValueError(f"n must be >= 1, got {self.n}")
         size = 2 * self.j - 1
-        if len(self.counts) != size or any(len(r) != size for r in self.counts):
+        counts = self.counts
+        if len(counts) != size or set(map(len, counts)) != {size}:
             raise ValueError(f"counts grid must be {size}x{size}")
-        if any(c < 0 for row in self.counts for c in row):
+        if min(map(min, counts)) < 0:
             raise ValueError("edge counts must be nonnegative")
 
     def entry(self, k: int, i: int) -> int:
@@ -92,26 +103,23 @@ def initial_tensor(j: int) -> EdgeTensor:
 
 def step(t: EdgeTensor) -> EdgeTensor:
     """Advance the tensor one iterate via the seven-case linear recurrence;
-    rows (fixed bucket k) evolve independently."""
-    j, w = t.j, t.j - 1
+    rows (fixed bucket k) evolve independently.
+
+    With w = j-1, every case holds a(0) + a(-w) or a(0) + a(w), so a row
+    shares s = a(0) + a(-w) and u = a(0) + a(w): new[-w] = u + a(1),
+    new[-(j-2)] = s, new[i] = a(i-1) + s for -(j-3) <= i <= -1,
+    new[0] = s + a(w), new[i] = a(i+1) + u for 1 <= i <= j-3,
+    new[j-2] = u and new[w] = s + a(-1). That is 2j-1 additions per row.
+    Raw column c holds a(c - w)."""
+    w = t.j - 1
 
     def advance(row):
-        def a(i):
-            return row[i + w]
+        centre, high = row[w], row[-1]
+        s, u = centre + row[0], centre + high
+        return (u + row[w + 1], s, *[x + s for x in row[1:w - 1]], s + high,
+                *[x + u for x in row[w + 2:-1]], u, s + row[w - 1])
 
-        new = [0] * (2 * j - 1)
-        new[-(j - 1) + w] = a(0) + a(1) + a(j - 1)
-        new[-(j - 2) + w] = a(0) + a(-(j - 1))
-        for i in range(-(j - 3), 0):
-            new[i + w] = a(i - 1) + a(0) + a(-(j - 1))
-        new[0 + w] = a(-(j - 1)) + a(0) + a(j - 1)
-        for i in range(1, j - 2):
-            new[i + w] = a(0) + a(i + 1) + a(j - 1)
-        new[j - 2 + w] = a(0) + a(j - 1)
-        new[j - 1 + w] = a(-(j - 1)) + a(-1) + a(0)
-        return tuple(new)
-
-    return EdgeTensor(j, t.n + 1, tuple(advance(row) for row in t.counts))
+    return EdgeTensor(t.j, t.n + 1, tuple(map(advance, t.counts)))
 
 
 def c_count(t: EdgeTensor) -> int:
@@ -183,26 +191,30 @@ def bucket_interval(j: int, k: int) -> tuple[Fraction, Fraction]:
     return (Fraction(k), Fraction(k + 1))
 
 
-def _bucket_of(j: int, x0: Fraction, x1: Fraction) -> int:
-    """Bucket containing [x0, x1]. Edge extents never straddle buckets: the
-    n=1 extents each fill exactly one bucket and expansion only subdivides."""
-    mid = (x0 + x1) / 2
-    if mid < -1:
-        return -((-mid.numerator) // mid.denominator)  # ceil(mid)
-    if mid > 1:
-        return mid.numerator // mid.denominator  # floor(mid)
-    if -1 < mid < 1:
+def _bucket_of(j: int, x0, x1, den: int = 1) -> int:
+    """Bucket containing the x-extent [x0/den, x1/den]; x0 and x1 may be
+    integer numerators over den or, with den = 1, Fractions. Edge extents
+    never straddle buckets: the n=1 extents each fill exactly one bucket and
+    expansion only subdivides."""
+    twice, cell = x0 + x1, 2 * den  # the midpoint is twice / cell
+    if twice < -cell:
+        return -(-twice // cell)  # ceil
+    if twice > cell:
+        return twice // cell  # floor
+    if -cell < twice < cell:
         return 0
+    if den != 1:
+        x0, x1 = Fraction(x0, den), Fraction(x1, den)
     raise RuntimeError(f"edge extent [{x0}, {x1}] straddles a bucket boundary")
 
 
-def _tally(j: int, laps) -> EdgeTensor:
+def _tally(j: int, n: int, laps, den: int) -> EdgeTensor:
     w = j - 1
     grid = [[0] * (2 * j - 1) for _ in range(2 * j - 1)]
-    n = None
-    for (u, v, x0, x1, depth) in laps:
-        n = depth
-        grid[_bucket_of(j, x0, x1) + w][pair_label(j, u, v) + w] += 1
+    edges = Counter((_bucket_of(j, x0, x1, den), u, v)
+                    for (u, v, x0, x1) in laps)
+    for (k, u, v), count in edges.items():
+        grid[k + w][pair_label(j, u, v) + w] += count
     return EdgeTensor(j, n, tuple(tuple(r) for r in grid))
 
 
@@ -222,6 +234,11 @@ def expand_word(j: int, n: int, word_cap: int = DEFAULT_WORD_CAP) -> EdgeTensor:
     u to v), placing station s at its exact rational x via inverse linear
     interpolation and mapping its value through the zigzag map. Exponential
     in n; guarded by word_cap and used only for cross-validation.
+
+    The x-coordinates are integer numerators over one denominator per depth,
+    multiplied by L = lcm(1, 2j, j+1) at each pass. Every edge of the alphabet
+    has |v - u| in {1, j+1, 2j}, which divides L, so station s lands exactly
+    on x0*L + (s-u)*(x1-x0)*(L/(v-u)).
     """
     _check_j(j)
     if n < 1:
@@ -236,21 +253,34 @@ def expand_word(j: int, n: int, word_cap: int = DEFAULT_WORD_CAP) -> EdgeTensor:
 
     # seed: values of the map at the nonzero integers, linear in between
     xs = [x for x in range(-j, j + 1) if x != 0]
-    vals = [gi(x) for x in xs]
-    laps = [(vals[m], vals[m + 1], Fraction(xs[m]), Fraction(xs[m + 1]), 1)
-            for m in range(len(vals) - 1)]
+    image = {x: gi(x) for x in xs}
+    laps = [(image[a], image[b], a, b) for a, b in zip(xs, xs[1:])]
+    scale = lcm(1, 2 * j, j + 1)
+    sweeps = {}  # (u, v) -> station offsets and the images of the stations
 
+    def sweep(u: int, v: int):
+        if scale % (v - u):
+            raise RuntimeError(
+                f"lap ({u}, {v}) is not an edge of the j={j} alphabet")
+        stations = _stations(u, v)
+        offsets = [(s - u) * (scale // (v - u)) for s in stations]
+        values = [image[s] for s in stations]
+        return offsets, values, values[1:]
+
+    den = 1
     for depth in range(2, n + 1):
         new_laps = []
-        for (u, v, x0, x1, _) in laps:
-            span = x1 - x0
-            stations = _stations(u, v)
-            pts = [(x0 + (s - u) * span / (v - u), gi(s)) for s in stations]
-            for m in range(len(pts) - 1):
-                new_laps.append((pts[m][1], pts[m + 1][1],
-                                 pts[m][0], pts[m + 1][0], depth))
+        for (u, v, x0, x1) in laps:
+            moves = sweeps.get((u, v))
+            if moves is None:
+                moves = sweeps[u, v] = sweep(u, v)
+            offsets, values, next_values = moves
+            origin, span = x0 * scale, x1 - x0
+            pts = [origin + k * span for k in offsets]
+            new_laps += zip(values, next_values, pts, pts[1:])
             if len(new_laps) > word_cap:
                 raise WordLengthError(
                     f"expansion at n={depth} exceeds {word_cap} symbols")
         laps = new_laps
-    return _tally(j, laps)
+        den *= scale
+    return _tally(j, n, laps, den)

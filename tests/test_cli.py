@@ -4,11 +4,14 @@ exit codes, and byte-level determinism."""
 from __future__ import annotations
 
 import json
+import os
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
+import divseq
 from divseq import __version__
 from divseq.cli import ExpressionError, main, parse_expression
 from divseq.sequences import (
@@ -24,9 +27,16 @@ def run_main(capsys, *args: str):
     return code, captured.out, captured.err
 
 
+# the child interpreter imports divseq from where this one did
+SRC = str(Path(divseq.__file__).resolve().parent.parent)
+
+
 def run_proc(*args: str) -> subprocess.CompletedProcess:
+    path = os.environ.get("PYTHONPATH")
+    env = dict(os.environ,
+               PYTHONPATH=os.pathsep.join([SRC, path] if path else [SRC]))
     return subprocess.run([sys.executable, "-m", "divseq", *args],
-                          capture_output=True)
+                          capture_output=True, env=env)
 
 
 # -- expression grammar ------------------------------------------------------

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import sys
 import threading
 import time
 
@@ -283,6 +284,34 @@ def test_parse_table_skips_blanks_and_comments():
 def test_parse_table_rejects_garbage_with_line_number():
     with pytest.raises(ValueError, match=":2:"):
         parse_table("1\ntwo\n3\n", source="vals.txt")
+
+
+def _digit_limit():
+    return getattr(sys, "get_int_max_str_digits", lambda: None)()
+
+
+def test_parse_table_accepts_values_past_int_digit_limit(tmp_path):
+    # 5001 digits, over Python's default int<->str limit of 4300 digits
+    big = "1" + "0" * 5000
+    limit = _digit_limit()
+    seq = parse_table(f"{big}\n-{big}2\n", source="big.txt")
+    assert seq(1) == 10**5000
+    assert seq(2) == -(10**5001 + 2)
+    path = tmp_path / "big.txt"
+    path.write_text(f"7\n{big}\n")
+    assert load_table(path)(2) == 10**5000
+    assert _digit_limit() == limit  # restored after parsing
+
+
+def test_parse_table_quotes_a_bounded_prefix_of_a_bad_token():
+    limit = _digit_limit()
+    with pytest.raises(ValueError) as exc:
+        parse_table("1\n" + "9" * 5000 + "x\n", source="big.txt")
+    message = str(exc.value)
+    assert message.startswith("big.txt:2: not a decimal integer: '9999")
+    assert "(5001 characters)" in message
+    assert len(message) < 120
+    assert _digit_limit() == limit
 
 
 def test_table_range_error_names_requested_n():

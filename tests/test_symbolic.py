@@ -7,7 +7,10 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from divseq.interval_map import build_gj
 from divseq.sequences import make_theorem5_phi, make_theorem5_psi
 from divseq.symbolic import (
     EdgeTensor,
@@ -240,3 +243,142 @@ def test_bucket_of_straddling_extent_raises_runtime_error():
     # is an explicit exception, so it also holds under python -O
     with pytest.raises(RuntimeError, match="straddles"):
         _bucket_of(3, Fraction(-2), Fraction(0))
+
+
+# -- references: the seven-case step and the Fraction expansion, written out --
+
+def reference_step(t: EdgeTensor) -> EdgeTensor:
+    """The seven cases of the recurrence, three terms each, as first stated."""
+    j, w = t.j, t.j - 1
+
+    def advance(row):
+        def a(i):
+            return row[i + w]
+
+        new = [0] * (2 * j - 1)
+        new[-(j - 1) + w] = a(0) + a(1) + a(j - 1)
+        new[-(j - 2) + w] = a(0) + a(-(j - 1))
+        for i in range(-(j - 3), 0):
+            new[i + w] = a(i - 1) + a(0) + a(-(j - 1))
+        new[0 + w] = a(-(j - 1)) + a(0) + a(j - 1)
+        for i in range(1, j - 2):
+            new[i + w] = a(0) + a(i + 1) + a(j - 1)
+        new[j - 2 + w] = a(0) + a(j - 1)
+        new[j - 1 + w] = a(-(j - 1)) + a(-1) + a(0)
+        return tuple(new)
+
+    return EdgeTensor(j, t.n + 1, tuple(advance(row) for row in t.counts))
+
+
+def reference_bucket(x0: Fraction, x1: Fraction) -> int:
+    mid = (x0 + x1) / 2
+    if mid < -1:
+        return -((-mid.numerator) // mid.denominator)
+    if mid > 1:
+        return mid.numerator // mid.denominator
+    if -1 < mid < 1:
+        return 0
+    raise RuntimeError(f"edge extent [{x0}, {x1}] straddles a bucket boundary")
+
+
+def reference_expand(j: int, n: int, word_cap: int) -> EdgeTensor:
+    """Literal substitution with every station x built as a Fraction."""
+    g = build_gj(j)
+    xs = [x for x in range(-j, j + 1) if x != 0]
+    vals = [int(g(x)) for x in xs]
+    laps = [(vals[m], vals[m + 1], Fraction(xs[m]), Fraction(xs[m + 1]))
+            for m in range(len(vals) - 1)]
+    for depth in range(2, n + 1):
+        new_laps = []
+        for (u, v, x0, x1) in laps:
+            step_ = 1 if v > u else -1
+            stations = [s for s in range(u, v + step_, step_) if s != 0]
+            pts = [(x0 + (s - u) * (x1 - x0) / (v - u), int(g(s)))
+                   for s in stations]
+            for m in range(len(pts) - 1):
+                new_laps.append((pts[m][1], pts[m + 1][1],
+                                 pts[m][0], pts[m + 1][0]))
+            if len(new_laps) > word_cap:
+                raise WordLengthError(
+                    f"expansion at n={depth} exceeds {word_cap} symbols")
+        laps = new_laps
+    w = j - 1
+    grid = [[0] * (2 * j - 1) for _ in range(2 * j - 1)]
+    for (u, v, x0, x1) in laps:
+        grid[reference_bucket(x0, x1) + w][pair_label(j, u, v) + w] += 1
+    return EdgeTensor(j, n, tuple(tuple(r) for r in grid))
+
+
+@st.composite
+def big_tensors(draw):
+    j = draw(st.integers(3, 12))
+    size = 2 * j - 1
+    row = st.tuples(*[st.integers(0, 10**60)] * size)
+    counts = draw(st.tuples(*[row] * size))
+    return EdgeTensor(j, draw(st.integers(1, 10**4)), counts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(big_tensors())
+def test_step_equals_seven_case_reference(t):
+    got, want = step(t), reference_step(t)
+    assert (got.j, got.n) == (want.j, want.n) == (t.j, t.n + 1)
+    assert got.counts == want.counts
+
+
+def test_step_validates_its_output():
+    # a grid that skipped validation must not pass through step unchecked
+    bad = object.__new__(EdgeTensor)
+    counts = [[0] * 5 for _ in range(5)]
+    counts[2][2] = -5
+    for name, value in (("j", 3), ("n", 1),
+                        ("counts", tuple(tuple(r) for r in counts))):
+        object.__setattr__(bad, name, value)
+    with pytest.raises(ValueError, match="nonnegative"):
+        step(bad)
+
+
+def test_edge_tensor_rejects_one_ragged_row():
+    rows = [(0,) * 5] * 5
+    rows[3] = (0,) * 6
+    with pytest.raises(ValueError, match="5x5"):
+        EdgeTensor(3, 1, tuple(rows))
+
+
+def test_expand_word_equals_fraction_reference():
+    for j in range(3, 7):
+        for n in range(1, 7):
+            got = expand_word(j, n)
+            want = reference_expand(j, n, 10**6)
+            assert (got.n, got.counts) == (want.n, want.counts), (j, n)
+
+
+@pytest.mark.parametrize("j", [3, 4, 5])
+@pytest.mark.parametrize("cap", [1, 20, 100, 700, 3000])
+def test_expand_word_cap_trips_at_the_reference_depth(j, cap):
+    with pytest.raises(WordLengthError) as want:
+        reference_expand(j, 8, cap)
+    with pytest.raises(WordLengthError) as got:
+        expand_word(j, 8, word_cap=cap)
+    assert str(got.value) == str(want.value)
+
+
+def test_scaled_bucket_of_raises_on_straddling_extent():
+    # [-4/2, 0/2] = [-2, 0] has its midpoint on the boundary x = -1
+    with pytest.raises(RuntimeError, match=r"\[-2, 0\] straddles"):
+        _bucket_of(3, -4, 0, den=2)
+    with pytest.raises(RuntimeError, match="straddles"):
+        _bucket_of(4, 36, 108, den=72)  # [1/2, 3/2]
+
+
+def test_scaled_bucket_of_matches_fraction_bucket():
+    rng = random.Random(7)
+    for _ in range(2000):
+        den = rng.randrange(1, 10**6)
+        x0 = rng.randrange(-5 * den, 5 * den)
+        x1 = x0 + rng.randrange(1, den)
+        lo, hi = Fraction(x0, den), Fraction(x1, den)
+        if (lo + hi) / 2 in (-1, 1):
+            continue
+        assert _bucket_of(6, x0, x1, den) == reference_bucket(lo, hi)
+        assert _bucket_of(6, lo, hi) == reference_bucket(lo, hi)
