@@ -3,10 +3,13 @@ The edge-count engine: counting solutions without solving anything
 ==================================================================
 
 The graph of g_j^n can be encoded as a word over a finite alphabet of edge
-labels, one label per pair of adjacent integer levels.  The engine keeps only
-a census: how many times each label occurs in each unit bucket of the x-axis.
-One linear step of the census corresponds to composing the map once more, so
-solution counts for g^n come out of integer bookkeeping with no root finding.
+labels.  A label is a lap of the map, a pair of node values (u, v) such as
+(-2, -1), (-j, j) or (j, -1), and the alphabet is what g_j's own laps become
+under the rule "a lap splits into the laps between the images of the nodes
+from u to v".  The engine keeps only a census: how many times each label
+occurs in each bucket, a piece of g_j on the x-axis.  One linear step of the
+census corresponds to composing the map once more, so solution counts for
+g^n come out of integer bookkeeping with no root finding.
 """
 
 from divseq import (

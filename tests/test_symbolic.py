@@ -1,5 +1,7 @@
-"""The edge-count engine: initial tensor, seven-case recurrence, aggregates,
-and the literal word-substitution cross-check."""
+"""The edge-count engine: the substitution rule derived from g_j, the
+initial tensor, the prefix-sum step, the aggregates and the literal
+word-substitution cross-check, checked against the seven-case step and the
+Fraction expansion written out below."""
 
 from __future__ import annotations
 
@@ -10,12 +12,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divseq.interval_map import build_gj
+import divseq.symbolic
+from divseq.interval_map import build_gj, count_antifixed, count_fixed
 from divseq.sequences import make_theorem5_phi, make_theorem5_psi
 from divseq.symbolic import (
     EdgeTensor,
     WordLengthError,
     _bucket_of,
+    _rule,
     bucket_interval,
     c_count,
     d_count,
@@ -81,7 +85,7 @@ def test_edge_tensor_validation():
         initial_tensor(3).entry(3, 0)
 
 
-# -- the seven-case step -----------------------------------------------------
+# -- the step ----------------------------------------------------------------
 
 def test_step_j3_center_row():
     t2 = step(initial_tensor(3))
@@ -373,12 +377,78 @@ def test_scaled_bucket_of_raises_on_straddling_extent():
 
 def test_scaled_bucket_of_matches_fraction_bucket():
     rng = random.Random(7)
+    buckets = [bucket_interval(6, k) for k in range(-5, 6)]
     for _ in range(2000):
         den = rng.randrange(1, 10**6)
         x0 = rng.randrange(-5 * den, 5 * den)
         x1 = x0 + rng.randrange(1, den)
         lo, hi = Fraction(x0, den), Fraction(x1, den)
-        if (lo + hi) / 2 in (-1, 1):
+        if any(s <= lo and hi <= t for s, t in buckets):
+            assert _bucket_of(6, x0, x1, den) == reference_bucket(lo, hi)
+            assert _bucket_of(6, lo, hi) == reference_bucket(lo, hi)
             continue
-        assert _bucket_of(6, x0, x1, den) == reference_bucket(lo, hi)
-        assert _bucket_of(6, lo, hi) == reference_bucket(lo, hi)
+        with pytest.raises(RuntimeError, match="straddles"):
+            _bucket_of(6, x0, x1, den)
+        with pytest.raises(RuntimeError, match="straddles"):
+            _bucket_of(6, lo, hi)
+
+
+def test_bucket_of_checks_both_ends():
+    # [-2.5, 0.7] spans buckets -1 and 0 though its midpoint lies in bucket 0
+    with pytest.raises(RuntimeError, match=r"\[-5/2, 7/10\] straddles"):
+        _bucket_of(3, Fraction(-5, 2), Fraction(7, 10))
+    with pytest.raises(RuntimeError, match=r"\[-5/2, 7/10\] straddles"):
+        _bucket_of(3, -25, 7, den=10)
+
+
+def test_pair_label_rejects_level_pairs_outside_the_alphabet():
+    # adjacent levels at the ends of [-j, j] are no lap of g_j
+    for j in (3, 4, 7):
+        for u, v in ((-j, -(j - 1)), (j - 1, j), (j + 1, j + 2)):
+            with pytest.raises(ValueError, match="not an edge"):
+                pair_label(j, u, v)
+            with pytest.raises(ValueError, match="not an edge"):
+                pair_label(j, v, u)
+
+
+# -- the derived rule ------------------------------------------------------------
+
+class CountedInt(int):
+    """An int that counts every addition made with it."""
+
+    adds = 0
+
+    def __add__(self, other):
+        CountedInt.adds += 1
+        return CountedInt(int(self) + int(other))
+
+
+@pytest.mark.parametrize("j", range(3, 13))
+def test_step_makes_2j_minus_1_additions_per_row(j):
+    size = 2 * j - 1
+    row = tuple(map(CountedInt, range(1, size + 1)))
+    CountedInt.adds = 0
+    got = step(EdgeTensor(j, 1, (row,) * size))
+    assert CountedInt.adds == size * size
+    assert got.counts == reference_step(EdgeTensor(j, 1, (row,) * size)).counts
+
+
+def test_rule_at_j2_counts_the_oracle_solutions():
+    # the public engine starts at j = 3; the rule itself derives for g_2 too
+    rule, g = _rule(2), build_gj(2)
+    phi, psi = make_theorem5_phi(2), make_theorem5_psi(2)
+    counts = rule.seed
+    for n in range(1, 9):
+        fixed = sum(counts[r][c] for r, c in rule.fixed)
+        antifixed = sum(counts[r][c] for r, c in rule.antifixed)
+        assert fixed == count_fixed(g, n) == phi(n), n
+        assert antifixed == count_antifixed(g, n) == psi(n), n
+        counts = tuple(map(rule.advance, counts))
+
+
+def test_rule_rejects_a_table_the_laps_do_not_close_on(monkeypatch):
+    pairs = divseq.symbolic._paper_pairs(4)
+    pairs[1] = (-4, -3)  # in place of (-3, -2)
+    monkeypatch.setattr(divseq.symbolic, "_paper_pairs", lambda j: pairs)
+    with pytest.raises(RuntimeError, match="labelled pairs"):
+        _rule.__wrapped__(4)
