@@ -1,13 +1,26 @@
 """Prime factorization and the inclusion-exclusion operators phi1 and phi2.
 
-All arithmetic is exact: values are Python ints, so magnitudes like 3**100
-are handled without overflow or rounding.
+All arithmetic is exact: values are Python ints, or integral Decimals under
+`exact_context()`, so magnitudes like 3**100 are handled without overflow or
+rounding.
 """
 
 from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
+from decimal import (
+    MAX_EMAX,
+    MAX_PREC,
+    MIN_EMIN,
+    Context,
+    DivisionByZero,
+    Inexact,
+    InvalidOperation,
+    Overflow,
+    Rounded,
+    localcontext,
+)
 from typing import Callable
 
 __all__ = [
@@ -17,10 +30,25 @@ __all__ = [
     "phi1",
     "phi2",
     "divisibility_check",
+    "exact_context",
 ]
 
-# Any integer-valued function on n >= 1; divseq.sequences.Sequence qualifies.
+# Any integer-valued function on n >= 1; divseq.sequences.Sequence qualifies,
+# and so does its exact method, which returns integral Decimals.
 IntSequence = Callable[[int], int]
+
+# Integers of up to MAX_PREC digits are exact in this context, and any
+# operation that would round raises instead.
+_EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
+                 traps=[Inexact, Rounded, InvalidOperation, DivisionByZero,
+                        Overflow])
+
+
+def exact_context():
+    """A decimal.localcontext (a copy of one shared exact context) in which
+    +, -, * and % on integral Decimals are exact; the caller's own decimal
+    context is restored on exit."""
+    return localcontext(_EXACT)
 
 
 def _sieve(limit: int) -> tuple[int, ...]:
@@ -94,13 +122,14 @@ def factorize(n: int) -> Factorization:
 
 def _alternating_sum(seq: IntSequence, n: int, primes: tuple[int, ...]) -> int:
     total = 0
-    for size in range(len(primes) + 1):
-        sign = -1 if size % 2 else 1
-        for subset in itertools.combinations(primes, size):
-            d = 1
-            for p in subset:
-                d *= p
-            total += sign * seq(n // d)
+    with exact_context():
+        for size in range(len(primes) + 1):
+            sign = -1 if size % 2 else 1
+            for subset in itertools.combinations(primes, size):
+                d = 1
+                for p in subset:
+                    d *= p
+                total += sign * seq(n // d)
     return total
 
 
@@ -127,13 +156,18 @@ def phi2(seq: IntSequence, n: int) -> int:
         raise ValueError(f"phi2 requires n >= 1, got {n}")
     fac = factorize(n)
     if fac.odd_part() == 1:
-        return seq(n) - 1
+        with exact_context():
+            return seq(n) - 1
     return _alternating_sum(seq, n, fac.odd_primes)
 
 
-def divisibility_check(value: int, modulus: int) -> tuple[bool, int]:
-    """Whether modulus divides value, plus the remainder normalized to [0, modulus)."""
+def divisibility_check(value, modulus: int) -> tuple[bool, int]:
+    """Whether modulus divides value (an int or an integral Decimal), plus
+    the remainder as an int normalized to [0, modulus)."""
     if modulus < 1:
         raise ValueError(f"modulus must be >= 1, got {modulus}")
-    r = value % modulus
+    # Decimal % truncates toward zero, so its remainder takes the sign of
+    # value; the int % afterwards moves it into [0, modulus)
+    with exact_context():
+        r = int(value % modulus) % modulus
     return (r == 0, r)

@@ -18,6 +18,7 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from decimal import Decimal
 
 from . import __version__
 from .arith import divisibility_check, phi1, phi2
@@ -201,8 +202,8 @@ def parse_expression(text: str) -> Sequence:
 @dataclass
 class ReportRow:
     n: int
-    q: int | None
-    phi: int | None
+    q: Decimal | None            # integral; see Sequence.exact
+    phi: Decimal | None
     modulus: int
     remainder: int | None
     passed: bool
@@ -264,16 +265,18 @@ _MODES = {
 def run_divisibility(seq: Sequence, mode: str, n_max: int) -> DivisibilityReport:
     """Check transform(seq, n) against its modulus for n = 1..n_max.
 
-    Rows that cannot be evaluated (a table running out of values) are
-    recorded as failures with the error message, not raised.
+    q and phi are computed from seq.exact, so rows hold them as integral
+    Decimals, which print in linear time. Rows that cannot be evaluated (a
+    table running out of values) are recorded as failures with the error
+    message, not raised.
     """
     transform, mod_factor = _MODES[mode]
     rows = []
     for n in range(1, n_max + 1):
         modulus = mod_factor * n
         try:
-            q = seq(n)
-            value = transform(seq, n)
+            q = seq.exact(n)
+            value = transform(seq.exact, n)
         except TableRangeError as exc:
             rows.append(ReportRow(n, None, None, modulus, None, False, str(exc)))
             continue
@@ -405,7 +408,7 @@ def cmd_seq(args) -> int:
                                          "n_max": args.n_max},
             "version": __version__}
     sys.stdout.write(_render(args.format, meta, ("n", "value"),
-                             ({"n": n, "value": str(seq(n))}
+                             ({"n": n, "value": str(seq.exact(n))}
                               for n in range(1, args.n_max + 1))))
     return 0
 

@@ -1,10 +1,16 @@
 """Memoized integer sequences: recurrence families and divisibility-preserving
 combinators.
 
-Every sequence is defined on n >= 1, evaluates to exact Python ints, and
-carries a provenance flag saying which divisibility guarantee (if any) it
-inherits. Verification code uses the flags purely as report labels; it never
-skips a check because of them.
+Every sequence is defined on n >= 1 and carries a provenance flag saying
+which divisibility guarantee (if any) it inherits. Verification code uses the
+flags purely as report labels; it never skips a check because of them.
+
+A sequence computes its values exactly in two number types, each with its own
+cache: `eval(n)` (and `seq(n)`) returns a Python int, and `exact(n)` returns
+the same value as an integral `decimal.Decimal`, computed under
+`divseq.arith.exact_context()`. `str` of a Decimal is linear in its length,
+where `str` of an int is quadratic, so the command line prints values from
+`exact`.
 """
 
 from __future__ import annotations
@@ -12,7 +18,11 @@ from __future__ import annotations
 import sys
 import threading
 from contextlib import contextmanager
+from decimal import Decimal
+from functools import reduce
 from operator import mul
+
+from .arith import exact_context
 
 __all__ = [
     "Sequence",
@@ -55,11 +65,12 @@ class TableRangeError(LookupError):
 
 
 class Sequence:
-    """Integer-valued function on n >= 1 with a memoized, append-only cache.
+    """Integer-valued function on n >= 1 with memoized, append-only caches,
+    one per number type (int for eval, Decimal for exact).
 
     Values are filled bottom-up (never by recursion on n), so recurrence
-    evaluation is linear time and safe at any depth. The cache is guarded by
-    a lock; concurrent eval() calls return identical values.
+    evaluation is linear time and safe at any depth. The caches are guarded
+    by a lock; concurrent eval() or exact() calls return identical values.
     """
 
     def __init__(self, seq_id: str, params: dict | None = None,
@@ -69,21 +80,41 @@ class Sequence:
         self.guarantee = guarantee
         self._lock = threading.Lock()
         self._values: list[int] = []
+        self._exact: list[Decimal] = []
 
     def eval(self, n: int) -> int:
-        if n < 1:
-            raise ValueError(f"sequence domain is n >= 1, got {n}")
-        if n > len(self._values):
+        """The value at n as an int."""
+        if not 0 < n <= len(self._values):
             with self._lock:
-                while len(self._values) < n:
-                    self._values.append(self._compute(len(self._values) + 1))
+                self._fill(self._values, n, int)
         return self._values[n - 1]
+
+    def exact(self, n: int) -> Decimal:
+        """The value at n as an integral Decimal; equal to eval(n)."""
+        if not 0 < n <= len(self._exact):
+            with self._lock, exact_context():
+                self._fill(self._exact, n, Decimal)
+        return self._exact[n - 1]
 
     def __call__(self, n: int) -> int:
         return self.eval(n)
 
-    def _compute(self, n: int) -> int:
-        """Value at n; may read self._values[:n-1], which is already filled."""
+    def _at(self, n: int, num: type):
+        """The value at n in number type num (int or Decimal)."""
+        return self.eval(n) if num is int else self.exact(n)
+
+    def _fill(self, values: list, n: int, num: type):
+        if n < 1:
+            raise ValueError(f"sequence domain is n >= 1, got {n}")
+        while len(values) < n:
+            # `or num()` turns Decimal('-0'), the product of 0 and a
+            # negative number, into 0, which prints as the int 0 does
+            values.append(self._compute(len(values) + 1, values, num)
+                          or num())
+
+    def _compute(self, n: int, values: list, num: type):
+        """Value at n in number type num; may read values[:n-1], the cache
+        of that type, which is already filled."""
         raise NotImplementedError
 
     def __repr__(self):
@@ -95,7 +126,8 @@ class LinearRecurrence(Sequence):
     q(n) = coeffs[0]*q(n-1) + ... + coeffs[order-1]*q(n-order) + constant.
 
     head is called only for the n being filled, so a family with a large
-    order computes none of its seed values before they are asked for.
+    order computes none of its seed values before they are asked for. It
+    returns an int, converted to the number type being filled.
     """
 
     def __init__(self, seq_id: str, params: dict, guarantee: str, head,
@@ -104,14 +136,24 @@ class LinearRecurrence(Sequence):
         self.head = head
         self.coeffs = tuple(coeffs)
         self.constant = constant
+        # q(n-i) is values[-i], as the cache holds q(1)..q(n-1) when q(n)
+        # is computed. Terms with coefficient 1 are added without a
+        # multiplication, and terms with coefficient 0 are dropped.
+        terms = [(-i, c) for i, c in enumerate(self.coeffs, 1) if c]
+        self._units = tuple(i for i, c in terms if c == 1)
+        self._lags = tuple(i for i, c in terms if c != 1)
+        factors = tuple(c for _, c in terms if c != 1)
+        self._terms = {int: (factors, constant),
+                       Decimal: (tuple(map(Decimal, factors)),
+                                 Decimal(constant))}
 
-    def _compute(self, n: int) -> int:
+    def _compute(self, n: int, values: list, num: type):
         if n <= len(self.coeffs):
-            return self.head(n)
-        # reversed() walks the cache from q(n-1) down; map stops at the
-        # last coefficient
-        return sum(map(mul, self.coeffs, reversed(self._values))) \
-            + self.constant
+            return num(self.head(n))
+        factors, constant = self._terms[num]
+        at = values.__getitem__
+        total = sum(map(at, self._units), constant)
+        return sum(map(mul, factors, map(at, self._lags)), total)
 
 
 def _zigzag_coeffs(j: int) -> tuple[int, ...]:
@@ -121,25 +163,25 @@ def _zigzag_coeffs(j: int) -> tuple[int, ...]:
 
 
 class TableSequence(Sequence):
-    """Values loaded from an external table; evaluation past the end is an
-    error, never an extrapolation."""
+    """Values loaded from an external table, given once per number type;
+    evaluation past the end is an error, never an extrapolation."""
 
-    def __init__(self, values, source: str = "<table>"):
-        values = tuple(int(v) for v in values)
+    def __init__(self, values, decimals, source: str = "<table>"):
+        values = tuple(values)
         super().__init__(f"table({source})",
                          {"source": source, "length": len(values)})
-        self._table = values
+        self._table = {int: values, Decimal: tuple(decimals)}
 
-    def eval(self, n: int) -> int:
+    def _fill(self, values: list, n: int, num: type):
         # report the requested n, not the cache-fill position it would
         # otherwise fail at
-        if n > len(self._table):
-            raise TableRangeError(
-                f"{self.id} holds {len(self._table)} values; n={n} is out of range")
-        return super().eval(n)
+        if n > len(self._table[int]):
+            raise TableRangeError(f"{self.id} holds {len(self._table[int])} "
+                                  f"values; n={n} is out of range")
+        super()._fill(values, n, num)
 
-    def _compute(self, n: int) -> int:
-        return self._table[n - 1]
+    def _compute(self, n: int, values: list, num: type):
+        return self._table[num][n - 1]
 
 
 class LinearCombinationSequence(Sequence):
@@ -153,9 +195,11 @@ class LinearCombinationSequence(Sequence):
                          PHI1_CLOSURE if ok else NO_GUARANTEE)
         self.k, self.m = k, m
         self.a, self.b = a, b
+        self._weights = {int: (k, m), Decimal: (Decimal(k), Decimal(m))}
 
-    def _compute(self, n: int) -> int:
-        return self.k * self.a(n) + self.m * self.b(n)
+    def _compute(self, n: int, values: list, num: type):
+        k, m = self._weights[num]
+        return k * self.a._at(n, num) + m * self.b._at(n, num)
 
 
 class DilationSequence(Sequence):
@@ -168,8 +212,8 @@ class DilationSequence(Sequence):
         self.base = seq
         self.k = k
 
-    def _compute(self, n: int) -> int:
-        return self.base(self.k * n)
+    def _compute(self, n: int, values: list, num: type):
+        return self.base._at(self.k * n, num)
 
 
 class ProductSequence(Sequence):
@@ -191,11 +235,8 @@ class ProductSequence(Sequence):
                          {"arity": len(seqs)}, guarantee)
         self.factors = seqs
 
-    def _compute(self, n: int) -> int:
-        out = 1
-        for s in self.factors:
-            out *= s(n)
-        return out
+    def _compute(self, n: int, values: list, num: type):
+        return reduce(mul, (s._at(n, num) for s in self.factors))
 
 
 def make_theorem4(j: int, k: int, m: int) -> Sequence:
@@ -301,7 +342,7 @@ def parse_table(text: str, source: str = "<table>") -> Sequence:
     """Parse an external table: one decimal signed integer per line, line i
     holding the value at n = i; blank lines and # comments are ignored.
     Values may have any number of digits."""
-    values = []
+    values, decimals = [], []
     with unlimited_int_digits():
         for lineno, raw in enumerate(text.splitlines(), start=1):
             line = raw.split("#", 1)[0].strip()
@@ -314,7 +355,10 @@ def parse_table(text: str, source: str = "<table>") -> Sequence:
                     f"{line[:_QUOTE_CAP]!r}... ({len(line)} characters)")
                 raise ValueError(
                     f"{source}:{lineno}: not a decimal integer: {shown}")
-    return TableSequence(values, source)
+            # int() accepted it, so it has no point, exponent or NaN, and
+            # Decimal(str) reads it exactly in linear time
+            decimals.append(Decimal(line))
+    return TableSequence(values, decimals, source)
 
 
 def load_table(path) -> Sequence:

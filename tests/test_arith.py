@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import random
+from decimal import Context, Decimal, InvalidOperation, localcontext
 
 import pytest
 from hypothesis import given, settings
@@ -159,3 +160,35 @@ def test_divisibility_check_mathematical_remainder():
 def test_divisibility_check_rejects_bad_modulus():
     with pytest.raises(ValueError):
         divisibility_check(5, 0)
+
+
+def test_phi_of_exact_values_ignores_the_callers_decimal_context():
+    # phi1/phi2 of Decimal values run in the exact context; the caller's
+    # five-digit, trap-free context would round them silently
+    seq = make_theorem5_psi(3)
+    with localcontext(Context(prec=5, traps=[])):
+        for n in (1, 2, 8, 30, 210):
+            assert phi1(seq.exact, n) == phi1(seq, n), n
+            assert phi2(seq.exact, n) == phi2(seq, n), n
+
+
+def test_divisibility_check_accepts_decimals():
+    # Decimal % truncates toward zero; the remainder is still the
+    # mathematical one, as an int
+    assert divisibility_check(Decimal(-7), 5) == (False, 3)
+    assert divisibility_check(Decimal(-12), 6) == (True, 0)
+    assert divisibility_check(Decimal("-0"), 4) == (True, 0)
+    assert type(divisibility_check(Decimal(-7), 5)[1]) is int
+
+
+def test_divisibility_check_on_a_4000_digit_decimal():
+    digits = "7" * 4000
+    modulus = 9973
+    want = int(digits) % modulus
+    assert divisibility_check(Decimal(digits), modulus) == (want == 0, want)
+    assert divisibility_check(Decimal("-" + digits), modulus) \
+        == (want == 0, -int(digits) % modulus)
+    # outside the exact context the same remainder cannot be formed
+    with localcontext(Context()):
+        with pytest.raises(InvalidOperation):
+            Decimal(digits) % modulus

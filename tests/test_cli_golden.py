@@ -10,6 +10,7 @@ are the same on every machine.
 from __future__ import annotations
 
 import hashlib
+from decimal import Context, getcontext, localcontext
 
 import pytest
 
@@ -44,6 +45,11 @@ CASES = {
     "crosscheck-piece-cap": ("crosscheck", "--j", "3", "--piece-cap", "2000",
                              "--n-max", "9"),
     "conjecture": ("conjecture", "--j", "3", "--n-max", "20"),
+    # -1 * 0 is a negative zero in some number types; q must print as 0
+    "verify-lin-signed-zero": ("verify", "lin(-1,const(0),-1,const(0))",
+                               "--mode", "phi1-mod-n", "--n-max", "2"),
+    "verify-prod-signed-zero": ("verify", "prod(const(-3),const(0))",
+                                "--mode", "phi2-mod-2n", "--n-max", "2"),
 }
 
 # (case, format) -> (exit code, sha256 of stdout)
@@ -144,6 +150,18 @@ GOLDEN = {
         0, "d83e5a4b2e9d0e19d754058c520d83dfe5f97e17efd4772734a26842b62b25b9"),
     ("conjecture", "json"): (
         0, "f402953f6a1bbec2d1d837db4d31d83f6c9392a47bf6bd1c63d140ca70b1ad5c"),
+    ("verify-lin-signed-zero", "csv"): (
+        0, "b28cfd4065d4c1d3e3b9e641eb505557de7203a081a62d65f9918b86f51539d6"),
+    ("verify-lin-signed-zero", "tsv"): (
+        0, "6273cae256e57e3385f4e5011a76e2ccc93282535c4bb5d8e341acaa069885bf"),
+    ("verify-lin-signed-zero", "json"): (
+        0, "ee43560c5342ed15c31c312795eeb2487be432544646708b86c4c0074118c7fb"),
+    ("verify-prod-signed-zero", "csv"): (
+        1, "9112e8913c98b9227cdd4b8cfd9016922d8e52bb796dd8ad804c4f4bbaf9df45"),
+    ("verify-prod-signed-zero", "tsv"): (
+        1, "540baa87d5c3e8397c97a47be8f8d31fa22d022689fb309684297f257f264da6"),
+    ("verify-prod-signed-zero", "json"): (
+        1, "d97c2f89237aced47af33f2b3e7f21c47f795565e2b7117346a9aef86bf3587f"),
 }
 
 
@@ -166,3 +184,15 @@ def test_stdout_and_exit_code_are_pinned(capsys, monkeypatch, tmp_path,
 def test_every_case_is_pinned_in_every_format():
     assert set(GOLDEN) == {(case, fmt) for case in CASES
                            for fmt in ("csv", "tsv", "json")}
+
+
+@pytest.mark.parametrize("case,fmt", sorted(GOLDEN))
+def test_caller_decimal_context_changes_nothing(capsys, monkeypatch, tmp_path,
+                                                case, fmt):
+    # a five-digit context with no traps would round any Decimal arithmetic
+    # that ran in it silently
+    with localcontext(Context(prec=5, traps=[])):
+        assert run_case(capsys, monkeypatch, tmp_path, case, fmt) \
+            == GOLDEN[case, fmt]
+        assert getcontext().prec == 5
+        assert not any(getcontext().flags.values())

@@ -2,12 +2,14 @@
 
 from __future__ import annotations
 
+import os
 import sys
 import threading
 import time
+from decimal import Decimal
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divseq.arith import phi1
@@ -28,6 +30,7 @@ from divseq.sequences import (
     make_theorem5_psi,
     parse_table,
     product,
+    unlimited_int_digits,
 )
 from divseq.symbolic import c_count, d_count, initial_tensor, step
 
@@ -160,6 +163,132 @@ def test_seed_values_are_computed_only_when_filled():
     assert time.perf_counter() - start < 2.0
 
 
+class MulCountingInt(int):
+    """An int coefficient that counts the multiplications made with it."""
+
+    muls = 0
+
+    def __mul__(self, other):
+        MulCountingInt.muls += 1
+        return int(self) * other
+
+    __rmul__ = __mul__
+
+
+def multiplications_per_value(seq, n_max):
+    """Multiplications a fill of seq's recurrence makes per value past the
+    head, with seq's own head, coefficients and constant."""
+    counted = LinearRecurrence("counted", {}, NO_GUARANTEE, seq.head,
+                               map(MulCountingInt, seq.coeffs), seq.constant)
+    order = len(seq.coeffs)
+    assert values(counted, order) == values(seq, order)
+    MulCountingInt.muls = 0
+    assert values(counted, n_max) == values(seq, n_max)
+    return MulCountingInt.muls / (n_max - order)
+
+
+def test_unit_coefficients_are_added_without_multiplying():
+    for j in range(2, 7):
+        assert multiplications_per_value(make_theorem4(j, -2, 5), 60) == 0
+    # coefficients 1, 3, 5, 3, 1
+    assert multiplications_per_value(make_theorem5_phi(3), 60) == 3
+    assert multiplications_per_value(make_theorem5_psi(3), 60) == 3
+    # 1, 3, ..., 2j-1, ..., 3, 1: all but the two unit ends multiply
+    assert multiplications_per_value(make_theorem5_phi(6), 60) == 9
+
+
+# -- exact values (Decimal) ----------------------------------------------------
+
+def check_exact(seq, n):
+    """exact(n) and eval(n) agree, or both raise the same TableRangeError.
+    The Decimal has exponent 0 and is never a negative zero, so its str is
+    the int's."""
+    try:
+        want = seq.eval(n)
+    except TableRangeError as exc:
+        with pytest.raises(TableRangeError) as got:
+            seq.exact(n)
+        assert str(got.value) == str(exc)
+        return
+    got = seq.exact(n)
+    assert type(want) is int and type(got) is Decimal
+    assert got == want
+    assert got.as_tuple().exponent == 0
+    assert not (got.is_zero() and got.is_signed())
+
+
+BIG = "9" * 5001  # past Python's 4300-digit int<->str limit
+table_tokens = st.one_of(st.integers(-10**6, 10**6).map(str),
+                         st.sampled_from([BIG, "-" + BIG, "-0"]))
+leaves = st.one_of(
+    st.builds(make_theorem4, st.integers(2, 4), st.integers(-5, 5),
+              st.integers(-5, 5)),
+    st.builds(make_theorem5_phi, st.integers(2, 4)),
+    st.builds(make_theorem5_psi, st.integers(2, 4)),
+    st.builds(constant, st.integers(-5, 5)),
+    st.lists(table_tokens, min_size=1, max_size=40).map(
+        lambda tokens: parse_table("\n".join(tokens))),
+)
+trees = st.recursive(leaves, lambda kids: st.one_of(
+    st.builds(linear_combine, st.integers(-5, 5), kids, st.integers(-5, 5),
+              kids),
+    st.builds(dilate, kids, st.integers(1, 3)),
+    st.builds(dilate_odd, kids, st.sampled_from([1, 3])),
+    st.lists(kids, min_size=1, max_size=3).map(product),
+), max_leaves=5)
+
+# forms a random draw can miss: negative table values of 5001 digits under
+# negative weights, nested odd dilations, products, and zeros made negative
+EXAMPLES = [
+    linear_combine(-2, parse_table(f"-3\n{BIG}\n-{BIG}\n0\n7"), -3,
+                   make_theorem5_psi(3)),
+    product([dilate_odd(dilate_odd(make_theorem5_psi(2), 3), 5),
+             linear_combine(-1, make_theorem4(3, -2, 5), -4,
+                            dilate(make_theorem5_phi(2), 2))]),
+    product([constant(-3), linear_combine(-1, constant(0), -1, constant(0))]),
+    product([parse_table("-0\n-5\n0"), constant(-2)]),
+]
+
+
+@settings(max_examples=60, deadline=None)
+@given(seq=trees, n_max=st.integers(1, 200))
+@example(seq=EXAMPLES[0], n_max=200)
+@example(seq=EXAMPLES[1], n_max=200)
+@example(seq=EXAMPLES[2], n_max=5)
+@example(seq=EXAMPLES[3], n_max=5)
+def test_exact_equals_eval(seq, n_max):
+    for n in range(1, n_max + 1):
+        check_exact(seq, n)
+    assert all(type(v) is int for v in seq._values)
+
+
+def test_exact_prints_as_eval_does():
+    seq = EXAMPLES[0]
+    with unlimited_int_digits():
+        assert [str(seq.exact(n)) for n in range(1, 6)] \
+            == [str(seq(n)) for n in range(1, 6)]
+    assert str(EXAMPLES[2].exact(1)) == "0"
+    assert str(EXAMPLES[3].exact(1)) == "0"
+
+
+def test_exact_rejects_nonpositive_n():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n >= 1"):
+            make_theorem5_phi(2).exact(n)
+    # also once the cache holds values
+    seq = make_theorem5_phi(2)
+    seq.exact(5)
+    with pytest.raises(ValueError):
+        seq.exact(0)
+
+
+def test_exact_table_range_error_names_requested_n():
+    seq = parse_table("5\n10\n")
+    assert seq.exact(2) == 10
+    with pytest.raises(TableRangeError, match="n=9"):
+        seq.exact(9)
+
+
 # -- combinators -------------------------------------------------------------
 
 def test_linear_combine_pointwise():
@@ -272,6 +401,33 @@ def test_concurrent_eval_returns_identical_values():
         t.join()
     expected = values(make_theorem5_psi(4), 300)
     assert all(r == expected for r in results)
+
+
+def test_concurrent_exact_returns_identical_values():
+    seq = linear_combine(3, dilate_odd(make_theorem5_psi(4), 3), -2,
+                         product([make_theorem5_phi(2), make_theorem4(3, 1, 2)]))
+    results = []
+    workers = min(os.cpu_count() or 1, 32) + 6  # more threads than cores
+    barrier = threading.Barrier(workers)
+
+    def worker():
+        barrier.wait()
+        results.append([seq.exact(n) for n in range(1, 301)])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker) for _ in range(workers)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert len(results) == workers
+    assert all(r == results[0] for r in results)
+    assert results[0] == values(seq, 300)
 
 
 # -- external tables ---------------------------------------------------------
