@@ -136,24 +136,39 @@ class LinearRecurrence(Sequence):
         self.head = head
         self.coeffs = tuple(coeffs)
         self.constant = constant
-        # q(n-i) is values[-i], as the cache holds q(1)..q(n-1) when q(n)
-        # is computed. Terms with coefficient 1 are added without a
-        # multiplication, and terms with coefficient 0 are dropped.
-        terms = [(-i, c) for i, c in enumerate(self.coeffs, 1) if c]
-        self._units = tuple(i for i, c in terms if c == 1)
-        self._lags = tuple(i for i, c in terms if c != 1)
-        factors = tuple(c for _, c in terms if c != 1)
-        self._terms = {int: (factors, constant),
-                       Decimal: (tuple(map(Decimal, factors)),
-                                 Decimal(constant))}
+        self._terms = _Terms(self.coeffs, constant)
 
     def _compute(self, n: int, values: list, num: type):
         if n <= len(self.coeffs):
             return num(self.head(n))
-        factors, constant = self._terms[num]
+        units, lags, factors, constant = self._terms[num]
         at = values.__getitem__
-        total = sum(map(at, self._units), constant)
-        return sum(map(mul, factors, map(at, self._lags)), total)
+        total = sum(map(at, units), constant)
+        return sum(map(mul, factors, map(at, lags)), total)
+
+
+class _Terms(dict):
+    """Number type -> a recurrence's terms in that type, built on the first
+    fill past the head: (unit lags, other lags, their factors, constant).
+
+    q(n-i) is values[-i], as the cache holds q(1)..q(n-1) when q(n) is
+    computed. Terms with coefficient 1 are added without a multiplication,
+    and terms with coefficient 0 are dropped. A dict, so a filled entry is
+    read at the cost of a plain lookup."""
+
+    def __init__(self, coeffs: tuple, constant: int):
+        super().__init__()
+        self.coeffs, self.constant = coeffs, constant
+
+    def __missing__(self, num: type):
+        terms = [(-i, c) for i, c in enumerate(self.coeffs, 1) if c]
+        factors, constant = tuple(c for _, c in terms if c != 1), self.constant
+        if num is not int:  # the int terms are the coefficients as given
+            factors, constant = tuple(map(num, factors)), num(constant)
+        entry = self[num] = (tuple(i for i, c in terms if c == 1),
+                             tuple(i for i, c in terms if c != 1),
+                             factors, constant)
+        return entry
 
 
 def _zigzag_coeffs(j: int) -> tuple[int, ...]:
@@ -190,8 +205,9 @@ class LinearCombinationSequence(Sequence):
         # combination; phi2 is not linear (its power-of-two branch subtracts
         # 1), so no psi guarantee ever propagates here.
         ok = a.guarantee in _PHI1_SAFE and b.guarantee in _PHI1_SAFE
-        super().__init__(f"lin({k},{a.id},{m},{b.id})",
-                         {"k": k, "m": m},
+        with unlimited_int_digits():
+            seq_id = f"lin({k},{a.id},{m},{b.id})"
+        super().__init__(seq_id, {"k": k, "m": m},
                          PHI1_CLOSURE if ok else NO_GUARANTEE)
         self.k, self.m = k, m
         self.a, self.b = a, b
@@ -247,8 +263,9 @@ def make_theorem4(j: int, k: int, m: int) -> Sequence:
     # k=0, m=1 is the plain 2**n - 1 family, which counts fixed points of
     # an interval map; any other offset is a linear-combination closure.
     guarantee = MAP_DERIVED_PHI if (k == 0 and m == 1) else PHI1_CLOSURE
-    return LinearRecurrence(f"theorem4(j={j},k={k},m={m})",
-                            {"j": j, "k": k, "m": m}, guarantee,
+    with unlimited_int_digits():  # k and m may have any number of digits
+        seq_id = f"theorem4(j={j},k={k},m={m})"
+    return LinearRecurrence(seq_id, {"j": j, "k": k, "m": m}, guarantee,
                             lambda n: m * (2**n - 1) + k, (1,) * j,
                             -(j - 1) * k)
 
@@ -290,8 +307,10 @@ def make_theorem5_psi(j: int) -> Sequence:
 
 def constant(value: int) -> Sequence:
     """The order-0 recurrence q(n) = value."""
-    return LinearRecurrence(f"const({value})", {"value": value},
-                            PHI1_CLOSURE, None, (), value)
+    with unlimited_int_digits():
+        seq_id = f"const({value})"
+    return LinearRecurrence(seq_id, {"value": value}, PHI1_CLOSURE, None, (),
+                            value)
 
 
 def linear_combine(k: int, seq1: Sequence, m: int, seq2: Sequence) -> Sequence:

@@ -15,9 +15,13 @@ it is the alphabet, numbered as in `label_pair`, and a label counts one
 solution in a bucket when its levels cover the bucket (its mirror image for
 h^n(x) = -x). `step` sums each new entry from the old entries that split
 into it, most-used first, computing every shared prefix sum once: 2j-1
-big-int additions per row. `expand_word` keeps x-coordinates as integer
-numerators over one denominator per depth. The rule also derives for j = 2
-and matches the oracle there; the public engine keeps to j >= 3.
+big-int additions per computed row, in one straight-line function compiled
+from that plan. g_j is odd, so reversing a row mirrors it and commutes with
+the step (checked when the rule is derived); `step` computes the rows up to
+the middle one and reverses each mirrored partner's new row for the rest, j
+of the 2j-1 rows for g_j's own tensors. `expand_word` keeps x-coordinates as
+integer numerators over one denominator per depth. The rule also derives
+for j = 2 and matches the oracle there; the public engine keeps to j >= 3.
 Validation runs on every tensor `step` returns.
 """
 
@@ -29,7 +33,6 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 from math import lcm
-from operator import itemgetter
 
 from .interval_map import build_gj
 
@@ -76,10 +79,24 @@ class _Rule(namedtuple("_Rule", "nodes laps columns sweeps scale seed advance "
     sweeps     lap (u, v) -> node offsets, lap starts, lap ends
     scale      lcm of the lap widths |v - u|
     seed       the n=1 grid: each bucket's own lap
-    advance    one row of the grid, stepped once
+    advance    one row of the grid, stepped once (compiled straight-line code)
     fixed      (row, column) cells whose lap covers the piece
     antifixed  (row, column) cells whose lap covers the piece's mirror image
     """
+
+
+def _compile_plan(j: int, size: int, adds, picks):
+    """One straight-line function for a prefix-sum plan: unpack the row into
+    slots s0..s{size-1}, append slot s_a + s_b for each (a, b) in adds, and
+    return the slots named by picks."""
+    names = [f"s{i}" for i in range(size + len(adds))]
+    lines = ["def advance(row):", f"    {', '.join(names[:size])}, = row"]
+    lines += [f"    {names[size + k]} = {names[a]} + {names[b]}"
+              for k, (a, b) in enumerate(adds)]
+    lines.append(f"    return ({''.join(names[i] + ', ' for i in picks)})")
+    namespace = {}
+    exec(compile("\n".join(lines), f"<advance g_{j}>", "exec"), namespace)
+    return namespace["advance"]
 
 
 @cache
@@ -125,14 +142,15 @@ def _rule(j: int) -> _Rule:
                          key=len):
         slot[prefix] = len(slot)
     adds = [(slot[p[:-1]], p[-1]) for p in list(slot)[len(pairs):]]
-    pick = itemgetter(*map(slot.__getitem__, terms))
-
-    def advance(row):
-        slots = list(row)
-        push = slots.append
-        for a, b in adds:
-            push(slots[a] + slots[b])
-        return pick(slots)
+    advance = _compile_plan(j, len(pairs), adds, [slot[t] for t in terms])
+    # reversing a row mirrors its labels; for odd g_j that commutes with the
+    # step, which step relies on to share mirrored rows (linear, so unit
+    # rows prove it for every row)
+    units = [tuple(int(c == i) for c in range(len(pairs)))
+             for i in range(len(pairs))]
+    if any(advance(e[::-1]) != advance(e)[::-1] for e in units):
+        raise RuntimeError(f"the step of g_{j} does not commute with mirroring "
+                           "its labels")
 
     def cells(sign):
         """(row, column) cells whose lap's levels cover sign * the piece."""
@@ -187,8 +205,22 @@ def step(t: EdgeTensor) -> EdgeTensor:
     independently. New entry i is the sum of the old entries whose laps
     split into a label-i lap, summed most-used first along shared prefix
     sums: with w = j-1, every entry is s = a(0) + a(-w) or u = a(0) + a(w)
-    plus at most one more entry, 2j-1 additions per row."""
-    return EdgeTensor(t.j, t.n + 1, tuple(map(_rule(t.j).advance, t.counts)))
+    plus at most one more entry, 2j-1 additions per computed row.
+
+    Rows up to the middle one are always computed. A later row that is its
+    mirror partner's reverse (row 2j-2-r of the grid is row r reversed, as
+    in every tensor of g_j, which is odd) is that partner's new row
+    reversed; any other row is computed. So a tensor of g_j costs j rows of
+    additions, and any other tensor gets the same counts as stepping every
+    row."""
+    advance = _rule(t.j).advance
+    rows = t.counts
+    new = list(map(advance, rows[:t.j]))
+    for r in range(t.j, len(rows)):
+        m = len(rows) - 1 - r
+        mirrored = rows[r] == rows[m][::-1]
+        new.append(new[m][::-1] if mirrored else advance(rows[r]))
+    return EdgeTensor(t.j, t.n + 1, tuple(new))
 
 
 def c_count(t: EdgeTensor) -> int:

@@ -197,6 +197,36 @@ def test_unit_coefficients_are_added_without_multiplying():
     assert multiplications_per_value(make_theorem5_phi(6), 60) == 9
 
 
+def test_recurrence_terms_are_built_on_the_first_fill_past_the_head():
+    seq = make_theorem5_phi(3)  # order 5
+    assert values(seq, 5) == [seq.exact(n) for n in range(1, 6)]
+    assert dict(seq._terms) == {}
+    assert seq(9) == 1 * seq(8) + 3 * seq(7) + 5 * seq(6) + 3 * seq(5) + seq(4)
+    assert list(seq._terms) == [int]
+    seq.exact(5)
+    assert list(seq._terms) == [int]
+    assert seq.exact(6) == seq(6)
+    assert list(seq._terms) == [int, Decimal]
+    # a head-only fill of an order-10**5 family builds neither table
+    big = make_theorem5_phi(10**5)
+    assert [big.exact(n) for n in (1, 2, 3)] == values(big, 3) == [1, 7, 25]
+    assert dict(big._terms) == {}
+
+
+def test_ids_of_parameters_past_the_int_digit_limit():
+    big, digits = 10**5000, "1" + "0" * 5000
+    limit = _digit_limit()
+    assert constant(big).id == f"const({digits})"
+    assert constant(-big).exact(2) == -big
+    seq = make_theorem4(3, big, 1)
+    assert seq.id == f"theorem4(j=3,k={digits},m=1)"
+    assert (seq(4), seq.exact(4)) == (11 + big, 11 + big)
+    assert make_theorem4(3, 0, -big).id == f"theorem4(j=3,k=0,m=-{digits})"
+    combined = linear_combine(big, constant(1), -1, constant(2))
+    assert combined.id == f"lin({digits},const(1),-1,const(2))"
+    assert _digit_limit() == limit  # restored after each id
+
+
 # -- exact values (Decimal) ----------------------------------------------------
 
 def check_exact(seq, n):

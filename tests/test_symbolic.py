@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import divseq.symbolic
-from divseq.interval_map import build_gj, count_antifixed, count_fixed
+from divseq.interval_map import PLMap, build_gj, count_antifixed, count_fixed
 from divseq.sequences import make_theorem5_phi, make_theorem5_psi
 from divseq.symbolic import (
     EdgeTensor,
@@ -452,3 +452,107 @@ def test_rule_rejects_a_table_the_laps_do_not_close_on(monkeypatch):
     monkeypatch.setattr(divseq.symbolic, "_paper_pairs", lambda j: pairs)
     with pytest.raises(RuntimeError, match="labelled pairs"):
         _rule.__wrapped__(4)
+
+
+# -- mirrored rows ---------------------------------------------------------------
+
+def mirrored(upper, half):
+    """The grid whose rows are `upper`, then the palindrome on `half`, then
+    `upper`'s rows reversed in reverse order; every mirror partner is built
+    from equal but distinct objects of its entries' types."""
+    def partner(row):
+        return tuple(type(v)(str(v)) for v in reversed(row))
+
+    return (*upper, tuple(half) + partner(half[:-1]),
+            *map(partner, reversed(upper)))
+
+
+def is_mirrored(counts) -> bool:
+    """Row 2j-2-r is row r reversed, for every r."""
+    return tuple(row[::-1] for row in reversed(counts)) == counts
+
+
+@st.composite
+def mirrored_tensors(draw):
+    j = draw(st.integers(3, 12))
+    entry = st.integers(0, 10**60)
+    upper = [draw(st.tuples(*[entry] * (2 * j - 1))) for _ in range(j - 1)]
+    half = draw(st.tuples(*[entry] * j))
+    return EdgeTensor(j, draw(st.integers(1, 10**4)), mirrored(upper, half))
+
+
+@st.composite
+def near_mirrored_tensors(draw):
+    """A mirrored tensor with one entry raised: in the middle row off its
+    centre, in the last row, or in the last column."""
+    t = draw(mirrored_tensors())
+    size = 2 * t.j - 1
+    off_centre = [c for c in range(size) if c != t.j - 1]
+    r, c = draw(st.one_of(
+        st.tuples(st.just(t.j - 1), st.sampled_from(off_centre)),
+        st.tuples(st.just(size - 1), st.integers(0, size - 1)),
+        st.tuples(st.integers(0, size - 1), st.just(size - 1))))
+    rows = [list(row) for row in t.counts]
+    rows[r][c] += draw(st.integers(1, 10**60))
+    return EdgeTensor(t.j, t.n, tuple(map(tuple, rows)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(mirrored_tensors())
+def test_step_on_mirrored_tensors_equals_seven_case_reference(t):
+    assert is_mirrored(t.counts)
+    got = step(t)
+    assert got.counts == reference_step(t).counts
+    assert is_mirrored(got.counts)
+
+
+@settings(max_examples=150, deadline=None)
+@given(near_mirrored_tensors())
+def test_step_on_near_mirrored_tensors_equals_seven_case_reference(t):
+    assert not is_mirrored(t.counts)
+    assert step(t).counts == reference_step(t).counts
+
+
+@pytest.mark.parametrize("j", range(3, 13))
+def test_step_computes_j_rows_of_a_mirrored_tensor(j):
+    size = 2 * j - 1
+    upper = [tuple(map(CountedInt, range(r, r + size))) for r in range(j - 1)]
+    half = tuple(map(CountedInt, range(100, 100 + j)))
+    t = EdgeTensor(j, 1, mirrored(upper, half))
+    CountedInt.adds = 0
+    got = step(t)
+    assert CountedInt.adds == j * size
+    assert got.counts == reference_step(t).counts
+
+
+def interpreted_step(j: int, counts):
+    """Every row of the grid stepped in full: new entry i is the sum of the
+    old entries whose laps split into a label-i lap, read off the rule's
+    sweeps with no shared sums and no shared rows."""
+    rule = _rule(j)
+    sources = [[] for _ in range(2 * j - 1)]
+    for c in range(2 * j - 1):
+        for sub in zip(*rule.sweeps[label_pair(j, c - (j - 1))][1:]):
+            sources[rule.columns[sub]].append(c)
+    return tuple(tuple(sum(row[c] for c in src) for src in sources)
+                 for row in counts)
+
+
+@pytest.mark.parametrize("j", range(3, 13))
+def test_forty_steps_stay_mirrored_and_equal_the_interpreted_step(j):
+    t, want = initial_tensor(j), initial_tensor(j).counts
+    for n in range(2, 42):
+        t, want = step(t), interpreted_step(j, want)
+        assert (t.n, t.counts) == (n, want)
+        assert is_mirrored(t.counts), n
+
+
+def test_rule_rejects_a_map_that_is_not_odd(monkeypatch):
+    # g_3 with g(3) = 3 in place of 2; its laps close on the five pairs
+    # listed, so the closure check passes and the mirror check must object
+    bent = PLMap((-3, -2, -1, 1, 2, 3), (-2, -1, 3, -3, 1, 3))
+    pairs = [(-3, 1), (-3, 3), (-2, -1), (-1, 3), (1, 3)]
+    monkeypatch.setattr(divseq.symbolic, "build_gj", lambda j: bent)
+    monkeypatch.setattr(divseq.symbolic, "_paper_pairs", lambda j: pairs)
+    with pytest.raises(RuntimeError, match="mirroring"):
+        _rule.__wrapped__(3)
