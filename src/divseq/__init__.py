@@ -28,7 +28,6 @@ from .interval_map import (
     count_fixed,
     fixed_point_solutions,
     is_odd_map,
-    iterate,
     iterates,
     load_map_file,
     parse_map_file,
@@ -80,7 +79,7 @@ __all__ = [
     "MAP_DERIVED_PHI", "ODD_MAP_DERIVED_PSI", "PHI1_CLOSURE", "NO_GUARANTEE",
     # interval_map
     "PLMap", "PieceCapExceededError", "InfiniteSolutionsError",
-    "DEFAULT_PIECE_CAP", "build_gj", "compose", "iterates", "iterate",
+    "DEFAULT_PIECE_CAP", "build_gj", "compose", "iterates",
     "fixed_point_solutions", "antifixed_point_solutions", "count_fixed",
     "count_antifixed", "is_odd_map", "parse_map_file", "load_map_file",
     # symbolic

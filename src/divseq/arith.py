@@ -81,14 +81,6 @@ class Factorization:
     def odd_primes(self) -> tuple[int, ...]:
         return tuple(p for p, _ in self.factors if p != 2)
 
-    def odd_part(self) -> int:
-        """n with every factor of 2 removed."""
-        m = 1
-        for p, k in self.factors:
-            if p != 2:
-                m *= p**k
-        return m
-
 
 def factorize(n: int) -> Factorization:
     """Unique prime factorization of n >= 1; factorize(1) has no factors."""
@@ -96,7 +88,9 @@ def factorize(n: int) -> Factorization:
         raise ValueError(f"factorize requires n >= 1, got {n}")
     factors = []
     rem = n
-    for p in _SMALL_PRIMES:
+    # the table's primes, then every odd number past it
+    for p in itertools.chain(_SMALL_PRIMES,
+                             itertools.count(_SMALL_PRIMES[-1] + 2, 2)):
         if p * p > rem:
             break
         if rem % p == 0:
@@ -105,16 +99,6 @@ def factorize(n: int) -> Factorization:
                 rem //= p
                 e += 1
             factors.append((p, e))
-    else:
-        p = _SMALL_PRIMES[-1] + 2
-        while p * p <= rem:
-            if rem % p == 0:
-                e = 0
-                while rem % p == 0:
-                    rem //= p
-                    e += 1
-                factors.append((p, e))
-            p += 2
     if rem > 1:
         factors.append((rem, 1))
     return Factorization(n, tuple(factors))
@@ -155,7 +139,7 @@ def phi2(seq: IntSequence, n: int) -> int:
     if n < 1:
         raise ValueError(f"phi2 requires n >= 1, got {n}")
     fac = factorize(n)
-    if fac.odd_part() == 1:
+    if not fac.odd_primes:
         with exact_context():
             return seq(n) - 1
     return _alternating_sum(seq, n, fac.odd_primes)

@@ -308,10 +308,10 @@ def run_crosscheck(j: int, n_max: int,
             tensor = step(tensor)
         for equation, rec, oracle, sym in (
             ("fixed", phi_seq(n),
-             "error:piece-cap" if capped else count_fixed(power, 1, piece_cap),
+             "error:piece-cap" if capped else count_fixed(power),
              None if tensor is None else c_count(tensor)),
             ("antifixed", psi_seq(n),
-             "error:piece-cap" if capped else count_antifixed(power, 1, piece_cap),
+             "error:piece-cap" if capped else count_antifixed(power),
              None if tensor is None else d_count(tensor)),
         ):
             present = [rec] + [v for v in (oracle, sym)
@@ -439,8 +439,7 @@ def cmd_oracle(args) -> int:
     try:
         for n, power in enumerate(
                 iterates(gmap, args.n_max, args.piece_cap), start=1):
-            rows.append({"n": n,
-                         "value": str(count(power, 1, args.piece_cap))})
+            rows.append({"n": n, "value": str(count(power))})
     except PieceCapExceededError as exc:
         raise PieceCapExceededError(
             f"oracle stopped at n={exc.n}: {exc}") from None

@@ -1,8 +1,10 @@
 """Exact piecewise-linear self-maps of a compact interval.
 
-This is the brute-force oracle behind everything else: compose and iterate
-maps with exact rational breakpoints, then count solutions of f^n(x) = x and
-g^n(x) = -x by enumerating sign changes segment by segment. No floats
+This is the brute-force oracle behind everything else: compose maps with
+exact rational breakpoints, build f, f^2, ..., f^n with `iterates`, and
+count the solutions of f^n(x) = x and g^n(x) = -x by enumerating sign
+changes segment by segment on the iterate itself. The counters take the map
+to count on; `iterates` is the one place that composes powers. No floats
 anywhere. A map keeps its nodes as integer numerators over one common
 denominator, so composing and counting run on Python ints; Fractions appear
 only where a map is built from or read back as rationals.
@@ -23,7 +25,6 @@ __all__ = [
     "build_gj",
     "compose",
     "iterates",
-    "iterate",
     "fixed_point_solutions",
     "antifixed_point_solutions",
     "count_fixed",
@@ -63,10 +64,10 @@ class PLMap:
     The nodes are stored as integer numerators `xnum`, `ynum` over one
     positive common denominator `den`, the lcm of the node denominators.
     That form is canonical, so equality and hashing compare integers. `xs`
-    and `ys` are tuples of Fractions, built from the numerators on first use.
+    and `ys` are tuples of Fractions, built from the numerators on each read.
     """
 
-    __slots__ = ("den", "xnum", "ynum", "_xs", "_ys")
+    __slots__ = ("den", "xnum", "ynum")
 
     def __init__(self, xs, ys):
         xs = tuple(Fraction(x) for x in xs)
@@ -82,18 +83,18 @@ class PLMap:
         xnum = tuple(v.numerator * (den // v.denominator) for v in xs)
         ynum = tuple(v.numerator * (den // v.denominator) for v in ys)
         _check_self_map(den, xnum, ynum)
-        self._init(den, xnum, ynum, xs, ys)
+        self._init(den, xnum, ynum)
 
     @classmethod
     def _trusted(cls, den: int, xnum: tuple, ynum: tuple) -> PLMap:
         """A map from numerators already known to be valid, self-mapping and
         canonical; nothing is checked."""
         self = object.__new__(cls)
-        self._init(den, xnum, ynum, None, None)
+        self._init(den, xnum, ynum)
         return self
 
-    def _init(self, den, xnum, ynum, xs, ys):
-        for name, value in zip(PLMap.__slots__, (den, xnum, ynum, xs, ys)):
+    def _init(self, den, xnum, ynum):
+        for name, value in zip(PLMap.__slots__, (den, xnum, ynum)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -101,17 +102,11 @@ class PLMap:
 
     @property
     def xs(self) -> tuple[Fraction, ...]:
-        if self._xs is None:
-            object.__setattr__(self, "_xs",
-                               tuple(Fraction(x, self.den) for x in self.xnum))
-        return self._xs
+        return tuple(Fraction(x, self.den) for x in self.xnum)
 
     @property
     def ys(self) -> tuple[Fraction, ...]:
-        if self._ys is None:
-            object.__setattr__(self, "_ys",
-                               tuple(Fraction(y, self.den) for y in self.ynum))
-        return self._ys
+        return tuple(Fraction(y, self.den) for y in self.ynum)
 
     @property
     def domain(self) -> tuple[Fraction, Fraction]:
@@ -313,23 +308,11 @@ def iterates(f: PLMap, n_max: int, piece_cap: int = DEFAULT_PIECE_CAP):
         yield power
 
 
-def iterate(f: PLMap, n: int, piece_cap: int = DEFAULT_PIECE_CAP) -> PLMap:
-    """The n-th iterate f composed with itself, n >= 1; iterate(f, 1) is f."""
-    if n < 1:
-        raise ValueError(f"iterate requires n >= 1, got {n}")
-    try:
-        for power in iterates(f, n, piece_cap):
-            pass
-    except PieceCapExceededError as exc:
-        raise PieceCapExceededError(f"at iterate n={exc.n}: {exc}") from None
-    return power
-
-
-def _roots(f: PLMap, n: int, piece_cap: int, sign: int):
-    """Each x with f^n(x) = sign*x, in increasing order, as an unreduced
+def _roots(f: PLMap, sign: int):
+    """Each x with f(x) = sign*x, in increasing order, as an unreduced
     (numerator, denominator) pair.
 
-    One pass over the integer differences y - sign*x at the nodes of f^n: a
+    One pass over the integer differences y - sign*x at the nodes of f: a
     zero difference is a root at that node, a strict sign change between two
     nodes a root inside the segment. sign = -1 requires a domain symmetric
     about 0, so that -x stays inside it.
@@ -338,9 +321,8 @@ def _roots(f: PLMap, n: int, piece_cap: int, sign: int):
         lo, hi = f.domain
         if lo != -hi:
             raise ValueError(f"domain [{lo}, {hi}] is not symmetric about 0")
-    power = iterate(f, n, piece_cap)
-    den, xnum = power.den, power.xnum
-    diffs = map(sub if sign > 0 else add, power.ynum, xnum)
+    den, xnum = f.den, f.xnum
+    diffs = map(sub if sign > 0 else add, f.ynum, xnum)
     x0 = d0 = None
     for x1, d1 in zip(xnum, diffs):
         if d1 == 0:
@@ -356,28 +338,25 @@ def _roots(f: PLMap, n: int, piece_cap: int, sign: int):
         x0, d0 = x1, d1
 
 
-def fixed_point_solutions(f: PLMap, n: int = 1,
-                          piece_cap: int = DEFAULT_PIECE_CAP):
-    """Sorted exact solutions of f^n(x) = x."""
-    return tuple(Fraction(p, q) for p, q in _roots(f, n, piece_cap, 1))
+def fixed_point_solutions(f: PLMap):
+    """Sorted exact solutions of f(x) = x."""
+    return tuple(Fraction(p, q) for p, q in _roots(f, 1))
 
 
-def antifixed_point_solutions(g: PLMap, n: int = 1,
-                              piece_cap: int = DEFAULT_PIECE_CAP):
-    """Sorted exact solutions of g^n(x) = -x; requires a domain symmetric
-    about 0 so that -x stays inside it."""
-    return tuple(Fraction(p, q) for p, q in _roots(g, n, piece_cap, -1))
+def antifixed_point_solutions(g: PLMap):
+    """Sorted exact solutions of g(x) = -x; requires a domain symmetric about
+    0 so that -x stays inside it."""
+    return tuple(Fraction(p, q) for p, q in _roots(g, -1))
 
 
-def count_fixed(f: PLMap, n: int = 1, piece_cap: int = DEFAULT_PIECE_CAP) -> int:
-    """Number of distinct solutions of f^n(x) = x."""
-    return sum(1 for _ in _roots(f, n, piece_cap, 1))
+def count_fixed(f: PLMap) -> int:
+    """Number of distinct solutions of f(x) = x."""
+    return sum(1 for _ in _roots(f, 1))
 
 
-def count_antifixed(g: PLMap, n: int = 1,
-                    piece_cap: int = DEFAULT_PIECE_CAP) -> int:
-    """Number of distinct solutions of g^n(x) = -x."""
-    return sum(1 for _ in _roots(g, n, piece_cap, -1))
+def count_antifixed(g: PLMap) -> int:
+    """Number of distinct solutions of g(x) = -x."""
+    return sum(1 for _ in _roots(g, -1))
 
 
 def is_odd_map(f: PLMap) -> bool:
@@ -390,8 +369,8 @@ def is_odd_map(f: PLMap) -> bool:
     lo, hi = f.domain
     if lo != -hi:
         return False
-    nodes = sorted(set(f.xs) | {-x for x in f.xs})
-    return all(f(-x) == -f(x) for x in nodes)
+    nodes = set(f.xs)
+    return all(f(-x) == -f(x) for x in nodes | {-x for x in nodes})
 
 
 def parse_map_file(text: str, source: str = "<map>") -> PLMap:

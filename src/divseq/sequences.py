@@ -73,10 +73,8 @@ class Sequence:
     by a lock; concurrent eval() or exact() calls return identical values.
     """
 
-    def __init__(self, seq_id: str, params: dict | None = None,
-                 guarantee: str = NO_GUARANTEE):
+    def __init__(self, seq_id: str, guarantee: str = NO_GUARANTEE):
         self.id = seq_id
-        self.params = dict(params or {})
         self.guarantee = guarantee
         self._lock = threading.Lock()
         self._values: list[int] = []
@@ -130,9 +128,9 @@ class LinearRecurrence(Sequence):
     returns an int, converted to the number type being filled.
     """
 
-    def __init__(self, seq_id: str, params: dict, guarantee: str, head,
-                 coeffs, constant: int):
-        super().__init__(seq_id, params, guarantee)
+    def __init__(self, seq_id: str, guarantee: str, head, coeffs,
+                 constant: int):
+        super().__init__(seq_id, guarantee)
         self.head = head
         self.coeffs = tuple(coeffs)
         self.constant = constant
@@ -182,10 +180,8 @@ class TableSequence(Sequence):
     evaluation past the end is an error, never an extrapolation."""
 
     def __init__(self, values, decimals, source: str = "<table>"):
-        values = tuple(values)
-        super().__init__(f"table({source})",
-                         {"source": source, "length": len(values)})
-        self._table = {int: values, Decimal: tuple(decimals)}
+        super().__init__(f"table({source})")
+        self._table = {int: tuple(values), Decimal: tuple(decimals)}
 
     def _fill(self, values: list, n: int, num: type):
         # report the requested n, not the cache-fill position it would
@@ -207,8 +203,7 @@ class LinearCombinationSequence(Sequence):
         ok = a.guarantee in _PHI1_SAFE and b.guarantee in _PHI1_SAFE
         with unlimited_int_digits():
             seq_id = f"lin({k},{a.id},{m},{b.id})"
-        super().__init__(seq_id, {"k": k, "m": m},
-                         PHI1_CLOSURE if ok else NO_GUARANTEE)
+        super().__init__(seq_id, PHI1_CLOSURE if ok else NO_GUARANTEE)
         self.k, self.m = k, m
         self.a, self.b = a, b
         self._weights = {int: (k, m), Decimal: (Decimal(k), Decimal(m))}
@@ -224,7 +219,7 @@ class DilationSequence(Sequence):
     of the k-th iterate of the same map (an odd map when k is odd)."""
 
     def __init__(self, seq: Sequence, k: int, seq_id: str, guarantee: str):
-        super().__init__(seq_id, {"k": k}, guarantee)
+        super().__init__(seq_id, guarantee)
         self.base = seq
         self.k = k
 
@@ -247,8 +242,7 @@ class ProductSequence(Sequence):
             guarantee = ODD_MAP_DERIVED_PSI
         else:
             guarantee = NO_GUARANTEE
-        super().__init__("prod(%s)" % ",".join(s.id for s in seqs),
-                         {"arity": len(seqs)}, guarantee)
+        super().__init__("prod(%s)" % ",".join(s.id for s in seqs), guarantee)
         self.factors = seqs
 
     def _compute(self, n: int, values: list, num: type):
@@ -265,9 +259,8 @@ def make_theorem4(j: int, k: int, m: int) -> Sequence:
     guarantee = MAP_DERIVED_PHI if (k == 0 and m == 1) else PHI1_CLOSURE
     with unlimited_int_digits():  # k and m may have any number of digits
         seq_id = f"theorem4(j={j},k={k},m={m})"
-    return LinearRecurrence(seq_id, {"j": j, "k": k, "m": m}, guarantee,
-                            lambda n: m * (2**n - 1) + k, (1,) * j,
-                            -(j - 1) * k)
+    return LinearRecurrence(seq_id, guarantee, lambda n: m * (2**n - 1) + k,
+                            (1,) * j, -(j - 1) * k)
 
 
 def make_theorem5_phi(j: int) -> Sequence:
@@ -283,8 +276,8 @@ def make_theorem5_phi(j: int) -> Sequence:
             return 3**n - 2
         return 3**n - 2 - 4 * n * 3 ** (n - j - 1)
 
-    return LinearRecurrence(f"theorem5phi(j={j})", {"j": j}, MAP_DERIVED_PHI,
-                            head, _zigzag_coeffs(j), 0)
+    return LinearRecurrence(f"theorem5phi(j={j})", MAP_DERIVED_PHI, head,
+                            _zigzag_coeffs(j), 0)
 
 
 def make_theorem5_psi(j: int) -> Sequence:
@@ -301,16 +294,15 @@ def make_theorem5_psi(j: int) -> Sequence:
             return 3**j - 2 * j
         return 3**n - 4 * n * 3 ** (n - j - 1)
 
-    return LinearRecurrence(f"theorem5psi(j={j})", {"j": j},
-                            ODD_MAP_DERIVED_PSI, head, _zigzag_coeffs(j), 0)
+    return LinearRecurrence(f"theorem5psi(j={j})", ODD_MAP_DERIVED_PSI, head,
+                            _zigzag_coeffs(j), 0)
 
 
 def constant(value: int) -> Sequence:
     """The order-0 recurrence q(n) = value."""
     with unlimited_int_digits():
         seq_id = f"const({value})"
-    return LinearRecurrence(seq_id, {"value": value}, PHI1_CLOSURE, None, (),
-                            value)
+    return LinearRecurrence(seq_id, PHI1_CLOSURE, None, (), value)
 
 
 def linear_combine(k: int, seq1: Sequence, m: int, seq2: Sequence) -> Sequence:

@@ -11,11 +11,10 @@ from divseq.arith import phi1, phi2
 from divseq.cli import run_divisibility
 from divseq.interval_map import (
     build_gj,
-    compose,
     count_antifixed,
     count_fixed,
     is_odd_map,
-    iterate,
+    iterates,
 )
 from divseq.sequences import (
     dilate,
@@ -62,26 +61,24 @@ def test_criterion_2_oracle_equals_recurrence(capsys):
     with criterion(capsys, 2, 60.0,
                    "map oracle equals recurrences, j in 2..4, n in 1..8"):
         for j in (2, 3, 4):
-            g = build_gj(j)
             phi_j, psi_j = make_theorem5_phi(j), make_theorem5_psi(j)
-            for n in range(1, 9):
-                assert count_fixed(g, n) == phi_j(n), (j, n)
-                assert count_antifixed(g, n) == psi_j(n), (j, n)
+            for n, power in enumerate(iterates(build_gj(j), 8), start=1):
+                assert count_fixed(power) == phi_j(n), (j, n)
+                assert count_antifixed(power) == psi_j(n), (j, n)
 
 
 def test_criterion_3_triple_agreement(capsys):
     with criterion(capsys, 3, 10.0,
                    "edge engine = oracle = recurrence, j in 3..4, n in 1..8"):
         for j in (3, 4):
-            g = build_gj(j)
             phi_j, psi_j = make_theorem5_phi(j), make_theorem5_psi(j)
-            tensor, power = initial_tensor(j), g
-            for n in range(1, 9):
+            tensor = initial_tensor(j)
+            for n, power in enumerate(iterates(build_gj(j), 8), start=1):
                 if n > 1:
-                    tensor, power = step(tensor), compose(g, power)
+                    tensor = step(tensor)
                 c, d = c_count(tensor), d_count(tensor)
-                assert c == phi_j(n) == count_fixed(power, 1), (j, n)
-                assert d == psi_j(n) == count_antifixed(power, 1), (j, n)
+                assert c == phi_j(n) == count_fixed(power), (j, n)
+                assert d == psi_j(n) == count_antifixed(power), (j, n)
 
 
 def test_criterion_4_rowwise_rule_equals_substitution(capsys):
@@ -172,19 +169,16 @@ def test_criterion_8_property_suite(capsys):
         for n in range(3, 100, 2):
             assert phi2(seq, n) == phi1(seq, n)
 
-        # counting fixed points of f^(ab) via the a-th iterate
+        # counting fixed points of f^(ab) via the a-th iterate: one pass
+        # over g's iterates, and one over the iterates of each g^a
         for j in (2, 3):
-            g = build_gj(j)
-            for total in range(1, 7):
-                for a in range(1, total + 1):
-                    if total % a:
-                        continue
-                    assert count_fixed(g, total) \
-                        == count_fixed(iterate(g, a), total // a), (j, total, a)
+            g = dict(enumerate(iterates(build_gj(j), 6), start=1))
+            for a in range(1, 7):
+                for b, power in enumerate(iterates(g[a], 6 // a), start=1):
+                    assert count_fixed(g[a * b]) == count_fixed(power), \
+                        (j, a * b, a)
 
         # iterates of odd maps stay odd
         for j in (2, 3, 4):
-            g = build_gj(j)
-            assert is_odd_map(g)
-            for n in (2, 3, 4):
-                assert is_odd_map(iterate(g, n)), (j, n)
+            for n, power in enumerate(iterates(build_gj(j), 4), start=1):
+                assert is_odd_map(power), (j, n)

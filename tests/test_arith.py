@@ -39,9 +39,8 @@ def test_factorization_accessors():
     fac = factorize(360)
     assert fac.primes == (2, 3, 5)
     assert fac.odd_primes == (3, 5)
-    assert fac.odd_part() == 45
-    assert factorize(8).odd_part() == 1
-    assert factorize(1).odd_part() == 1
+    assert factorize(8).odd_primes == ()
+    assert factorize(1).odd_primes == ()
     assert factorize(1).primes == ()
 
 

@@ -22,7 +22,6 @@ from divseq.interval_map import (
     count_fixed,
     fixed_point_solutions,
     is_odd_map,
-    iterate,
     iterates,
     load_map_file,
     parse_map_file,
@@ -32,6 +31,11 @@ from divseq.sequences import make_theorem5_phi, make_theorem5_psi
 
 def tent() -> PLMap:
     return PLMap([0, Fraction(1, 2), 1], [0, 1, 0])
+
+
+def powers(f: PLMap, n_max: int) -> dict[int, PLMap]:
+    """n -> f^n for n = 1..n_max, from one pass of `iterates`."""
+    return dict(enumerate(iterates(f, n_max), start=1))
 
 
 # -- construction and evaluation ----------------------------------------------
@@ -119,23 +123,21 @@ def test_compose_rejects_domain_mismatch():
 
 def test_iterate_basics():
     g2, g3 = build_gj(2), build_gj(3)
-    assert iterate(g2, 1) == g2
-    assert iterate(g2, 2)(-1) == 1
-    assert iterate(g3, 2)(1) == -2
-    with pytest.raises(ValueError):
-        iterate(g2, 0)
+    first, second = iterates(g2, 2)
+    assert first is g2
+    assert second(-1) == 1
+    assert powers(g3, 2)[2](1) == -2
+    assert list(iterates(g2, 0)) == []
 
 
 def test_piece_growth_bound():
     g2 = build_gj(2)
-    for n in range(1, 9):
-        assert iterate(g2, n).pieces <= 3**n * g2.pieces
+    for n, power in enumerate(iterates(g2, 8), start=1):
+        assert power.pieces <= 3**n * g2.pieces
 
 
 def test_piece_cap_reports_iterate_step():
     g2 = build_gj(2)
-    with pytest.raises(PieceCapExceededError, match="n="):
-        iterate(g2, 9, piece_cap=50)
     # pieces of g_2^n run 3, 7, 17, 41, 99: the fifth iterate is refused
     with pytest.raises(PieceCapExceededError, match="needs 99 pieces") as info:
         list(iterates(g2, 9, piece_cap=50))
@@ -144,7 +146,7 @@ def test_piece_cap_reports_iterate_step():
 
 def test_iterate_agrees_with_pointwise_application():
     g3 = build_gj(3)
-    g3_4 = iterate(g3, 4)
+    *_, g3_4 = iterates(g3, 4)
     rng = random.Random(20260816)
     for _ in range(200):
         x = Fraction(rng.randrange(-3000, 3001), 1000)
@@ -157,40 +159,41 @@ def test_iterate_agrees_with_pointwise_application():
 # -- counting -------------------------------------------------------------------
 
 def test_count_fixed_examples():
-    g2, g3 = build_gj(2), build_gj(3)
-    assert count_fixed(g2, 1) == 1
-    assert fixed_point_solutions(g2, 1) == (0,)
-    assert count_fixed(g3, 2) == 7
-    assert count_fixed(g2, 4) == 35
+    g2, g3 = powers(build_gj(2), 4), powers(build_gj(3), 2)
+    assert count_fixed(g2[1]) == 1
+    assert fixed_point_solutions(g2[1]) == (0,)
+    assert count_fixed(g3[2]) == 7
+    assert count_fixed(g2[4]) == 35
 
 
 def test_count_antifixed_examples():
-    g2, g3 = build_gj(2), build_gj(3)
-    assert count_antifixed(g2, 1) == 3
-    assert antifixed_point_solutions(g2, 1) == (Fraction(-5, 4), 0, Fraction(5, 4))
-    assert count_antifixed(g2, 2) == 5
-    assert count_antifixed(g3, 4) == 3**4 - 16 * 3**0 == 65
+    g2, g3 = powers(build_gj(2), 2), powers(build_gj(3), 4)
+    assert count_antifixed(g2[1]) == 3
+    assert antifixed_point_solutions(g2[1]) == (Fraction(-5, 4), 0,
+                                                Fraction(5, 4))
+    assert count_antifixed(g2[2]) == 5
+    assert count_antifixed(g3[4]) == 3**4 - 16 * 3**0 == 65
 
 
 def test_tent_map_fixed_points():
-    assert fixed_point_solutions(tent(), 1) == (0, Fraction(2, 3))
+    assert fixed_point_solutions(tent()) == (0, Fraction(2, 3))
 
 
 def test_antifixed_requires_symmetric_domain():
     with pytest.raises(ValueError):
-        count_antifixed(tent(), 1)
+        count_antifixed(tent())
 
 
 def test_infinite_solution_sets_are_detected():
     ident = PLMap([0, 1], [0, 1])
     with pytest.raises(InfiniteSolutionsError):
-        count_fixed(ident, 1)
+        count_fixed(ident)
     neg = PLMap([-1, 1], [1, -1])
     with pytest.raises(InfiniteSolutionsError):
-        count_antifixed(neg, 1)
+        count_antifixed(neg)
     # ... and for an iterate: neg∘neg is the identity
     with pytest.raises(InfiniteSolutionsError):
-        count_fixed(neg, 2)
+        count_fixed(powers(neg, 2)[2])
 
 
 def _count_by_sign_changes(f: PLMap, sign: int) -> int:
@@ -215,39 +218,37 @@ def _count_by_sign_changes(f: PLMap, sign: int) -> int:
 def test_counts_match_sign_change_oracle():
     for j in (2, 3):
         g = build_gj(j)
-        for n in range(1, 7):
-            power = iterate(g, n)
-            assert count_fixed(g, n) == _count_by_sign_changes(power, 1)
-            assert count_antifixed(g, n) == _count_by_sign_changes(power, -1)
+        for power in iterates(g, 6):
+            assert count_fixed(power) == _count_by_sign_changes(power, 1)
+            assert count_antifixed(power) == _count_by_sign_changes(power, -1)
 
 
 def test_oracle_matches_recurrences():
     """The central desk-scale identity: enumeration equals the closed
     recurrences for both equations."""
     for j in (2, 3, 4):
-        g = build_gj(j)
         phi, psi = make_theorem5_phi(j), make_theorem5_psi(j)
-        power = None
-        for n in range(1, 7):
-            power = g if n == 1 else compose(g, power)
-            assert count_fixed(power, 1) == phi(n), (j, n)
-            assert count_antifixed(power, 1) == psi(n), (j, n)
+        for n, power in enumerate(iterates(build_gj(j), 6), start=1):
+            assert count_fixed(power) == phi(n), (j, n)
+            assert count_antifixed(power) == psi(n), (j, n)
 
 
 def test_antifixed_solutions_are_fixed_at_double_n():
     for j in (2, 3):
-        g = build_gj(j)
+        g = powers(build_gj(j), 6)
         for n in (1, 2, 3):
-            anti = set(antifixed_point_solutions(g, n))
-            fixed2n = set(fixed_point_solutions(g, 2 * n))
+            anti = set(antifixed_point_solutions(g[n]))
+            fixed2n = set(fixed_point_solutions(g[2 * n]))
             assert anti <= fixed2n, (j, n)
 
 
 def test_iterate_consistency_for_composite_exponents():
-    for g in (build_gj(2), build_gj(3)):
+    for j in (2, 3):
+        g = powers(build_gj(j), 6)
         for a in range(1, 7):
-            for b in range(1, 6 // a + 1):
-                assert count_fixed(g, a * b) == count_fixed(iterate(g, a), b)
+            # (g^a)^b for b = 1..6//a, one pass over the iterates of g^a
+            for b, power in enumerate(iterates(g[a], 6 // a), start=1):
+                assert count_fixed(g[a * b]) == count_fixed(power), (j, a, b)
 
 
 # -- oddness ---------------------------------------------------------------------
@@ -259,9 +260,8 @@ def test_build_gj_is_odd():
 
 def test_iterates_of_odd_maps_stay_odd():
     for j in (2, 3, 4):
-        g = build_gj(j)
-        for n in (2, 3, 4, 5):
-            assert is_odd_map(iterate(g, n))
+        for n, power in enumerate(iterates(build_gj(j), 5), start=1):
+            assert is_odd_map(power), (j, n)
 
 
 def test_is_odd_map_counterexamples():
@@ -282,7 +282,7 @@ TENT_FILE = "domain 0 1\n0 0\n1/2 1\n1 0\n"
 def test_parse_map_file_tent():
     m = parse_map_file(TENT_FILE)
     assert m == tent()
-    assert count_fixed(m, 1) == 2
+    assert count_fixed(m) == 2
 
 
 def test_parse_map_file_allows_comments():
@@ -371,21 +371,20 @@ def test_compose_agrees_with_pointwise_application(pair, ts):
 @settings(max_examples=40, deadline=None)
 @given(g=random_maps, n=st.integers(2, 3))
 def test_both_composition_orders_build_the_same_iterate(g, n):
-    power = iterate(g, n - 1)
-    assert compose(g, power) == compose(power, g) \
-        == list(iterates(g, n))[-1] == iterate(g, n)
+    *_, before, power = iterates(g, n)
+    assert compose(g, before) == compose(before, g) == power
 
 
 @settings(max_examples=60, deadline=None)
 @given(f=random_maps, n=st.integers(1, 3))
 def test_random_map_counts_match_sign_change_oracle(f, n):
-    power = iterate(f, n)
+    *_, power = iterates(f, n)
     lo, hi = f.domain
     for sign, count in ((1, count_fixed), (-1, count_antifixed)):
         if sign < 0 and lo != -hi:
             continue
         try:
-            got = count(f, n)
+            got = count(power)
         except InfiniteSolutionsError:
             assert any(y0 == sign * x0 and y1 == sign * x1 for x0, x1, y0, y1
                        in zip(power.xs, power.xs[1:], power.ys, power.ys[1:]))
@@ -396,7 +395,8 @@ def test_random_map_counts_match_sign_change_oracle(f, n):
 @settings(max_examples=60, deadline=None)
 @given(f=random_maps, n=st.integers(1, 2))
 def test_rational_views_round_trip(f, n):
-    for m in (f, iterate(f, n)):
+    *_, power = iterates(f, n)
+    for m in (f, power):
         copy = PLMap(m.xs, m.ys)
         assert copy == m and hash(copy) == hash(m)
         assert m.den == lcm(*(v.denominator for v in m.xs + m.ys))

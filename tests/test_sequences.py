@@ -104,10 +104,10 @@ def test_values_grow_past_machine_words():
 # -- the recurrence core -------------------------------------------------------
 
 def test_linear_recurrence_head_coeffs_and_constant():
-    fib = LinearRecurrence("fib", {}, NO_GUARANTEE, lambda n: 1, (1, 1), 0)
+    fib = LinearRecurrence("fib", NO_GUARANTEE, lambda n: 1, (1, 1), 0)
     assert values(fib, 8) == [1, 1, 2, 3, 5, 8, 13, 21]
     # coeffs[0] weights q(n-1): q(n) = 2q(n-1) + 0q(n-2) + 1
-    lopsided = LinearRecurrence("x", {}, NO_GUARANTEE, lambda n: n, (2, 0), 1)
+    lopsided = LinearRecurrence("x", NO_GUARANTEE, lambda n: n, (2, 0), 1)
     assert values(lopsided, 5) == [1, 2, 5, 11, 23]
 
 
@@ -141,7 +141,6 @@ def test_constant_negative_and_zero():
     assert values(constant(-12), 5) == [-12] * 5
     assert values(constant(0), 5) == [0] * 5
     assert constant(-12).id == "const(-12)"
-    assert constant(0).params == {"value": 0}
 
 
 def test_seed_values_are_computed_only_when_filled():
@@ -151,7 +150,7 @@ def test_seed_values_are_computed_only_when_filled():
         calls.append(n)
         return n
 
-    seq = LinearRecurrence("x", {}, NO_GUARANTEE, head, (1,) * 10**5, 0)
+    seq = LinearRecurrence("x", NO_GUARANTEE, head, (1,) * 10**5, 0)
     assert values(seq, 3) == [1, 2, 3]
     assert calls == [1, 2, 3]
     # nor may the factories: an order-10**5 family has 10**5 seed values,
@@ -178,7 +177,7 @@ class MulCountingInt(int):
 def multiplications_per_value(seq, n_max):
     """Multiplications a fill of seq's recurrence makes per value past the
     head, with seq's own head, coefficients and constant."""
-    counted = LinearRecurrence("counted", {}, NO_GUARANTEE, seq.head,
+    counted = LinearRecurrence("counted", NO_GUARANTEE, seq.head,
                                map(MulCountingInt, seq.coeffs), seq.constant)
     order = len(seq.coeffs)
     assert values(counted, order) == values(seq, order)

@@ -13,7 +13,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import divseq.symbolic
-from divseq.interval_map import PLMap, build_gj, count_antifixed, count_fixed
+from divseq.interval_map import (
+    PLMap,
+    build_gj,
+    count_antifixed,
+    count_fixed,
+    iterates,
+)
 from divseq.sequences import make_theorem5_phi, make_theorem5_psi
 from divseq.symbolic import (
     EdgeTensor,
@@ -435,14 +441,14 @@ def test_step_makes_2j_minus_1_additions_per_row(j):
 
 def test_rule_at_j2_counts_the_oracle_solutions():
     # the public engine starts at j = 3; the rule itself derives for g_2 too
-    rule, g = _rule(2), build_gj(2)
+    rule = _rule(2)
     phi, psi = make_theorem5_phi(2), make_theorem5_psi(2)
     counts = rule.seed
-    for n in range(1, 9):
+    for n, power in enumerate(iterates(build_gj(2), 8), start=1):
         fixed = sum(counts[r][c] for r, c in rule.fixed)
         antifixed = sum(counts[r][c] for r, c in rule.antifixed)
-        assert fixed == count_fixed(g, n) == phi(n), n
-        assert antifixed == count_antifixed(g, n) == psi(n), n
+        assert fixed == count_fixed(power) == phi(n), n
+        assert antifixed == count_antifixed(power) == psi(n), n
         counts = tuple(map(rule.advance, counts))
 
 
