@@ -9,7 +9,8 @@ reports neutrally and always exits 0).
 
 Exit codes: 0 success/agreement, 1 verification failure or disagreement,
 2 usage error (including a map with a whole segment on y = x or y = -x,
-whose solution count is infinite), 3 piece cap exceeded.
+whose solution count is infinite, and a sequence expression nested past
+the recursion limit), 3 piece cap exceeded.
 """
 
 from __future__ import annotations
@@ -238,7 +239,7 @@ class CrossCheckRow:
     equation: str                # "fixed" or "antifixed"
     recurrence: int
     oracle: int | str            # count, or an error marker string
-    symbolic: int | None         # None when the edge engine is out of scope
+    symbolic: int
     agree: bool
 
 
@@ -287,14 +288,15 @@ def run_divisibility(seq: Sequence, mode: str, n_max: int) -> DivisibilityReport
 
 def run_crosscheck(j: int, n_max: int,
                    piece_cap: int = DEFAULT_PIECE_CAP) -> CrossCheckReport:
-    """Compare recurrence, oracle, and (j >= 3) edge-engine counts.
+    """Compare recurrence, oracle, and edge-engine counts.
 
     A piece-cap overflow on the oracle path is recorded in the affected rows
-    as "error:piece-cap" rather than aborting the report.
+    as "error:piece-cap" rather than aborting the report; such a row does
+    not agree.
     """
     g = build_gj(j)
     phi_seq, psi_seq = make_theorem5_phi(j), make_theorem5_psi(j)
-    tensor = initial_tensor(j) if j >= 3 else None
+    tensor = initial_tensor(j)
     powers = iterates(g, n_max, piece_cap)
     capped = False
     rows = []
@@ -304,21 +306,18 @@ def run_crosscheck(j: int, n_max: int,
                 power = next(powers)
             except PieceCapExceededError:
                 capped = True
-        if tensor is not None and n > 1:
+        if n > 1:
             tensor = step(tensor)
         for equation, rec, oracle, sym in (
             ("fixed", phi_seq(n),
              "error:piece-cap" if capped else count_fixed(power),
-             None if tensor is None else c_count(tensor)),
+             c_count(tensor)),
             ("antifixed", psi_seq(n),
              "error:piece-cap" if capped else count_antifixed(power),
-             None if tensor is None else d_count(tensor)),
+             d_count(tensor)),
         ):
-            present = [rec] + [v for v in (oracle, sym)
-                               if isinstance(v, int)]
-            agree = (not isinstance(oracle, str)) and all(
-                v == present[0] for v in present)
-            rows.append(CrossCheckRow(n, equation, rec, oracle, sym, agree))
+            rows.append(CrossCheckRow(n, equation, rec, oracle, sym,
+                                      rec == oracle == sym))
     return CrossCheckReport(j, rows)
 
 
@@ -326,16 +325,16 @@ def run_crosscheck(j: int, n_max: int,
 # rendering (csv | tsv | json); identical invocations must emit identical
 # bytes, so everything is assembled as a string with LF endings
 
-def _cell(value, blank: str) -> str:
+def _cell(value) -> str:
     if value is None:
-        return blank
+        return ""
     if isinstance(value, bool):
         return "true" if value else "false"
     return str(value)
 
 
-def _render(fmt: str, meta: dict, header, rows, summary: dict | None = None,
-            blank: str = "") -> str:
+def _render(fmt: str, meta: dict, header, rows,
+            summary: dict | None = None) -> str:
     """One table in fmt from an iterable of row dicts.
 
     JSON writes the dicts as they are (big values must already be strings,
@@ -350,7 +349,7 @@ def _render(fmt: str, meta: dict, header, rows, summary: dict | None = None,
         return json.dumps(payload, indent=2) + "\n"
     sep = "," if fmt == "csv" else "\t"
     lines = [sep.join(header)]
-    lines.extend(sep.join(_cell(row[key], blank) for key in header)
+    lines.extend(sep.join(_cell(row[key]) for key in header)
                  for row in rows)
     return "\n".join(lines) + "\n"
 
@@ -459,14 +458,13 @@ def cmd_crosscheck(args) -> int:
             "version": __version__}
     rows = ({"n": r.n, "equation": r.equation,
              "recurrence": str(r.recurrence), "oracle": str(r.oracle),
-             "symbolic": _opt_str(r.symbolic), "agree": r.agree}
+             "symbolic": str(r.symbolic), "agree": r.agree}
             for r in report.rows)
     summary = {"rows": len(report.rows),
                "disagreements": report.disagreements,
                "piece_cap_hit": report.cap_hit}
     header = ("n", "equation", "recurrence", "oracle", "symbolic", "agree")
-    sys.stdout.write(_render(args.format, meta, header, rows, summary,
-                             blank="n/a"))
+    sys.stdout.write(_render(args.format, meta, header, rows, summary))
     if report.cap_hit:
         print("divseq: oracle column hit the piece cap", file=sys.stderr)
         return 3
@@ -573,6 +571,10 @@ def main(argv: list[str] | None = None) -> int:
         except PieceCapExceededError as exc:
             print(f"divseq: {exc}", file=sys.stderr)
             return 3
+        except RecursionError:
+            print("divseq: the sequence expression is nested too deeply",
+                  file=sys.stderr)
+            return 2
 
 
 if __name__ == "__main__":

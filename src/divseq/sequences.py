@@ -204,7 +204,6 @@ class LinearCombinationSequence(Sequence):
         with unlimited_int_digits():
             seq_id = f"lin({k},{a.id},{m},{b.id})"
         super().__init__(seq_id, PHI1_CLOSURE if ok else NO_GUARANTEE)
-        self.k, self.m = k, m
         self.a, self.b = a, b
         self._weights = {int: (k, m), Decimal: (Decimal(k), Decimal(m))}
 

@@ -1,4 +1,4 @@
-"""Edge-count engine for the zigzag maps (j >= 3).
+"""Edge-count engine for the zigzag maps (j >= 2).
 
 The graph of the n-th iterate of g_j is encoded as a word of integer
 symbols, the map's values at the nodes between which it is linear. Each
@@ -19,10 +19,10 @@ big-int additions per computed row, in one straight-line function compiled
 from that plan. g_j is odd, so reversing a row mirrors it and commutes with
 the step (checked when the rule is derived); `step` computes the rows up to
 the middle one and reverses each mirrored partner's new row for the rest, j
-of the 2j-1 rows for g_j's own tensors. `expand_word` keeps x-coordinates as
-integer numerators over one denominator per depth. The rule also derives
-for j = 2 and matches the oracle there; the public engine keeps to j >= 3.
-Validation runs on every tensor `step` returns.
+of the 2j-1 rows for g_j's own tensors. `expand_word` needs no
+x-coordinates: the laps a lap splits into tile its extent, so every lap
+lies in the bucket of its n=1 ancestor. Validation runs on every tensor
+`step` returns.
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ from collections import Counter, namedtuple
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
-from math import lcm
 
 from .interval_map import build_gj
 
@@ -58,8 +57,8 @@ class WordLengthError(RuntimeError):
 
 
 def _check_j(j: int):
-    if j < 3:
-        raise ValueError(f"the edge engine requires j >= 3, got {j}")
+    if j < 2:
+        raise ValueError(f"the edge engine requires j >= 2, got {j}")
 
 
 def _paper_pairs(j: int) -> list[tuple[int, int]]:
@@ -68,16 +67,15 @@ def _paper_pairs(j: int) -> list[tuple[int, int]]:
             *((i, i + 1) for i in range(1, j - 1)), (j, -1)]
 
 
-class _Rule(namedtuple("_Rule", "nodes laps columns sweeps scale seed advance "
+class _Rule(namedtuple("_Rule", "nodes laps columns splits seed advance "
                                 "fixed antifixed")):
     """What g_j does to a lap, and what the engine reads from it. Rows are
     buckets (pieces of g_j in x order) and columns are labels, from 0.
 
     nodes      the x's of g_j's nodes; row r is [nodes[r], nodes[r + 1]]
-    laps       g_j's own laps (u, v, x0, x1), one per bucket
+    laps       g_j's own laps (u, v), one per bucket
     columns    lap (u, v), either orientation -> column
-    sweeps     lap (u, v) -> node offsets, lap starts, lap ends
-    scale      lcm of the lap widths |v - u|
+    splits     lap (u, v) -> the laps it splits into, in order from u to v
     seed       the n=1 grid: each bucket's own lap
     advance    one row of the grid, stepped once (compiled straight-line code)
     fixed      (row, column) cells whose lap covers the piece
@@ -109,31 +107,30 @@ def _rule(j: int) -> _Rule:
     columns = {}
     for c, (u, v) in enumerate(pairs):
         columns[u, v] = columns[v, u] = c
-    scale = lcm(*(abs(v - u) for u, v in pairs))
-    sweeps = {}
+    splits = {}
     for u, v in columns:
         run = nodes[bisect_left(nodes, min(u, v)):bisect_right(nodes, max(u, v))]
         run = run[::-1] if u > v else run  # the nodes from u to v
         ys = [image[s] for s in run]
-        sweeps[u, v] = ([(s - u) * (scale // (v - u)) for s in run], ys, ys[1:])
-    laps = tuple(zip(values, values[1:], nodes, nodes[1:]))
-    closure, todo = set(), [lap[:2] for lap in laps]
+        splits[u, v] = tuple(zip(ys, ys[1:]))
+    laps = tuple(zip(values, values[1:]))
+    closure, todo = set(), list(laps)
     while todo:
         lap = todo.pop()
         if lap not in closure:
             closure.add(lap)
-            todo += zip(*sweeps[lap][1:]) if lap in sweeps else ()
+            todo += splits.get(lap, ())
     if {frozenset(lap) for lap in closure} != set(map(frozenset, pairs)):
         raise RuntimeError(f"the laps of g_{j} close on {sorted(closure)}, "
                            f"not on its {len(pairs)} labelled pairs")
     seed = tuple(tuple(int(c == columns[u, v]) for c in range(len(pairs)))
-                 for u, v, _, _ in laps)
+                 for u, v in laps)
 
     # new column i sums the old columns whose laps split into a label-i lap,
     # most-used first; each slot past the old row holds one shared prefix sum
     sources = [[] for _ in pairs]
     for c, lap in enumerate(pairs):
-        for sub in zip(*sweeps[lap][1:]):
+        for sub in splits[lap]:
             sources[columns[sub]].append(c)
     uses = Counter(c for src in sources for c in set(src))
     terms = [tuple(sorted(src, key=lambda c: (-uses[c], c))) for src in sources]
@@ -158,7 +155,7 @@ def _rule(j: int) -> _Rule:
         return tuple((r, c) for c, (lo, hi) in enumerate(spans) for r in
                      range(bisect_left(nodes, lo), bisect_right(nodes, hi) - 1))
 
-    return _Rule(nodes, laps, columns, sweeps, scale, seed, advance,
+    return _Rule(nodes, laps, columns, splits, seed, advance,
                  cells(1), cells(-1))
 
 
@@ -263,55 +260,32 @@ def bucket_interval(j: int, k: int) -> tuple[Fraction, Fraction]:
     return (Fraction(nodes[k + w]), Fraction(nodes[k + w + 1]))
 
 
-def _bucket_of(j: int, x0, x1, den: int = 1) -> int:
-    """Bucket containing the x-extent [x0/den, x1/den]; x0 and x1 may be
-    integer numerators over den or, with den = 1, Fractions. Both ends are
-    located among the nodes; an extent inside no bucket raises. Edge extents
-    never straddle buckets: the n=1 extents each fill exactly one bucket and
-    expansion only subdivides."""
-    nodes = _rule(j).nodes
-    r = bisect_right(nodes, x0 // den) - 1  # last node at or left of x0
-    if 0 <= r < len(nodes) - 1 and -(-x1 // den) <= nodes[r + 1]:
-        return r - (j - 1)
-    if den != 1:
-        x0, x1 = Fraction(x0, den), Fraction(x1, den)
-    raise RuntimeError(f"edge extent [{x0}, {x1}] straddles a bucket boundary")
-
-
 def expand_word(j: int, n: int, word_cap: int = DEFAULT_WORD_CAP) -> EdgeTensor:
     """Tally a(k, i) by literal substitution instead of the step.
 
-    Each edge is kept as a lap (u, v, x0, x1): the iterate runs linearly from
-    value u at x0 to value v at x1. One expansion pass replaces a lap by the
-    laps between consecutive stations s (the nodes of g_j met on the sweep
-    from u to v), placing station s at its exact rational x via inverse
-    linear interpolation and mapping its value through g_j. Exponential in
-    n; guarded by word_cap and used only for cross-validation.
-
-    The x-coordinates are integer numerators over one denominator per depth,
-    multiplied at each pass by L, the lcm of the alphabet's lap widths
-    |v - u|, so station s lands exactly on x0*L + (s-u)*(x1-x0)*(L/(v-u)).
+    Each edge is kept as (row, lap): the lap (u, v) of the word and the
+    bucket row of its n=1 ancestor. One expansion pass replaces a lap by the
+    laps it splits into, the laps between the images of the nodes of g_j met
+    on the sweep from u to v. Those laps tile the extent of the lap they
+    replace, so the row carried down is the bucket every descendant lies
+    in. Exponential in n; guarded by word_cap and used only for
+    cross-validation.
     """
     _check_j(j)
     if n < 1:
         raise ValueError(f"n must be >= 1, got {n}")
     rule = _rule(j)
-    sweeps, scale, laps = rule.sweeps, rule.scale, rule.laps
-    den = 1
+    splits = rule.splits
+    laps = list(enumerate(rule.laps))
     for depth in range(2, n + 1):
         new_laps = []
-        for (u, v, x0, x1) in laps:
-            offsets, starts, ends = sweeps[u, v]
-            origin, span = x0 * scale, x1 - x0
-            pts = [origin + k * span for k in offsets]
-            new_laps += zip(starts, ends, pts, pts[1:])
+        for row, lap in laps:
+            new_laps += [(row, sub) for sub in splits[lap]]
             if len(new_laps) > word_cap:
                 raise WordLengthError(
                     f"expansion at n={depth} exceeds {word_cap} symbols")
         laps = new_laps
-        den *= scale
     columns, size = rule.columns, 2 * j - 1
-    edges = Counter((_bucket_of(j, x0, x1, den), columns[u, v])
-                    for (u, v, x0, x1) in laps)
-    return EdgeTensor(j, n, tuple(tuple(edges[k, c] for c in range(size))
-                                  for k in range(1 - j, j)))
+    edges = Counter((row, columns[lap]) for row, lap in laps)
+    return EdgeTensor(j, n, tuple(tuple(edges[r, c] for c in range(size))
+                                  for r in range(size)))

@@ -69,8 +69,8 @@ def test_criterion_2_oracle_equals_recurrence(capsys):
 
 def test_criterion_3_triple_agreement(capsys):
     with criterion(capsys, 3, 10.0,
-                   "edge engine = oracle = recurrence, j in 3..4, n in 1..8"):
-        for j in (3, 4):
+                   "edge engine = oracle = recurrence, j in 2..4, n in 1..8"):
+        for j in (2, 3, 4):
             phi_j, psi_j = make_theorem5_phi(j), make_theorem5_psi(j)
             tensor = initial_tensor(j)
             for n, power in enumerate(iterates(build_gj(j), 8), start=1):
@@ -84,8 +84,8 @@ def test_criterion_3_triple_agreement(capsys):
 def test_criterion_4_rowwise_rule_equals_substitution(capsys):
     with criterion(capsys, 4, 30.0,
                    "rowwise recurrence matches literal word expansion, "
-                   "j in 3..4, n <= 6"):
-        for j in (3, 4):
+                   "j in 2..4, n <= 6"):
+        for j in (2, 3, 4):
             tensor = initial_tensor(j)
             for n in range(1, 7):
                 if n > 1:

@@ -239,6 +239,23 @@ def test_verify_bad_expression_is_usage_error(capsys):
     assert "divseq:" in err
 
 
+@pytest.mark.parametrize("expr", [
+    "dilate(" * 300 + "const(1)" + ",1)" * 300,  # deep when evaluated
+    "prod(" * 600 + "const(1)" + ")" * 600,      # deep when parsed
+], ids=["dilate-300", "prod-600"])
+def test_verify_deeply_nested_expression_is_usage_error(expr):
+    proc = run_proc("verify", expr, "--mode", "phi1-mod-n", "--n-max", "3")
+    assert proc.returncode == 2
+    assert proc.stderr == b"divseq: the sequence expression is nested too " \
+                          b"deeply\n"
+
+
+def test_verify_nested_150_deep_still_evaluates():
+    expr = "dilate(" * 150 + "const(1)" + ",1)" * 150
+    proc = run_proc("verify", expr, "--mode", "phi1-mod-n", "--n-max", "3")
+    assert (proc.returncode, proc.stderr) == (0, b"")
+
+
 # -- values past Python's default int<->str digit limit ------------------------
 
 # 5001 digits, over the 4300-digit default of Python >= 3.11; the test
@@ -346,11 +363,15 @@ def test_crosscheck_j2_has_no_symbolic_column_values(capsys):
                             "--format", "json")
     assert code == 0
     payload = json.loads(out)
-    assert all(row["symbolic"] is None for row in payload["rows"])
+    assert all(row["symbolic"] == row["recurrence"] == row["oracle"]
+               for row in payload["rows"])
     assert all(row["agree"] for row in payload["rows"])
     assert payload["summary"]["disagreements"] == 0
     code, out, _ = run_main(capsys, "crosscheck", "--j", "2", "--n-max", "2")
-    assert ",n/a," in out
+    assert out.splitlines()[1:] == ["1,fixed,1,1,1,true",
+                                    "1,antifixed,3,3,3,true",
+                                    "2,fixed,7,7,7,true",
+                                    "2,antifixed,5,5,5,true"]
 
 
 def test_crosscheck_piece_cap_exits_three(capsys):

@@ -127,11 +127,11 @@ GOLDEN = {
     ("oracle-map-file", "json"): (
         0, "8a20a09595d81b622120e776c2f7295e94af9e4245296db71cbf699de5156313"),
     ("crosscheck-j2", "csv"): (
-        0, "d1f706a924d36f809080dfb8219340eb5405b28e93773d67deeb6f5ce4d1092e"),
+        0, "4ec8aeeb48d6114442da42c449d661ffd309c929e225671a5bf7af17642d8df3"),
     ("crosscheck-j2", "tsv"): (
-        0, "bae2b96de646cc6917ad51f72e77510faa2c9090465991e74df8e75afc420f9e"),
+        0, "aafced61eea1cc873314516576b50ce1707355f35a82a1d33fe1e76087cc33ce"),
     ("crosscheck-j2", "json"): (
-        0, "121bd4194c55fd705bbfa2009e5e151827e0ec373de5ff458f5b8fe43a158708"),
+        0, "ff5c0b647b2f69233b02e6f8e5634a0acd2eead2f0e229553a4b2af840d12979"),
     ("crosscheck-j3", "csv"): (
         0, "1b1b486f4261bb8f2cf54e0e854d1432e0e7ab43f39475edf268bdc736060ddf"),
     ("crosscheck-j3", "tsv"): (

@@ -24,7 +24,6 @@ from divseq.sequences import make_theorem5_phi, make_theorem5_psi
 from divseq.symbolic import (
     EdgeTensor,
     WordLengthError,
-    _bucket_of,
     _rule,
     bucket_interval,
     c_count,
@@ -64,23 +63,23 @@ def test_initial_tensor_j3_entries():
 
 
 def test_initial_tensor_row_sums_are_one():
-    for j in (3, 4, 5, 6):
+    for j in (2, 3, 4, 5, 6):
         t = initial_tensor(j)
         assert [sum(row) for row in t.counts] == [1] * (2 * j - 1)
 
 
-def test_engine_rejects_j2():
-    with pytest.raises(ValueError):
-        initial_tensor(2)
-    with pytest.raises(ValueError):
-        expand_word(2, 1)
+def test_engine_rejects_j1():
+    with pytest.raises(ValueError, match="j >= 2"):
+        initial_tensor(1)
+    with pytest.raises(ValueError, match="j >= 2"):
+        expand_word(1, 1)
 
 
 def test_edge_tensor_validation():
     with pytest.raises(ValueError):
         EdgeTensor(3, 1, ((1,),))
     with pytest.raises(ValueError):
-        zero_tensor(2)
+        zero_tensor(1)
     with pytest.raises(ValueError):
         EdgeTensor(3, 0, zero_tensor(3).counts)
     bad = [[0] * 5 for _ in range(5)]
@@ -185,12 +184,12 @@ def test_tensor_recurrence_entrywise_j3():
 # -- literal word expansion -----------------------------------------------------
 
 def test_expand_word_seed_equals_initial_tensor():
-    for j in (3, 4, 5):
+    for j in (2, 3, 4, 5):
         assert expand_word(j, 1).counts == initial_tensor(j).counts
 
 
 def test_expand_word_matches_step():
-    for j in (3, 4):
+    for j in range(2, 7):
         t = initial_tensor(j)
         for n in range(1, 7):
             word_tensor = expand_word(j, n)
@@ -248,23 +247,19 @@ def test_bucket_intervals():
         label_pair(3, 5)
 
 
-def test_bucket_of_straddling_extent_raises_runtime_error():
-    # midpoint -1 sits on the boundary between buckets -1 and 0; the check
-    # is an explicit exception, so it also holds under python -O
-    with pytest.raises(RuntimeError, match="straddles"):
-        _bucket_of(3, Fraction(-2), Fraction(0))
-
-
 # -- references: the seven-case step and the Fraction expansion, written out --
 
 def reference_step(t: EdgeTensor) -> EdgeTensor:
-    """The seven cases of the recurrence, three terms each, as first stated."""
+    """The seven cases of the recurrence, three terms each, as first stated.
+    At j = 2 they overlap and are written out as the three cases of g_2."""
     j, w = t.j, t.j - 1
 
     def advance(row):
         def a(i):
             return row[i + w]
 
+        if j == 2:
+            return (a(0) + a(1), a(-1) + a(0) + a(1), a(-1) + a(0))
         new = [0] * (2 * j - 1)
         new[-(j - 1) + w] = a(0) + a(1) + a(j - 1)
         new[-(j - 2) + w] = a(0) + a(-(j - 1))
@@ -321,7 +316,7 @@ def reference_expand(j: int, n: int, word_cap: int) -> EdgeTensor:
 
 @st.composite
 def big_tensors(draw):
-    j = draw(st.integers(3, 12))
+    j = draw(st.integers(2, 12))
     size = 2 * j - 1
     row = st.tuples(*[st.integers(0, 10**60)] * size)
     counts = draw(st.tuples(*[row] * size))
@@ -356,7 +351,7 @@ def test_edge_tensor_rejects_one_ragged_row():
 
 
 def test_expand_word_equals_fraction_reference():
-    for j in range(3, 7):
+    for j in range(2, 7):
         for n in range(1, 7):
             got = expand_word(j, n)
             want = reference_expand(j, n, 10**6)
@@ -371,40 +366,6 @@ def test_expand_word_cap_trips_at_the_reference_depth(j, cap):
     with pytest.raises(WordLengthError) as got:
         expand_word(j, 8, word_cap=cap)
     assert str(got.value) == str(want.value)
-
-
-def test_scaled_bucket_of_raises_on_straddling_extent():
-    # [-4/2, 0/2] = [-2, 0] has its midpoint on the boundary x = -1
-    with pytest.raises(RuntimeError, match=r"\[-2, 0\] straddles"):
-        _bucket_of(3, -4, 0, den=2)
-    with pytest.raises(RuntimeError, match="straddles"):
-        _bucket_of(4, 36, 108, den=72)  # [1/2, 3/2]
-
-
-def test_scaled_bucket_of_matches_fraction_bucket():
-    rng = random.Random(7)
-    buckets = [bucket_interval(6, k) for k in range(-5, 6)]
-    for _ in range(2000):
-        den = rng.randrange(1, 10**6)
-        x0 = rng.randrange(-5 * den, 5 * den)
-        x1 = x0 + rng.randrange(1, den)
-        lo, hi = Fraction(x0, den), Fraction(x1, den)
-        if any(s <= lo and hi <= t for s, t in buckets):
-            assert _bucket_of(6, x0, x1, den) == reference_bucket(lo, hi)
-            assert _bucket_of(6, lo, hi) == reference_bucket(lo, hi)
-            continue
-        with pytest.raises(RuntimeError, match="straddles"):
-            _bucket_of(6, x0, x1, den)
-        with pytest.raises(RuntimeError, match="straddles"):
-            _bucket_of(6, lo, hi)
-
-
-def test_bucket_of_checks_both_ends():
-    # [-2.5, 0.7] spans buckets -1 and 0 though its midpoint lies in bucket 0
-    with pytest.raises(RuntimeError, match=r"\[-5/2, 7/10\] straddles"):
-        _bucket_of(3, Fraction(-5, 2), Fraction(7, 10))
-    with pytest.raises(RuntimeError, match=r"\[-5/2, 7/10\] straddles"):
-        _bucket_of(3, -25, 7, den=10)
 
 
 def test_pair_label_rejects_level_pairs_outside_the_alphabet():
@@ -429,7 +390,7 @@ class CountedInt(int):
         return CountedInt(int(self) + int(other))
 
 
-@pytest.mark.parametrize("j", range(3, 13))
+@pytest.mark.parametrize("j", range(2, 13))
 def test_step_makes_2j_minus_1_additions_per_row(j):
     size = 2 * j - 1
     row = tuple(map(CountedInt, range(1, size + 1)))
@@ -440,7 +401,7 @@ def test_step_makes_2j_minus_1_additions_per_row(j):
 
 
 def test_rule_at_j2_counts_the_oracle_solutions():
-    # the public engine starts at j = 3; the rule itself derives for g_2 too
+    # the rule's own seed, step and cells, read without the public engine
     rule = _rule(2)
     phi, psi = make_theorem5_phi(2), make_theorem5_psi(2)
     counts = rule.seed
@@ -480,7 +441,7 @@ def is_mirrored(counts) -> bool:
 
 @st.composite
 def mirrored_tensors(draw):
-    j = draw(st.integers(3, 12))
+    j = draw(st.integers(2, 12))
     entry = st.integers(0, 10**60)
     upper = [draw(st.tuples(*[entry] * (2 * j - 1))) for _ in range(j - 1)]
     half = draw(st.tuples(*[entry] * j))
@@ -519,7 +480,7 @@ def test_step_on_near_mirrored_tensors_equals_seven_case_reference(t):
     assert step(t).counts == reference_step(t).counts
 
 
-@pytest.mark.parametrize("j", range(3, 13))
+@pytest.mark.parametrize("j", range(2, 13))
 def test_step_computes_j_rows_of_a_mirrored_tensor(j):
     size = 2 * j - 1
     upper = [tuple(map(CountedInt, range(r, r + size))) for r in range(j - 1)]
@@ -534,17 +495,17 @@ def test_step_computes_j_rows_of_a_mirrored_tensor(j):
 def interpreted_step(j: int, counts):
     """Every row of the grid stepped in full: new entry i is the sum of the
     old entries whose laps split into a label-i lap, read off the rule's
-    sweeps with no shared sums and no shared rows."""
+    split table with no shared sums and no shared rows."""
     rule = _rule(j)
     sources = [[] for _ in range(2 * j - 1)]
     for c in range(2 * j - 1):
-        for sub in zip(*rule.sweeps[label_pair(j, c - (j - 1))][1:]):
+        for sub in rule.splits[label_pair(j, c - (j - 1))]:
             sources[rule.columns[sub]].append(c)
     return tuple(tuple(sum(row[c] for c in src) for src in sources)
                  for row in counts)
 
 
-@pytest.mark.parametrize("j", range(3, 13))
+@pytest.mark.parametrize("j", range(2, 13))
 def test_forty_steps_stay_mirrored_and_equal_the_interpreted_step(j):
     t, want = initial_tensor(j), initial_tensor(j).counts
     for n in range(2, 42):
