@@ -5,12 +5,14 @@ divisibility reports over a sequence expression, `oracle` counts fixed or
 antifixed points of an interval map by exact enumeration, `crosscheck`
 compares the recurrence, oracle, and edge-engine values side by side, and
 `conjecture` scans phi1 applied to the psi families (an open question, so it
-reports neutrally and always exits 0).
+reports neutrally and always exits 0). One table names every generator and
+combinator with its parameters; the expression parser and `seq` read it.
+`--piece-cap` belongs to `oracle` and `crosscheck`, which compose maps.
 
 Exit codes: 0 success/agreement, 1 verification failure or disagreement,
 2 usage error (including a map with a whole segment on y = x or y = -x,
 whose solution count is infinite, and a sequence expression nested past
-the recursion limit), 3 piece cap exceeded.
+the recursion limit), 3 a resource cap: the piece cap or the fill cap.
 """
 
 from __future__ import annotations
@@ -34,6 +36,7 @@ from .interval_map import (
     load_map_file,
 )
 from .sequences import (
+    FillCapExceededError,
     Sequence,
     TableRangeError,
     constant,
@@ -58,8 +61,6 @@ __all__ = [
     "run_crosscheck",
     "DivisibilityReport",
     "ReportRow",
-    "CrossCheckReport",
-    "CrossCheckRow",
 ]
 
 DEFAULT_N_MAX = {"seq": 24, "verify": 48, "oracle": 10,
@@ -75,15 +76,32 @@ class ExpressionError(ValueError):
 
 
 # ---------------------------------------------------------------------------
-# sequence expression grammar:
-#   expr := theorem4(j,k,m) | theorem5phi(j) | theorem5psi(j) | const(v)
-#         | table(path) | lin(k,expr,m,expr) | dilate(expr,k)
-#         | dilateodd(expr,k) | prod(expr,...)
+# sequence expression grammar: expr := NAME(parameters), with each generator
+# or combinator NAME -> (factory, parameters in order). A parameter is
+# (name, kind): int reads an integer, str a table path, Sequence a nested
+# expression and list one or more comma-separated expressions. `seq` takes
+# the parameters of its generators as --NAME flags.
+_GENERATORS = {
+    "theorem4": (make_theorem4, (("j", int), ("k", int), ("m", int))),
+    "theorem5phi": (make_theorem5_phi, (("j", int),)),
+    "theorem5psi": (make_theorem5_psi, (("j", int),)),
+    "const": (constant, (("value", int),)),
+    "table": (load_table, (("file", str),)),
+    "lin": (linear_combine, (("k", int), ("a", Sequence), ("m", int),
+                             ("b", Sequence))),
+    "dilate": (dilate, (("seq", Sequence), ("k", int))),
+    "dilateodd": (dilate_odd, (("seq", Sequence), ("k", int))),
+    "prod": (product, (("seqs", list),)),
+}
+_GENERATORS["constant"] = _GENERATORS["const"]
+
 
 class _ExprParser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self._read = {int: self._integer, str: self._path,
+                      Sequence: self._expr, list: self._exprs}
 
     def fail(self, msg: str):
         raise ExpressionError(f"{msg} at position {self.pos} in {self.text!r}")
@@ -135,6 +153,15 @@ class _ExprParser:
             self.fail("empty table(...) path")
         return raw
 
+    def _exprs(self) -> list[Sequence]:
+        seqs = [self._expr()]
+        self._skip_ws()
+        while self.text.startswith(",", self.pos):
+            self.pos += 1
+            seqs.append(self._expr())
+            self._skip_ws()
+        return seqs
+
     def parse(self) -> Sequence:
         seq = self._expr()
         self._skip_ws()
@@ -145,51 +172,20 @@ class _ExprParser:
     def _expr(self) -> Sequence:
         name = self._name()
         self._expect("(")
+        if name not in _GENERATORS:
+            self.fail(f"unknown generator or combinator {name!r}")
+        factory, params = _GENERATORS[name]
+        args = []
+        for i, (_, kind) in enumerate(params):
+            if i:
+                self._expect(",")
+            args.append(self._read[kind]())
         try:
-            seq = self._body(name)
-        except ValueError as exc:
-            if isinstance(exc, ExpressionError):
-                raise
+            seq = factory(*args)
+        except ValueError as exc:  # the factory rejects a parameter
             raise ExpressionError(str(exc)) from None
         self._expect(")")
         return seq
-
-    def _body(self, name: str) -> Sequence:
-        if name == "theorem4":
-            j = self._integer(); self._expect(",")
-            k = self._integer(); self._expect(",")
-            m = self._integer()
-            return make_theorem4(j, k, m)
-        if name == "theorem5phi":
-            return make_theorem5_phi(self._integer())
-        if name == "theorem5psi":
-            return make_theorem5_psi(self._integer())
-        if name in ("const", "constant"):
-            return constant(self._integer())
-        if name == "table":
-            return load_table(self._path())
-        if name == "lin":
-            k = self._integer(); self._expect(",")
-            a = self._expr(); self._expect(",")
-            m = self._integer(); self._expect(",")
-            b = self._expr()
-            return linear_combine(k, a, m, b)
-        if name == "dilate":
-            a = self._expr(); self._expect(",")
-            return dilate(a, self._integer())
-        if name == "dilateodd":
-            a = self._expr(); self._expect(",")
-            return dilate_odd(a, self._integer())
-        if name == "prod":
-            seqs = [self._expr()]
-            while True:
-                self._skip_ws()
-                if self.pos < len(self.text) and self.text[self.pos] == ",":
-                    self.pos += 1
-                    seqs.append(self._expr())
-                else:
-                    return product(seqs)
-        self.fail(f"unknown generator or combinator {name!r}")
 
 
 def parse_expression(text: str) -> Sequence:
@@ -233,30 +229,6 @@ class DivisibilityReport:
         return None
 
 
-@dataclass
-class CrossCheckRow:
-    n: int
-    equation: str                # "fixed" or "antifixed"
-    recurrence: int
-    oracle: int | str            # count, or an error marker string
-    symbolic: int
-    agree: bool
-
-
-@dataclass
-class CrossCheckReport:
-    j: int
-    rows: list[CrossCheckRow]
-
-    @property
-    def disagreements(self) -> int:
-        return sum(1 for r in self.rows if not r.agree)
-
-    @property
-    def cap_hit(self) -> bool:
-        return any(isinstance(r.oracle, str) for r in self.rows)
-
-
 _MODES = {
     "phi1-mod-n": (phi1, 1),
     "phi2-mod-2n": (phi2, 2),
@@ -287,12 +259,13 @@ def run_divisibility(seq: Sequence, mode: str, n_max: int) -> DivisibilityReport
 
 
 def run_crosscheck(j: int, n_max: int,
-                   piece_cap: int = DEFAULT_PIECE_CAP) -> CrossCheckReport:
+                   piece_cap: int = DEFAULT_PIECE_CAP) -> tuple[list, bool]:
     """Compare recurrence, oracle, and edge-engine counts.
 
-    A piece-cap overflow on the oracle path is recorded in the affected rows
-    as "error:piece-cap" rather than aborting the report; such a row does
-    not agree.
+    Returns the row dicts of the table and whether the oracle hit the piece
+    cap. A piece-cap overflow on the oracle path is recorded in the affected
+    rows as "error:piece-cap" rather than aborting the report; such a row
+    does not agree.
     """
     g = build_gj(j)
     phi_seq, psi_seq = make_theorem5_phi(j), make_theorem5_psi(j)
@@ -316,9 +289,10 @@ def run_crosscheck(j: int, n_max: int,
              "error:piece-cap" if capped else count_antifixed(power),
              d_count(tensor)),
         ):
-            rows.append(CrossCheckRow(n, equation, rec, oracle, sym,
-                                      rec == oracle == sym))
-    return CrossCheckReport(j, rows)
+            rows.append({"n": n, "equation": equation,
+                         "recurrence": str(rec), "oracle": str(oracle),
+                         "symbolic": str(sym), "agree": rec == oracle == sym})
+    return rows, capped
 
 
 # ---------------------------------------------------------------------------
@@ -383,22 +357,18 @@ def _report_errors_to_stderr(report: DivisibilityReport):
 # ---------------------------------------------------------------------------
 # subcommands
 
-def _seq_from_flags(args) -> Sequence:
-    def need(flag, value):
-        if value is None:
-            raise UsageError(f"seq {args.kind} requires {flag}")
-        return value
+# seq KIND -> the generator it prints
+_SEQ_KINDS = {"theorem4": "theorem4", "theorem5-phi": "theorem5phi",
+              "theorem5-psi": "theorem5psi", "constant": "const",
+              "table": "table"}
 
-    if args.kind == "theorem4":
-        return make_theorem4(need("--j", args.j), need("--k", args.k),
-                             need("--m", args.m))
-    if args.kind == "theorem5-phi":
-        return make_theorem5_phi(need("--j", args.j))
-    if args.kind == "theorem5-psi":
-        return make_theorem5_psi(need("--j", args.j))
-    if args.kind == "constant":
-        return constant(need("--value", args.value))
-    return load_table(need("--file", args.file))
+
+def _seq_from_flags(args) -> Sequence:
+    factory, params = _GENERATORS[_SEQ_KINDS[args.kind]]
+    missing = [flag for flag, _ in params if getattr(args, flag) is None]
+    if missing:
+        raise UsageError(f"seq {args.kind} requires --{missing[0]}")
+    return factory(*(getattr(args, flag) for flag, _ in params))
 
 
 def cmd_seq(args) -> int:
@@ -451,24 +421,20 @@ def cmd_oracle(args) -> int:
 
 
 def cmd_crosscheck(args) -> int:
-    report = run_crosscheck(args.j, args.n_max, args.piece_cap)
+    rows, capped = run_crosscheck(args.j, args.n_max, args.piece_cap)
     meta = {"command": "crosscheck",
             "params": {"j": args.j, "n_max": args.n_max,
                        "piece_cap": args.piece_cap},
             "version": __version__}
-    rows = ({"n": r.n, "equation": r.equation,
-             "recurrence": str(r.recurrence), "oracle": str(r.oracle),
-             "symbolic": str(r.symbolic), "agree": r.agree}
-            for r in report.rows)
-    summary = {"rows": len(report.rows),
-               "disagreements": report.disagreements,
-               "piece_cap_hit": report.cap_hit}
+    disagreements = sum(1 for row in rows if not row["agree"])
+    summary = {"rows": len(rows), "disagreements": disagreements,
+               "piece_cap_hit": capped}
     header = ("n", "equation", "recurrence", "oracle", "symbolic", "agree")
     sys.stdout.write(_render(args.format, meta, header, rows, summary))
-    if report.cap_hit:
+    if capped:
         print("divseq: oracle column hit the piece cap", file=sys.stderr)
         return 3
-    return 1 if report.disagreements else 0
+    return 1 if disagreements else 0
 
 
 def cmd_conjecture(args) -> int:
@@ -489,7 +455,8 @@ def _build_parser() -> argparse.ArgumentParser:
                         default="csv", help="output format (default csv)")
     common.add_argument("--n-max", type=int, default=None, metavar="N",
                         help="largest n to include (command-specific default)")
-    common.add_argument("--piece-cap", type=int, default=DEFAULT_PIECE_CAP,
+    capped = argparse.ArgumentParser(add_help=False)
+    capped.add_argument("--piece-cap", type=int, default=DEFAULT_PIECE_CAP,
                         metavar="N",
                         help="max linear pieces per composed map")
 
@@ -504,13 +471,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("seq", parents=[common],
                        help="print a sequence table")
-    p.add_argument("kind", choices=("theorem4", "theorem5-phi",
-                                    "theorem5-psi", "constant", "table"))
-    p.add_argument("--j", type=int)
-    p.add_argument("--k", type=int)
-    p.add_argument("--m", type=int)
-    p.add_argument("--value", type=int)
-    p.add_argument("--file")
+    p.add_argument("kind", choices=_SEQ_KINDS)
+    flags = {}
+    for name in _SEQ_KINDS.values():
+        flags.update(_GENERATORS[name][1])
+    for flag, kind in flags.items():
+        p.add_argument(f"--{flag}", type=kind)
     p.set_defaults(func=cmd_seq)
 
     p = sub.add_parser("verify", parents=[common],
@@ -523,7 +489,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    choices=("phi1-mod-n", "phi2-mod-2n"))
     p.set_defaults(func=cmd_verify)
 
-    p = sub.add_parser("oracle", parents=[common],
+    p = sub.add_parser("oracle", parents=[common, capped],
                        help="count fixed/antifixed points of an interval map")
     target = p.add_mutually_exclusive_group(required=True)
     target.add_argument("--j", type=int, help="use the zigzag map on [-j, j]")
@@ -532,7 +498,7 @@ def _build_parser() -> argparse.ArgumentParser:
                    default="fixed")
     p.set_defaults(func=cmd_oracle)
 
-    p = sub.add_parser("crosscheck", parents=[common],
+    p = sub.add_parser("crosscheck", parents=[common, capped],
                        help="compare recurrence, oracle, and edge-engine "
                             "counts")
     p.add_argument("--j", type=int, required=True)
@@ -556,7 +522,7 @@ def main(argv: list[str] | None = None) -> int:
             if args.n_max < 1:
                 print("divseq: --n-max must be >= 1", file=sys.stderr)
                 return 2
-            if args.piece_cap < 1:
+            if getattr(args, "piece_cap", 1) < 1:
                 print("divseq: --piece-cap must be >= 1", file=sys.stderr)
                 return 2
             return args.func(args)
@@ -568,7 +534,7 @@ def main(argv: list[str] | None = None) -> int:
             print(f"divseq: {exc}, so the solution count is infinite",
                   file=sys.stderr)
             return 2
-        except PieceCapExceededError as exc:
+        except (PieceCapExceededError, FillCapExceededError) as exc:
             print(f"divseq: {exc}", file=sys.stderr)
             return 3
         except RecursionError:

@@ -28,6 +28,8 @@ __all__ = [
     "Sequence",
     "LinearRecurrence",
     "TableRangeError",
+    "FillCapExceededError",
+    "FILL_CAP",
     "make_theorem4",
     "make_theorem5_phi",
     "make_theorem5_psi",
@@ -47,6 +49,9 @@ __all__ = [
 # longest bad table token quoted in full in an error message
 _QUOTE_CAP = 40
 
+# largest n a sequence fills its caches to
+FILL_CAP = 10**7
+
 # Provenance flags. MAP_DERIVED_PHI marks fixed-point counts of some self-map
 # (phi1 values divisible by n); ODD_MAP_DERIVED_PSI marks g^n(x) = -x counts
 # of some odd self-map (phi2 values divisible by 2n); PHI1_CLOSURE marks
@@ -62,6 +67,11 @@ _PHI1_SAFE = (MAP_DERIVED_PHI, PHI1_CLOSURE)
 
 class TableRangeError(LookupError):
     """Evaluation past the end of an external value table."""
+
+
+class FillCapExceededError(RuntimeError):
+    """Evaluation at an n past FILL_CAP, which would fill a cache that
+    long."""
 
 
 class Sequence:
@@ -104,6 +114,9 @@ class Sequence:
     def _fill(self, values: list, n: int, num: type):
         if n < 1:
             raise ValueError(f"sequence domain is n >= 1, got {n}")
+        if n > FILL_CAP:
+            raise FillCapExceededError(
+                f"n={n} is past the fill cap of {FILL_CAP} values")
         while len(values) < n:
             # `or num()` turns Decimal('-0'), the product of 0 and a
             # negative number, into 0, which prints as the int 0 does
@@ -176,23 +189,19 @@ def _zigzag_coeffs(j: int) -> tuple[int, ...]:
 
 
 class TableSequence(Sequence):
-    """Values loaded from an external table, given once per number type;
-    evaluation past the end is an error, never an extrapolation."""
+    """Values loaded from an external table, given once per number type as
+    the filled caches; evaluation past the end is an error, never an
+    extrapolation."""
 
     def __init__(self, values, decimals, source: str = "<table>"):
         super().__init__(f"table({source})")
-        self._table = {int: tuple(values), Decimal: tuple(decimals)}
+        self._values, self._exact = list(values), list(decimals)
 
     def _fill(self, values: list, n: int, num: type):
-        # report the requested n, not the cache-fill position it would
-        # otherwise fail at
-        if n > len(self._table[int]):
-            raise TableRangeError(f"{self.id} holds {len(self._table[int])} "
+        if n > len(values):
+            raise TableRangeError(f"{self.id} holds {len(values)} "
                                   f"values; n={n} is out of range")
         super()._fill(values, n, num)
-
-    def _compute(self, n: int, values: list, num: type):
-        return self._table[num][n - 1]
 
 
 class LinearCombinationSequence(Sequence):
@@ -221,6 +230,13 @@ class DilationSequence(Sequence):
         super().__init__(seq_id, guarantee)
         self.base = seq
         self.k = k
+
+    def _fill(self, values: list, n: int, num: type):
+        if 0 < n <= FILL_CAP:
+            # the base first, to k*n: nested dilations ask for k**depth * n,
+            # and a base past the cap refuses before any value is computed
+            self.base._at(self.k * n, num)
+        super()._fill(values, n, num)
 
     def _compute(self, n: int, values: list, num: type):
         return self.base._at(self.k * n, num)
@@ -366,8 +382,9 @@ def parse_table(text: str, source: str = "<table>") -> Sequence:
                 raise ValueError(
                     f"{source}:{lineno}: not a decimal integer: {shown}")
             # int() accepted it, so it has no point, exponent or NaN, and
-            # Decimal(str) reads it exactly in linear time
-            decimals.append(Decimal(line))
+            # Decimal(str) reads it exactly in linear time; `or` turns -0
+            # into 0, which prints as the int 0 does
+            decimals.append(Decimal(line) or Decimal(0))
     return TableSequence(values, decimals, source)
 
 

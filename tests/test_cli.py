@@ -3,13 +3,18 @@ exit codes, and byte-level determinism."""
 
 from __future__ import annotations
 
+import contextlib
+import io
 import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import divseq
 from divseq import __version__
@@ -31,12 +36,13 @@ def run_main(capsys, *args: str):
 SRC = str(Path(divseq.__file__).resolve().parent.parent)
 
 
-def run_proc(*args: str) -> subprocess.CompletedProcess:
+def run_proc(*args: str, timeout: float | None = None
+             ) -> subprocess.CompletedProcess:
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join([SRC, path] if path else [SRC]))
     return subprocess.run([sys.executable, "-m", "divseq", *args],
-                          capture_output=True, env=env)
+                          capture_output=True, env=env, timeout=timeout)
 
 
 # -- expression grammar ------------------------------------------------------
@@ -74,19 +80,26 @@ def test_parse_table_path_quoting(tmp_path):
     assert parse_expression(f'table("{path}")')(1) == 4
 
 
-@pytest.mark.parametrize("bad", [
-    "",
-    "const(5)x",
-    "theorem4(2,0)",
-    "bogus(3)",
-    "theorem4(1,0,1)",      # j < 2 rejected by the family itself
-    "dilate(const(1),0)",
-    "lin(1,const(1),2)",
-    "table()",
-])
+# malformed expression -> the ExpressionError text it raises
+REJECTED = {
+    "": "expected a generator or combinator name at position 0 in ''",
+    "const(5)x": "trailing characters at position 8 in 'const(5)x'",
+    "theorem4(2,0)": "expected ',' at position 12 in 'theorem4(2,0)'",
+    "bogus(3)":
+        "unknown generator or combinator 'bogus' at position 6 in 'bogus(3)'",
+    # j < 2 rejected by the family itself
+    "theorem4(1,0,1)": "theorem4 requires j >= 2, got 1",
+    "dilate(const(1),0)": "dilate requires k >= 1, got 0",
+    "lin(1,const(1),2)": "expected ',' at position 16 in 'lin(1,const(1),2)'",
+    "table()": "empty table(...) path at position 6 in 'table()'",
+}
+
+
+@pytest.mark.parametrize("bad", REJECTED)
 def test_parse_rejects(bad):
-    with pytest.raises(ExpressionError):
+    with pytest.raises(ExpressionError) as exc:
         parse_expression(bad)
+    assert str(exc.value) == REJECTED[bad]
 
 
 # -- seq ---------------------------------------------------------------------
@@ -240,9 +253,9 @@ def test_verify_bad_expression_is_usage_error(capsys):
 
 
 @pytest.mark.parametrize("expr", [
-    "dilate(" * 300 + "const(1)" + ",1)" * 300,  # deep when evaluated
+    "dilate(" * 400 + "const(1)" + ",1)" * 400,  # deep when evaluated
     "prod(" * 600 + "const(1)" + ")" * 600,      # deep when parsed
-], ids=["dilate-300", "prod-600"])
+], ids=["dilate-400", "prod-600"])
 def test_verify_deeply_nested_expression_is_usage_error(expr):
     proc = run_proc("verify", expr, "--mode", "phi1-mod-n", "--n-max", "3")
     assert proc.returncode == 2
@@ -254,6 +267,16 @@ def test_verify_nested_150_deep_still_evaluates():
     expr = "dilate(" * 150 + "const(1)" + ",1)" * 150
     proc = run_proc("verify", expr, "--mode", "phi1-mod-n", "--n-max", "3")
     assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+def test_verify_nested_dilations_past_the_fill_cap_exit_three():
+    # 2**150 * n values asked of const(1): refused before any is computed
+    expr = "dilate(" * 150 + "const(1)" + ",2)" * 150
+    proc = run_proc("verify", expr, "--mode", "phi1-mod-n", "--n-max", "3",
+                    timeout=60)
+    assert (proc.returncode, proc.stdout) == (3, b"")
+    assert proc.stderr == b"divseq: n=16777216 is past the fill cap of " \
+                          b"10000000 values\n"
 
 
 # -- values past Python's default int<->str digit limit ------------------------
@@ -425,6 +448,23 @@ def test_n_max_zero_rejected(capsys):
     assert "--n-max" in err
 
 
+@pytest.mark.parametrize("args, code", [
+    (("seq", "constant", "--value", "1"), 2),
+    (("verify", "const(1)", "--mode", "phi1-mod-n"), 2),
+    (("conjecture", "--j", "2"), 2),
+    (("oracle", "--j", "2"), 0),      # g_2 has 3 pieces
+    (("crosscheck", "--j", "2"), 0),
+])
+def test_piece_cap_only_on_oracle_and_crosscheck(capsys, args, code):
+    try:
+        got = main([*args, "--n-max", "1", "--piece-cap", "5"])
+    except SystemExit as exc:  # argparse rejects the flag
+        got = exc.code
+    assert got == code
+    err = capsys.readouterr().err
+    assert ("unrecognized arguments: --piece-cap 5" in err) == (code == 2)
+
+
 @pytest.mark.parametrize("cap", ["0", "-5"])
 def test_piece_cap_below_one_rejected(capsys, cap):
     code, out, err = run_main(capsys, "oracle", "--j", "2",
@@ -472,3 +512,109 @@ def test_output_is_byte_identical_across_runs():
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.endswith(b"\n")
+
+
+# -- fuzzing: every expression and map file ends in a documented exit code ------
+
+def main_exit(*args: str) -> int:
+    with contextlib.redirect_stdout(io.StringIO()), \
+            contextlib.redirect_stderr(io.StringIO()):
+        return main(list(args))
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("fuzz")
+    (path / "vals.txt").write_text("1\n3\n-0\n15\n")
+    return path
+
+
+# valid parameters drawn as often as any
+INTS = st.integers(-3, 6)
+JS = st.integers(2, 5) | st.integers(-3, 5)
+KS = st.integers(1, 3) | st.integers(-3, 3)
+LEAVES = st.one_of(
+    st.builds("theorem4({},{},{})".format, JS, INTS, INTS),
+    st.builds("theorem5phi({})".format, JS),
+    st.builds("theorem5psi({})".format, JS),
+    st.builds("const({})".format, INTS),
+    # DIR stands for the fuzz directory, which holds vals.txt
+    st.sampled_from(["table(DIR/vals.txt)", "table('DIR/vals.txt')",
+                     "table(DIR/none)"]),
+)
+
+
+def _combinators(sub):
+    return st.one_of(
+        st.builds("lin({},{},{},{})".format, INTS, sub, INTS, sub),
+        st.builds("dilate({},{})".format, sub, KS),
+        st.builds("dilateodd({},{})".format, sub, KS),
+        st.builds(lambda seqs: f"prod({','.join(seqs)})",
+                  st.lists(sub, min_size=1, max_size=3)),
+    )
+
+
+@st.composite
+def expressions(draw):
+    """An expression of at most 6 leaves, with at most one character
+    deleted."""
+    text = draw(st.recursive(LEAVES, _combinators, max_leaves=6))
+    if draw(st.integers(0, 3)) == 0:
+        cut = draw(st.integers(0, len(text) - 1))
+        text = text[:cut] + text[cut + 1:]
+    return text
+
+
+@settings(max_examples=150, deadline=None)
+@given(expr=expressions(), mode=st.sampled_from(["phi1-mod-n",
+                                                 "phi2-mod-2n"]))
+def test_fuzz_expressions_end_in_documented_exits(fuzz_dir, expr, mode):
+    code = main_exit("verify", expr.replace("DIR", str(fuzz_dir)),
+                     "--mode", mode, "--n-max", "5")
+    assert code in (0, 1, 2, 3)
+
+
+BAD_TOKENS = ["x", "1/0", "1//2", "nan", "inf", "--1", "1/2/3", "/"]
+STRAY_LINES = ["", "   ", "# comment", "1", "1 2 3", "x y", "domain 0 1"]
+BAD_HEADERS = ["domain 0", "range 0 1", "domain a b", "Domain 0 1",
+               "domain 0 1 2", "domain 1/0 1"]
+
+
+@st.composite
+def map_files(draw):
+    """A map file of up to 6 nodes with coordinates in sixths, then a few
+    edits: a bad token, a bad header, a stray line or a dropped line."""
+    lo = draw(st.integers(-18, 17))
+    hi = lo + draw(st.integers(2, 24))
+    inner = draw(st.lists(st.integers(lo + 1, hi - 1), max_size=4,
+                          unique=True))
+    xs = [Fraction(x, 6) for x in [lo, *sorted(inner), hi]]
+    values = st.integers(lo, hi) | st.integers(lo - 6, hi + 6)
+    ys = [Fraction(draw(values), 6) for _ in xs]
+    lines = [f"domain {xs[0]} {xs[-1]}"]
+    lines += [f"{x} {y}" for x, y in zip(xs, ys)]
+    for _ in range(draw(st.integers(0, 2))):
+        at = draw(st.integers(0, len(lines) - 1))
+        edit = draw(st.sampled_from(["token", "header", "stray", "drop"]))
+        if edit == "token":
+            parts = lines[at].split() or [""]
+            parts[draw(st.integers(0, len(parts) - 1))] = draw(
+                st.sampled_from(BAD_TOKENS))
+            lines[at] = " ".join(parts)
+        elif edit == "header":
+            lines[0] = draw(st.sampled_from(BAD_HEADERS))
+        elif edit == "stray":
+            lines.insert(at, draw(st.sampled_from(STRAY_LINES)))
+        else:
+            del lines[at]
+    return "\n".join(lines) + "\n"
+
+
+@settings(max_examples=150, deadline=None)
+@given(text=map_files(), equation=st.sampled_from(["fixed", "antifixed"]))
+def test_fuzz_map_files_end_in_documented_exits(fuzz_dir, text, equation):
+    path = fuzz_dir / "fuzz.map"
+    path.write_text(text)
+    code = main_exit("oracle", "--map-file", str(path), "--equation",
+                     equation, "--n-max", "4", "--piece-cap", "5000")
+    assert code in (0, 2, 3)

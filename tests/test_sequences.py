@@ -14,10 +14,12 @@ from hypothesis import strategies as st
 
 from divseq.arith import phi1
 from divseq.sequences import (
+    FILL_CAP,
     MAP_DERIVED_PHI,
     NO_GUARANTEE,
     ODD_MAP_DERIVED_PSI,
     PHI1_CLOSURE,
+    FillCapExceededError,
     LinearRecurrence,
     TableRangeError,
     constant,
@@ -367,6 +369,28 @@ def test_product_pointwise():
 def test_product_rejects_empty():
     with pytest.raises(ValueError):
         product([])
+
+
+@pytest.mark.parametrize("at", [lambda s, n: s(n), lambda s, n: s.exact(n)],
+                         ids=["eval", "exact"])
+def test_fill_past_the_cap_is_refused(at):
+    seq = constant(1)
+    with pytest.raises(FillCapExceededError, match=f"n={FILL_CAP + 1} .*"
+                                                   f"fill cap of {FILL_CAP}"):
+        at(seq, FILL_CAP + 1)
+    assert seq._values == seq._exact == []
+
+
+def test_nested_dilation_past_the_cap_fills_nothing():
+    # the first level asked for 2**24 > FILL_CAP refuses before any level
+    # computes a value
+    levels = [constant(1)]
+    for _ in range(30):
+        levels.append(dilate(levels[-1], 2))
+    with pytest.raises(FillCapExceededError, match="n=16777216 "):
+        levels[-1].exact(1)
+    assert all(s._values == s._exact == [] for s in levels)
+    assert values(dilate(dilate(levels[0], 2), 3), 4) == [1] * 4
 
 
 # -- guarantee flags ---------------------------------------------------------
