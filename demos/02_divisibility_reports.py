@@ -20,11 +20,14 @@ for n in (1, 2, 6, 12, 30):
     print(f"  n={n:>2}  phi1={value:>12}  phi1/n={value // n}")
 print()
 
-# the same check as a report object, over a combinator expression
+# the same check as report rows (those `divseq verify` prints), over a
+# combinator expression
 expr = "lin(3, theorem5phi(2), -2, theorem4(3,0,1))"
-report = run_divisibility(parse_expression(expr), "phi1-mod-n", 24)
+rows = run_divisibility(parse_expression(expr), "phi1-mod-n", 24)
+failed = [row["n"] for row in rows if not row["pass"]]
 print(f"{expr}:")
-print(f"  checked n=1..{report.checked}, failures: {report.failures}")
+print(f"  checked n=1..{len(rows)}, failures: {len(failed)}")
+print(f"  last row: {rows[-1]}")
 print()
 
 # the psi families carry the stronger phi2 guarantee: divisible by 2n
@@ -36,6 +39,7 @@ for n in (1, 2, 8, 9, 24):
 print()
 
 # a non-example: the phi1 guarantee does not upgrade to phi2 for free
-report = run_divisibility(make_theorem4(2, 0, 1), "phi2-mod-2n", 12)
+rows = run_divisibility(make_theorem4(2, 0, 1), "phi2-mod-2n", 12)
+failed = [row["n"] for row in rows if not row["pass"]]
 print("phi2 mod 2n applied to a phi1-only family:")
-print(f"  failures: {report.failures} (first at n={report.first_failure})")
+print(f"  failures: {len(failed)} (first at n={failed[0]})")

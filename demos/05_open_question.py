@@ -15,10 +15,11 @@ from divseq.cli import run_divisibility
 
 for j in (2, 3):
     psi = make_theorem5_psi(j)
-    report = run_divisibility(psi, "phi1-mod-n", 36)
-    status = "no counterexample" if report.failures == 0 \
-        else f"counterexample at n={report.first_failure}"
-    print(f"j={j}: scanned n=1..{report.checked}, {status}")
+    rows = run_divisibility(psi, "phi1-mod-n", 36)
+    failed = [row["n"] for row in rows if not row["pass"]]
+    status = f"counterexample at n={failed[0]}" if failed \
+        else "no counterexample"
+    print(f"j={j}: scanned n=1..{len(rows)}, {status}")
 
 # a few quotients in full, to show the divisions are exact and nontrivial
 psi2 = make_theorem5_psi(2)

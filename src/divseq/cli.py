@@ -8,6 +8,8 @@ compares the recurrence, oracle, and edge-engine values side by side, and
 reports neutrally and always exits 0). One table names every generator and
 combinator with its parameters; the expression parser and `seq` read it.
 `--piece-cap` belongs to `oracle` and `crosscheck`, which compose maps.
+Every command builds all the row dicts of its table before the first byte
+goes out, so a command that fails writes nothing to stdout.
 
 Exit codes: 0 success/agreement, 1 verification failure or disagreement,
 2 usage error (including a map with a whole segment on y = x or y = -x,
@@ -20,8 +22,6 @@ from __future__ import annotations
 import argparse
 import json
 import sys
-from dataclasses import dataclass
-from decimal import Decimal
 
 from . import __version__
 from .arith import divisibility_check, phi1, phi2
@@ -59,8 +59,6 @@ __all__ = [
     "UsageError",
     "run_divisibility",
     "run_crosscheck",
-    "DivisibilityReport",
-    "ReportRow",
 ]
 
 DEFAULT_N_MAX = {"seq": 24, "verify": 48, "oracle": 10,
@@ -196,52 +194,20 @@ def parse_expression(text: str) -> Sequence:
 # ---------------------------------------------------------------------------
 # reports
 
-@dataclass
-class ReportRow:
-    n: int
-    q: Decimal | None            # integral; see Sequence.exact
-    phi: Decimal | None
-    modulus: int
-    remainder: int | None
-    passed: bool
-    error: str | None = None
-
-
-@dataclass
-class DivisibilityReport:
-    sequence_id: str
-    mode: str
-    rows: list[ReportRow]
-
-    @property
-    def checked(self) -> int:
-        return len(self.rows)
-
-    @property
-    def failures(self) -> int:
-        return sum(1 for r in self.rows if not r.passed)
-
-    @property
-    def first_failure(self) -> int | None:
-        for r in self.rows:
-            if not r.passed:
-                return r.n
-        return None
-
-
 _MODES = {
     "phi1-mod-n": (phi1, 1),
     "phi2-mod-2n": (phi2, 2),
 }
 
 
-def run_divisibility(seq: Sequence, mode: str, n_max: int) -> DivisibilityReport:
+def run_divisibility(seq: Sequence, mode: str, n_max: int) -> list[dict]:
     """Check transform(seq, n) against its modulus for n = 1..n_max.
 
-    q and phi are computed from seq.exact, so rows hold them as integral
-    Decimals, which print in linear time. Rows that cannot be evaluated (a
-    table running out of values) are recorded as failures with the error
-    message, not raised.
+    Returns the row dicts of the report table: n, q, phi, modulus,
+    remainder and pass, with q, phi and remainder as strings (q and phi
+    printed from seq.exact, in linear time). A row that cannot be evaluated
+    (a table running out of values) fails with them None and the message
+    under "error"; it is not raised.
     """
     transform, mod_factor = _MODES[mode]
     rows = []
@@ -251,11 +217,14 @@ def run_divisibility(seq: Sequence, mode: str, n_max: int) -> DivisibilityReport
             q = seq.exact(n)
             value = transform(seq.exact, n)
         except TableRangeError as exc:
-            rows.append(ReportRow(n, None, None, modulus, None, False, str(exc)))
+            rows.append({"n": n, "q": None, "phi": None, "modulus": modulus,
+                         "remainder": None, "pass": False, "error": str(exc)})
             continue
         ok, remainder = divisibility_check(value, modulus)
-        rows.append(ReportRow(n, q, value, modulus, remainder, ok))
-    return DivisibilityReport(seq.id, mode, rows)
+        rows.append({"n": n, "q": str(q), "phi": str(value),
+                     "modulus": modulus, "remainder": str(remainder),
+                     "pass": ok})
+    return rows
 
 
 def run_crosscheck(j: int, n_max: int,
@@ -297,7 +266,7 @@ def run_crosscheck(j: int, n_max: int,
 
 # ---------------------------------------------------------------------------
 # rendering (csv | tsv | json); identical invocations must emit identical
-# bytes, so everything is assembled as a string with LF endings
+# bytes, so every line ends in LF
 
 def _cell(value) -> str:
     if value is None:
@@ -307,51 +276,41 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _render(fmt: str, meta: dict, header, rows,
-            summary: dict | None = None) -> str:
-    """One table in fmt from an iterable of row dicts.
+def _render(fmt: str, meta: dict, header, rows: list,
+            summary: dict | None = None):
+    """Write one table in fmt to stdout from a list of row dicts.
 
     JSON writes the dicts as they are (big values must already be strings,
-    so they keep every digit). csv/tsv write the header columns of each row,
-    booleans as true/false and None as blank, and draw one row at a time, so
-    a caller passing a generator never holds the cells of every row at once.
+    so they keep every digit) in one write. csv/tsv write the header
+    columns of each row, booleans as true/false and None as blank, one line
+    at a time, so no copy of the whole table is held. The rows are complete
+    before the first byte, so a command that fails writes nothing.
     """
     if fmt == "json":
-        payload = {"meta": meta, "rows": list(rows)}
+        payload = {"meta": meta, "rows": rows}
         if summary is not None:
             payload["summary"] = summary
-        return json.dumps(payload, indent=2) + "\n"
+        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+        return
     sep = "," if fmt == "csv" else "\t"
-    lines = [sep.join(header)]
-    lines.extend(sep.join(_cell(row[key]) for key in header)
-                 for row in rows)
-    return "\n".join(lines) + "\n"
+    sys.stdout.write(sep.join(header) + "\n")
+    for row in rows:
+        sys.stdout.write(sep.join(_cell(row[key]) for key in header) + "\n")
 
 
-def _opt_str(value) -> str | None:
-    return None if value is None else str(value)
-
-
-def _report_table(report: DivisibilityReport):
-    """Header, row dicts and summary of a divisibility report for _render."""
-    def rows():
-        for r in report.rows:
-            row = {"n": r.n, "q": _opt_str(r.q), "phi": _opt_str(r.phi),
-                   "modulus": r.modulus, "remainder": _opt_str(r.remainder),
-                   "pass": r.passed}
-            if r.error is not None:
-                row["error"] = r.error
-            yield row
-
-    return (("n", "q", "phi", "modulus", "remainder", "pass"), rows(),
-            {"checked": report.checked, "failures": report.failures,
-             "first_failure": report.first_failure})
-
-
-def _report_errors_to_stderr(report: DivisibilityReport):
-    for r in report.rows:
-        if r.error is not None:
-            print(f"divseq: row n={r.n}: {r.error}", file=sys.stderr)
+def _report(fmt: str, meta: dict, rows: list) -> int:
+    """Write a divisibility report, and in csv/tsv each row's error to
+    stderr; returns the number of failed rows."""
+    failed = [row for row in rows if not row["pass"]]
+    _render(fmt, meta, ("n", "q", "phi", "modulus", "remainder", "pass"),
+            rows, {"checked": len(rows), "failures": len(failed),
+                   "first_failure": failed[0]["n"] if failed else None})
+    if fmt != "json":
+        for row in failed:
+            if "error" in row:
+                print(f"divseq: row n={row['n']}: {row['error']}",
+                      file=sys.stderr)
+    return len(failed)
 
 
 # ---------------------------------------------------------------------------
@@ -376,24 +335,21 @@ def cmd_seq(args) -> int:
     meta = {"command": "seq", "params": {"kind": args.kind, "id": seq.id,
                                          "n_max": args.n_max},
             "version": __version__}
-    sys.stdout.write(_render(args.format, meta, ("n", "value"),
-                             ({"n": n, "value": str(seq.exact(n))}
-                              for n in range(1, args.n_max + 1))))
+    _render(args.format, meta, ("n", "value"),
+            [{"n": n, "value": str(seq.exact(n))}
+             for n in range(1, args.n_max + 1)])
     return 0
 
 
 def cmd_verify(args) -> int:
     seq = parse_expression(args.expr)
-    report = run_divisibility(seq, args.mode, args.n_max)
+    rows = run_divisibility(seq, args.mode, args.n_max)
     meta = {"command": "verify",
             "params": {"expr": args.expr, "sequence": seq.id,
                        "mode": args.mode, "guarantee": seq.guarantee,
                        "n_max": args.n_max},
             "version": __version__}
-    sys.stdout.write(_render(args.format, meta, *_report_table(report)))
-    if args.format != "json":
-        _report_errors_to_stderr(report)
-    return 1 if report.failures else 0
+    return 1 if _report(args.format, meta, rows) else 0
 
 
 def cmd_oracle(args) -> int:
@@ -416,7 +372,7 @@ def cmd_oracle(args) -> int:
             "params": {**source, "equation": args.equation,
                        "n_max": args.n_max, "piece_cap": args.piece_cap},
             "version": __version__}
-    sys.stdout.write(_render(args.format, meta, ("n", "value"), rows))
+    _render(args.format, meta, ("n", "value"), rows)
     return 0
 
 
@@ -430,7 +386,7 @@ def cmd_crosscheck(args) -> int:
     summary = {"rows": len(rows), "disagreements": disagreements,
                "piece_cap_hit": capped}
     header = ("n", "equation", "recurrence", "oracle", "symbolic", "agree")
-    sys.stdout.write(_render(args.format, meta, header, rows, summary))
+    _render(args.format, meta, header, rows, summary)
     if capped:
         print("divseq: oracle column hit the piece cap", file=sys.stderr)
         return 3
@@ -439,11 +395,11 @@ def cmd_crosscheck(args) -> int:
 
 def cmd_conjecture(args) -> int:
     seq = make_theorem5_psi(args.j)
-    report = run_divisibility(seq, "phi1-mod-n", args.n_max)
+    rows = run_divisibility(seq, "phi1-mod-n", args.n_max)
     meta = {"command": "conjecture",
             "params": {"j": args.j, "n_max": args.n_max},
             "version": __version__}
-    sys.stdout.write(_render(args.format, meta, *_report_table(report)))
+    _report(args.format, meta, rows)
     # open question: counterexamples are findings to report, not failures,
     # so the exit status stays 0 either way
     return 0

@@ -12,6 +12,7 @@ only where a map is built from or read back as rationals.
 
 from __future__ import annotations
 
+import re
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
 from math import gcd, lcm
@@ -373,11 +374,16 @@ def is_odd_map(f: PLMap) -> bool:
     return all(f(-x) == -f(x) for x in nodes | {-x for x in nodes})
 
 
+# a map-file coordinate: an integer or p/q in ASCII digits; Fraction alone
+# would also take exponents, so that 1e3000000 asks for millions of digits
+_RATIONAL = re.compile(r"[+-]?[0-9]+(/[0-9]+)?")
+
+
 def parse_map_file(text: str, source: str = "<map>") -> PLMap:
     """Parse the map file format: a header line `domain lo hi`, then one
-    `x y` pair per line with rationals written as p/q or plain integers,
-    strictly increasing x from lo to hi. Blank lines and # comments are
-    ignored."""
+    `x y` pair per line with rationals written as p/q or plain integers
+    (an optional sign, ASCII digits), strictly increasing x from lo to hi.
+    Blank lines and # comments are ignored."""
     lines = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
         line = raw.split("#", 1)[0].strip()
@@ -387,10 +393,12 @@ def parse_map_file(text: str, source: str = "<map>") -> PLMap:
         raise ValueError(f"{source}: empty map file")
 
     def rational(token, lineno):
-        try:
-            return Fraction(token)
-        except (ValueError, ZeroDivisionError):
-            raise ValueError(f"{source}:{lineno}: bad rational {token!r}") from None
+        if _RATIONAL.fullmatch(token):
+            try:
+                return Fraction(token)
+            except (ValueError, ZeroDivisionError):
+                pass
+        raise ValueError(f"{source}:{lineno}: bad rational {token!r}")
 
     headno, header = lines[0]
     parts = header.split()

@@ -98,8 +98,9 @@ def test_criterion_5_divisibility_suites(capsys):
                    "divisibility suites: base families plus combinator "
                    "closures, zero failures"):
         def passes(seq, mode, n_max):
-            report = run_divisibility(seq, mode, n_max)
-            assert report.failures == 0, (seq.id, mode, report.first_failure)
+            failed = [row["n"] for row in run_divisibility(seq, mode, n_max)
+                      if not row["pass"]]
+            assert failed == [], (seq.id, mode, failed)
 
         # families with shift and scale
         for j in (2, 3, 5):
@@ -143,8 +144,9 @@ def test_criterion_7_open_question_scan(capsys):
                    "phi1 of the antisymmetric family stays divisible, "
                    "j in 2..3, n <= 36 (no counterexample)"):
         for j in (2, 3):
-            report = run_divisibility(make_theorem5_psi(j), "phi1-mod-n", 36)
-            assert report.failures == 0, (j, report.first_failure)
+            rows = run_divisibility(make_theorem5_psi(j), "phi1-mod-n", 36)
+            failed = [row["n"] for row in rows if not row["pass"]]
+            assert failed == [], (j, failed)
 
 
 def test_criterion_8_property_suite(capsys):

@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from fractions import Fraction
 from pathlib import Path
 
@@ -18,7 +19,12 @@ from hypothesis import strategies as st
 
 import divseq
 from divseq import __version__
-from divseq.cli import ExpressionError, main, parse_expression
+from divseq.cli import (
+    ExpressionError,
+    main,
+    parse_expression,
+    run_divisibility,
+)
 from divseq.sequences import (
     MAP_DERIVED_PHI,
     ODD_MAP_DERIVED_PSI,
@@ -36,13 +42,14 @@ def run_main(capsys, *args: str):
 SRC = str(Path(divseq.__file__).resolve().parent.parent)
 
 
-def run_proc(*args: str, timeout: float | None = None
-             ) -> subprocess.CompletedProcess:
+def run_proc(*args: str, timeout: float | None = None,
+             stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
     path = os.environ.get("PYTHONPATH")
     env = dict(os.environ,
                PYTHONPATH=os.pathsep.join([SRC, path] if path else [SRC]))
     return subprocess.run([sys.executable, "-m", "divseq", *args],
-                          capture_output=True, env=env, timeout=timeout)
+                          stdout=stdout, stderr=subprocess.PIPE, env=env,
+                          timeout=timeout)
 
 
 # -- expression grammar ------------------------------------------------------
@@ -245,6 +252,21 @@ def test_verify_json_keeps_stderr_clean(capsys, tmp_path):
     assert "error" in payload["rows"][1]
 
 
+def test_run_divisibility_returns_the_rows_verify_prints(capsys, tmp_path):
+    path = tmp_path / "short.txt"
+    path.write_text("1\n3\n7\n15\n")
+    for expr, n_max, want in (
+            ("lin(3,theorem5phi(2),-2,theorem4(3,0,1))", 30, 0),
+            (f"table({path})", 6, 1)):
+        code, out, _ = run_main(capsys, "verify", expr, "--mode",
+                                "phi1-mod-n", "--n-max", str(n_max),
+                                "--format", "json")
+        assert code == want
+        rows = run_divisibility(parse_expression(expr), "phi1-mod-n", n_max)
+        assert rows == json.loads(out)["rows"]
+    assert [row["n"] for row in rows if "error" in row] == [5, 6]
+
+
 def test_verify_bad_expression_is_usage_error(capsys):
     code, _, err = run_main(
         capsys, "verify", "nope(1)", "--mode", "phi1-mod-n")
@@ -358,6 +380,18 @@ def test_oracle_segment_on_the_line_is_usage_error(capsys, tmp_path, equation):
     assert out == ""
     assert err.startswith("divseq: segment [")
     assert err.endswith("so the solution count is infinite\n")
+
+
+@pytest.mark.parametrize("token", ["1e5", "1e3000000", "0.5", "1_0"])
+def test_oracle_map_file_takes_only_integers_and_fractions(capsys, tmp_path,
+                                                         token):
+    path = tmp_path / "tent.map"
+    path.write_text(f"domain 0 1\n0 0\n1/2 {token}\n1 0\n")
+    code, out, err = run_main(capsys, "oracle", "--map-file", str(path),
+                              "--n-max", "2")
+    assert code == 2
+    assert out == ""
+    assert err == f"divseq: {path}:3: bad rational {token!r}\n"
 
 
 def test_oracle_rejects_bad_j(capsys):
@@ -514,6 +548,64 @@ def test_output_is_byte_identical_across_runs():
     assert first.stdout.endswith(b"\n")
 
 
+# -- writing: rows are complete before the first byte, then go out a line at
+# a time
+
+@pytest.mark.parametrize("args, want", [
+    (("seq", "table", "--file", "TABLE", "--n-max", "5"), 2),
+    (("oracle", "--j", "3", "--piece-cap", "100", "--n-max", "8"), 3),
+    (("verify", "dilate(dilate(dilate(const(1),4096),4096),4096)",
+      "--mode", "phi1-mod-n", "--n-max", "3"), 3),
+], ids=["seq-past-table", "oracle-piece-cap", "verify-fill-cap"])
+def test_failing_command_writes_nothing_to_stdout(capsys, tmp_path, args,
+                                                  want):
+    path = tmp_path / "t.txt"
+    path.write_text("5\n10\n20\n")
+    args = [str(path) if arg == "TABLE" else arg for arg in args]
+    code, out, err = run_main(capsys, *args)
+    assert code == want
+    assert out == ""
+    assert err.startswith("divseq: ")
+
+
+@pytest.mark.parametrize("fmt", ["csv", "tsv"])
+def test_table_is_written_without_a_copy_of_itself(tmp_path, fmt):
+    # the rows hold q and phi as strings, about the bytes written; a copy of
+    # the whole table would add as much again
+    path = tmp_path / "out.txt"
+    with open(path, "w", encoding="utf-8") as fh, \
+            contextlib.redirect_stdout(fh):
+        tracemalloc.start()
+        try:
+            code = main(["verify", "theorem5phi(3)", "--mode", "phi1-mod-n",
+                         "--n-max", "3000", "--format", fmt])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < 2.5 * path.stat().st_size
+
+
+@pytest.mark.parametrize("buffered", [True, False],
+                         ids=["buffered", "unbuffered"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_closed_stdout_pipe_is_one_stderr_line(monkeypatch, fmt, buffered):
+    if buffered:
+        monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    else:
+        monkeypatch.setenv("PYTHONUNBUFFERED", "1")
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        # far more output than the pipe and the io buffers take
+        proc = run_proc("verify", "theorem5phi(3)", "--mode", "phi1-mod-n",
+                        "--n-max", "300", "--format", fmt, stdout=write)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert proc.stderr == b"divseq: [Errno 32] Broken pipe\n"
+
+
 # -- fuzzing: every expression and map file ends in a documented exit code ------
 
 def main_exit(*args: str) -> int:
@@ -574,7 +666,8 @@ def test_fuzz_expressions_end_in_documented_exits(fuzz_dir, expr, mode):
     assert code in (0, 1, 2, 3)
 
 
-BAD_TOKENS = ["x", "1/0", "1//2", "nan", "inf", "--1", "1/2/3", "/"]
+BAD_TOKENS = ["x", "1/0", "1//2", "nan", "inf", "--1", "1/2/3", "/", "1e5",
+              "1e3000000", "0.5", "1_0"]
 STRAY_LINES = ["", "   ", "# comment", "1", "1 2 3", "x y", "domain 0 1"]
 BAD_HEADERS = ["domain 0", "range 0 1", "domain a b", "Domain 0 1",
                "domain 0 1 2", "domain 1/0 1"]
