@@ -8,8 +8,10 @@ compares the recurrence, oracle, and edge-engine values side by side, and
 reports neutrally and always exits 0). One table names every generator and
 combinator with its parameters; the expression parser and `seq` read it.
 `--piece-cap` belongs to `oracle` and `crosscheck`, which compose maps.
-Every command builds all the row dicts of its table before the first byte
-goes out, so a command that fails writes nothing to stdout.
+Every command finishes all the work that can fail before the first byte
+goes out, so a command that fails writes nothing to stdout. The rows then
+stream, one at a time, so a report holds the values it reads but not the
+table it prints.
 
 Exit codes: 0 success/agreement, 1 verification failure or disagreement,
 2 usage error (including a map with a whole segment on y = x or y = -x,
@@ -21,6 +23,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 
 from . import __version__
@@ -200,6 +203,36 @@ _MODES = {
 }
 
 
+def _prefill(seq: Sequence, n_max: int, per_row=()):
+    """Fill seq.exact for n = 1..n_max, so that every value a report row
+    reads is cached and no row can fail. Errors of the types in per_row are
+    left for the rows to report; any other is raised here. The fill
+    ascends, as the rows do, so an error names the n the rows would meet
+    first."""
+    for n in range(1, n_max + 1):
+        try:
+            seq.exact(n)
+        except per_row:
+            pass
+
+
+def _divisibility_rows(seq: Sequence, mode: str, n_max: int):
+    """Yield the rows of run_divisibility one at a time."""
+    transform, mod_factor = _MODES[mode]
+    for n in range(1, n_max + 1):
+        modulus = mod_factor * n
+        try:
+            q = seq.exact(n)
+            value = transform(seq.exact, n)
+        except TableRangeError as exc:
+            yield {"n": n, "q": None, "phi": None, "modulus": modulus,
+                   "remainder": None, "pass": False, "error": str(exc)}
+            continue
+        ok, remainder = divisibility_check(value, modulus)
+        yield {"n": n, "q": str(q), "phi": str(value), "modulus": modulus,
+               "remainder": str(remainder), "pass": ok}
+
+
 def run_divisibility(seq: Sequence, mode: str, n_max: int) -> list[dict]:
     """Check transform(seq, n) against its modulus for n = 1..n_max.
 
@@ -207,24 +240,9 @@ def run_divisibility(seq: Sequence, mode: str, n_max: int) -> list[dict]:
     remainder and pass, with q, phi and remainder as strings (q and phi
     printed from seq.exact, in linear time). A row that cannot be evaluated
     (a table running out of values) fails with them None and the message
-    under "error"; it is not raised.
+    under "error"; it is not raised. `verify` streams the same rows.
     """
-    transform, mod_factor = _MODES[mode]
-    rows = []
-    for n in range(1, n_max + 1):
-        modulus = mod_factor * n
-        try:
-            q = seq.exact(n)
-            value = transform(seq.exact, n)
-        except TableRangeError as exc:
-            rows.append({"n": n, "q": None, "phi": None, "modulus": modulus,
-                         "remainder": None, "pass": False, "error": str(exc)})
-            continue
-        ok, remainder = divisibility_check(value, modulus)
-        rows.append({"n": n, "q": str(q), "phi": str(value),
-                     "modulus": modulus, "remainder": str(remainder),
-                     "pass": ok})
-    return rows
+    return list(_divisibility_rows(seq, mode, n_max))
 
 
 def run_crosscheck(j: int, n_max: int,
@@ -276,41 +294,77 @@ def _cell(value) -> str:
     return str(value)
 
 
-def _render(fmt: str, meta: dict, header, rows: list,
-            summary: dict | None = None):
-    """Write one table in fmt to stdout from a list of row dicts.
+# the C encoder, which json.dumps uses only without indent, writes a flat dict
+# in the layout indent=2 gives a row of the rows array when its item
+# separator carries the line break and the indent
+_ROW_ITEMS = json.JSONEncoder(separators=(",\n      ", ": ")).encode
 
-    JSON writes the dicts as they are (big values must already be strings,
-    so they keep every digit) in one write. csv/tsv write the header
-    columns of each row, booleans as true/false and None as blank, one line
-    at a time, so no copy of the whole table is held. The rows are complete
-    before the first byte, so a command that fails writes nothing.
+
+def _json_row(row: dict) -> str:
+    """A row of scalars as json.dumps(..., indent=2) writes it in the rows
+    array."""
+    return "{\n      " + _ROW_ITEMS(row)[1:-1] + "\n    }" if row else "{}"
+
+
+def _render(fmt: str, meta: dict, header, rows, summary: dict | None = None):
+    """Write one table in fmt to stdout, a row at a time, from any iterable
+    of row dicts.
+
+    The caller has finished all the work that can fail, so a command that
+    fails writes nothing. JSON writes the dicts as they are (their values
+    are scalars, and big ones must already be strings, so they keep every
+    digit), byte for byte as
+    json.dumps({"meta": meta, "rows": [...], "summary": summary}, indent=2)
+    would, with no summary key when summary is None. The summary is read
+    after the last row, so a row generator may fill it in as it goes.
+    csv/tsv write the header columns of each row, booleans as true/false and
+    None as blank, one line at a time.
     """
+    write = sys.stdout.write
     if fmt == "json":
-        payload = {"meta": meta, "rows": rows}
+        # the head is {"meta": meta} without its closing "\n}"
+        write(json.dumps({"meta": meta}, indent=2)[:-2] + ',\n  "rows": [')
+        empty = True
+        for row in rows:
+            write(("\n    " if empty else ",\n    ") + _json_row(row))
+            empty = False
+        write("]" if empty else "\n  ]")
         if summary is not None:
-            payload["summary"] = summary
-        sys.stdout.write(json.dumps(payload, indent=2) + "\n")
+            write(',\n  "summary": '
+                  + json.dumps(summary, indent=2).replace("\n", "\n  "))
+        write("\n}\n")
         return
     sep = "," if fmt == "csv" else "\t"
-    sys.stdout.write(sep.join(header) + "\n")
+    write(sep.join(header) + "\n")
     for row in rows:
-        sys.stdout.write(sep.join(_cell(row[key]) for key in header) + "\n")
+        write(sep.join(_cell(row[key]) for key in header) + "\n")
 
 
-def _report(fmt: str, meta: dict, rows: list) -> int:
-    """Write a divisibility report, and in csv/tsv each row's error to
-    stderr; returns the number of failed rows."""
-    failed = [row for row in rows if not row["pass"]]
+def _report(fmt: str, meta: dict, seq: Sequence, mode: str,
+            n_max: int) -> int:
+    """Fill seq, then stream its divisibility report, and in csv/tsv each
+    row's error to stderr after the table; returns the number of failed
+    rows."""
+    _prefill(seq, n_max, TableRangeError)
+    summary = {"checked": 0, "failures": 0, "first_failure": None}
+    errors = []
+
+    def tallied():
+        for row in _divisibility_rows(seq, mode, n_max):
+            summary["checked"] += 1
+            if not row["pass"]:
+                summary["failures"] += 1
+                if summary["first_failure"] is None:
+                    summary["first_failure"] = row["n"]
+                if "error" in row and fmt != "json":
+                    errors.append(f"divseq: row n={row['n']}: {row['error']}")
+            yield row
+
     _render(fmt, meta, ("n", "q", "phi", "modulus", "remainder", "pass"),
-            rows, {"checked": len(rows), "failures": len(failed),
-                   "first_failure": failed[0]["n"] if failed else None})
-    if fmt != "json":
-        for row in failed:
-            if "error" in row:
-                print(f"divseq: row n={row['n']}: {row['error']}",
-                      file=sys.stderr)
-    return len(failed)
+            tallied(), summary)
+    for line in errors:
+        print(line, file=sys.stderr)
+    return summary["failures"]
 
 
 # ---------------------------------------------------------------------------
@@ -332,24 +386,24 @@ def _seq_from_flags(args) -> Sequence:
 
 def cmd_seq(args) -> int:
     seq = _seq_from_flags(args)
+    _prefill(seq, args.n_max)
     meta = {"command": "seq", "params": {"kind": args.kind, "id": seq.id,
                                          "n_max": args.n_max},
             "version": __version__}
     _render(args.format, meta, ("n", "value"),
-            [{"n": n, "value": str(seq.exact(n))}
-             for n in range(1, args.n_max + 1)])
+            ({"n": n, "value": str(seq.exact(n))}
+             for n in range(1, args.n_max + 1)))
     return 0
 
 
 def cmd_verify(args) -> int:
     seq = parse_expression(args.expr)
-    rows = run_divisibility(seq, args.mode, args.n_max)
     meta = {"command": "verify",
             "params": {"expr": args.expr, "sequence": seq.id,
                        "mode": args.mode, "guarantee": seq.guarantee,
                        "n_max": args.n_max},
             "version": __version__}
-    return 1 if _report(args.format, meta, rows) else 0
+    return 1 if _report(args.format, meta, seq, args.mode, args.n_max) else 0
 
 
 def cmd_oracle(args) -> int:
@@ -395,11 +449,10 @@ def cmd_crosscheck(args) -> int:
 
 def cmd_conjecture(args) -> int:
     seq = make_theorem5_psi(args.j)
-    rows = run_divisibility(seq, "phi1-mod-n", args.n_max)
     meta = {"command": "conjecture",
             "params": {"j": args.j, "n_max": args.n_max},
             "version": __version__}
-    _report(args.format, meta, rows)
+    _report(args.format, meta, seq, "phi1-mod-n", args.n_max)
     # open question: counterexamples are findings to report, not failures,
     # so the exit status stays 0 either way
     return 0
@@ -481,7 +534,18 @@ def main(argv: list[str] | None = None) -> int:
             if getattr(args, "piece_cap", 1) < 1:
                 print("divseq: --piece-cap must be >= 1", file=sys.stderr)
                 return 2
-            return args.func(args)
+            code = args.func(args)
+            # output that fits the buffer fails here, not at exit
+            sys.stdout.flush()
+            return code
+        except BrokenPipeError as exc:
+            # stdout's reader has gone: what is still buffered for it goes
+            # to the null device, or the flush at exit would fail again
+            null = os.open(os.devnull, os.O_WRONLY)
+            os.dup2(null, sys.stdout.fileno())
+            os.close(null)
+            print(f"divseq: {exc}", file=sys.stderr)
+            return 2
         except (UsageError, ExpressionError, ValueError, LookupError,
                 OSError) as exc:
             print(f"divseq: {exc}", file=sys.stderr)

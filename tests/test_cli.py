@@ -14,13 +14,14 @@ from fractions import Fraction
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import divseq
-from divseq import __version__
+from divseq import __version__, sequences
 from divseq.cli import (
     ExpressionError,
+    _render,
     main,
     parse_expression,
     run_divisibility,
@@ -548,8 +549,8 @@ def test_output_is_byte_identical_across_runs():
     assert first.stdout.endswith(b"\n")
 
 
-# -- writing: rows are complete before the first byte, then go out a line at
-# a time
+# -- writing: all the work that can fail is done before the first byte, then
+# the rows go out one at a time
 
 @pytest.mark.parametrize("args, want", [
     (("seq", "table", "--file", "TABLE", "--n-max", "5"), 2),
@@ -604,6 +605,83 @@ def test_closed_stdout_pipe_is_one_stderr_line(monkeypatch, fmt, buffered):
         os.close(write)
     assert proc.returncode == 2
     assert proc.stderr == b"divseq: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_closed_stdout_pipe_with_output_that_fits_the_buffer(monkeypatch,
+                                                             fmt):
+    # the write succeeds into the buffer; the flush is what meets the
+    # closed pipe, and it must not wait for the interpreter's exit
+    monkeypatch.delenv("PYTHONUNBUFFERED", raising=False)
+    read, write = os.pipe()
+    os.close(read)
+    try:
+        proc = run_proc("verify", "theorem5phi(3)", "--mode", "phi1-mod-n",
+                        "--n-max", "3", "--format", fmt, stdout=write)
+    finally:
+        os.close(write)
+    assert proc.returncode == 2
+    assert proc.stderr == b"divseq: [Errno 32] Broken pipe\n"
+
+
+@pytest.mark.parametrize("args, err", [
+    (("verify", "dilate(theorem5phi(2),4)", "--mode", "phi1-mod-n",
+      "--n-max", "5"), "divseq: n=12 is past the fill cap of 10 values\n"),
+    (("seq", "theorem5-phi", "--j", "2", "--n-max", "12", "--format", "json"),
+     "divseq: n=11 is past the fill cap of 10 values\n"),
+], ids=["verify", "seq-json"])
+def test_failure_past_the_first_row_writes_nothing(capsys, monkeypatch, args,
+                                                   err):
+    # rows 1 and 2 (verify) or 1..10 (seq) could be written before the
+    # fill fails
+    monkeypatch.setattr(sequences, "FILL_CAP", 10)
+    assert run_main(capsys, *args) == (3, "", err)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "tsv", "json"])
+@pytest.mark.parametrize("args, bound", [
+    (("verify", "theorem5phi(3)", "--mode", "phi1-mod-n"), 0.6),
+    (("conjecture", "--j", "3"), 0.6),
+    # each value is printed once, so its cache is a fair share of the bytes
+    (("seq", "theorem5-phi", "--j", "3"), 1.0),
+], ids=["verify", "conjecture", "seq"])
+def test_streamed_table_holds_its_values_not_its_rows(tmp_path, args, bound,
+                                                      fmt):
+    path = tmp_path / "out.txt"
+    with open(path, "w", encoding="utf-8") as fh, \
+            contextlib.redirect_stdout(fh):
+        tracemalloc.start()
+        try:
+            code = main([*args, "--n-max", "3000", "--format", fmt])
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+    assert code == 0
+    assert peak < bound * path.stat().st_size
+
+
+# quotes, backslashes, control and non-ASCII characters, often; any, too
+JSON_TEXT = st.text(st.sampled_from('ab"\\\n/\u00e9\U0001f600')) | st.text()
+JSON_SCALARS = (st.none() | st.booleans() | st.integers(-10**30, 10**30)
+                | JSON_TEXT)
+JSON_DICTS = st.dictionaries(st.text(max_size=5), JSON_SCALARS, max_size=4)
+
+
+@settings(max_examples=200, deadline=None)
+@example(meta={}, rows=[], summary=None)
+@example(meta={"params": {}}, rows=[], summary={"checked": 0})
+@given(meta=st.dictionaries(st.text(max_size=5), JSON_SCALARS | JSON_DICTS,
+                            max_size=4),
+       rows=st.lists(JSON_DICTS, max_size=4),
+       summary=st.none() | JSON_DICTS)
+def test_streamed_json_is_one_json_dumps(meta, rows, summary):
+    payload = {"meta": meta, "rows": rows}
+    if summary is not None:
+        payload["summary"] = summary
+    out = io.StringIO()
+    with contextlib.redirect_stdout(out):
+        _render("json", meta, (), iter(rows), summary)
+    assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
 
 
 # -- fuzzing: every expression and map file ends in a documented exit code ------
