@@ -1,0 +1,39 @@
+"""Immutable records without the dataclasses module, whose import pulls in
+inspect, ast, dis and tokenize."""
+
+from __future__ import annotations
+
+
+class Record:
+    """A record whose fields are its class's __slots__, set once by
+    __init__ (in slot order) and never again. == holds between records of
+    the same class with equal fields, hash is the hash of the field tuple
+    and repr names the fields, as for a frozen dataclass."""
+
+    __slots__ = ()
+
+    def __init__(self, *values):
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __hash__(self):
+        return hash(self._values())
+
+    def __repr__(self):
+        fields = ", ".join(f"{name}={getattr(self, name)!r}"
+                           for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"

@@ -8,7 +8,7 @@ rounding.
 from __future__ import annotations
 
 import itertools
-from dataclasses import dataclass
+from collections.abc import Callable
 from decimal import (
     MAX_EMAX,
     MAX_PREC,
@@ -21,7 +21,8 @@ from decimal import (
     Rounded,
     localcontext,
 )
-from typing import Callable
+
+from ._record import Record
 
 __all__ = [
     "Factorization",
@@ -65,12 +66,14 @@ def _sieve(limit: int) -> tuple[int, ...]:
 _SMALL_PRIMES = _sieve(1024)
 
 
-@dataclass(frozen=True)
-class Factorization:
-    """Prime-power decomposition n = p1**k1 * ... * pr**kr, primes ascending."""
+class Factorization(Record):
+    """Prime-power decomposition n = p1**k1 * ... * pr**kr, primes ascending:
+    the fields n and factors, a tuple of (prime, exponent) pairs."""
 
-    n: int
-    factors: tuple[tuple[int, int], ...]
+    __slots__ = __match_args__ = ("n", "factors")
+
+    def __init__(self, n: int, factors: tuple[tuple[int, int], ...]):
+        super().__init__(n, factors)
 
     @property
     def primes(self) -> tuple[int, ...]:

@@ -22,7 +22,6 @@ the recursion limit), 3 a resource cap: the piece cap or the fill cap.
 from __future__ import annotations
 
 import argparse
-import json
 import os
 import sys
 
@@ -294,18 +293,6 @@ def _cell(value) -> str:
     return str(value)
 
 
-# the C encoder, which json.dumps uses only without indent, writes a flat dict
-# in the layout indent=2 gives a row of the rows array when its item
-# separator carries the line break and the indent
-_ROW_ITEMS = json.JSONEncoder(separators=(",\n      ", ": ")).encode
-
-
-def _json_row(row: dict) -> str:
-    """A row of scalars as json.dumps(..., indent=2) writes it in the rows
-    array."""
-    return "{\n      " + _ROW_ITEMS(row)[1:-1] + "\n    }" if row else "{}"
-
-
 def _render(fmt: str, meta: dict, header, rows, summary: dict | None = None):
     """Write one table in fmt to stdout, a row at a time, from any iterable
     of row dicts.
@@ -322,11 +309,17 @@ def _render(fmt: str, meta: dict, header, rows, summary: dict | None = None):
     """
     write = sys.stdout.write
     if fmt == "json":
+        import json     # only here: csv/tsv commands skip its import
+        # the C encoder, which json.dumps uses only without indent, writes a
+        # flat dict in the layout indent=2 gives a row of the rows array when
+        # its item separator carries the line break and the indent
+        items = json.JSONEncoder(separators=(",\n      ", ": ")).encode
         # the head is {"meta": meta} without its closing "\n}"
         write(json.dumps({"meta": meta}, indent=2)[:-2] + ',\n  "rows": [')
         empty = True
         for row in rows:
-            write(("\n    " if empty else ",\n    ") + _json_row(row))
+            body = "{\n      " + items(row)[1:-1] + "\n    }" if row else "{}"
+            write(("\n    " if empty else ",\n    ") + body)
             empty = False
         write("]" if empty else "\n  ]")
         if summary is not None:

@@ -7,7 +7,14 @@ changes segment by segment on the iterate itself. The counters take the map
 to count on; `iterates` is the one place that composes powers. No floats
 anywhere. A map keeps its nodes as integer numerators over one common
 denominator, so composing and counting run on Python ints; Fractions appear
-only where a map is built from or read back as rationals.
+only where a map is built from or read back as rationals. The per-node work
+of composing and counting runs in C-level `map` passes over those lists.
+
+A composition keeps only the nodes where its slope changes. It tests
+collinearity only where a slope can fail to change: at the joins between
+the inner map's segments and at cuts through the outer map's straight
+nodes, which a map built by `compose` has none of. So `iterates` tests a
+few nodes per power, not every node.
 """
 
 from __future__ import annotations
@@ -15,8 +22,9 @@ from __future__ import annotations
 import re
 from bisect import bisect_left, bisect_right
 from fractions import Fraction
+from itertools import compress, count, repeat
 from math import gcd, lcm
-from operator import add, sub
+from operator import add, and_, eq, floordiv, mul, not_, or_, sub
 
 __all__ = [
     "PLMap",
@@ -66,9 +74,12 @@ class PLMap:
     positive common denominator `den`, the lcm of the node denominators.
     That form is canonical, so equality and hashing compare integers. `xs`
     and `ys` are tuples of Fractions, built from the numerators on each read.
+    `_straight` lists the interior nodes whose neighbours lie on one line
+    with them, ascending; `compose` reads it and leaves it empty, since its
+    results keep only the nodes where the slope changes.
     """
 
-    __slots__ = ("den", "xnum", "ynum")
+    __slots__ = ("den", "xnum", "ynum", "_straight")
 
     def __init__(self, xs, ys):
         xs = tuple(Fraction(x) for x in xs)
@@ -84,18 +95,19 @@ class PLMap:
         xnum = tuple(v.numerator * (den // v.denominator) for v in xs)
         ynum = tuple(v.numerator * (den // v.denominator) for v in ys)
         _check_self_map(den, xnum, ynum)
-        self._init(den, xnum, ynum)
+        straight = _collinear(xnum, ynum, range(1, len(xnum) - 1))
+        self._init(den, xnum, ynum, tuple(straight))
 
     @classmethod
     def _trusted(cls, den: int, xnum: tuple, ynum: tuple) -> PLMap:
         """A map from numerators already known to be valid, self-mapping and
-        canonical; nothing is checked."""
+        canonical, with no straight interior node; nothing is checked."""
         self = object.__new__(cls)
-        self._init(den, xnum, ynum)
+        self._init(den, xnum, ynum, ())
         return self
 
-    def _init(self, den, xnum, ynum):
-        for name, value in zip(PLMap.__slots__, (den, xnum, ynum)):
+    def _init(self, den, xnum, ynum, straight):
+        for name, value in zip(PLMap.__slots__, (den, xnum, ynum, straight)):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -183,23 +195,17 @@ def build_gj(j: int) -> PLMap:
     return PLMap(xs, ys)
 
 
-def _pruned(xs: list[int], ys: list[int]):
-    """Drop interior nodes where three consecutive points are collinear."""
-    out_x = [xs[0]]
-    out_y = [ys[0]]
-    for x2, y2 in zip(xs[1:], ys[1:]):
-        while len(out_x) >= 2:
-            x0, x1 = out_x[-2], out_x[-1]
-            y0, y1 = out_y[-2], out_y[-1]
-            # collinear iff slopes match, cross-multiplied
-            if (y1 - y0) * (x2 - x1) == (y2 - y1) * (x1 - x0):
-                out_x.pop()
-                out_y.pop()
-            else:
-                break
-        out_x.append(x2)
-        out_y.append(y2)
-    return out_x, out_y
+def _collinear(xs, ys, at) -> list[int]:
+    """The positions p in `at` (interior, ascending) where the nodes p-1, p
+    and p+1 lie on one line, tested in C-level map passes."""
+    at = list(at)
+    before, after = list(map((-1).__add__, at)), list(map((1).__add__, at))
+    x0, x1, x2 = (list(map(xs.__getitem__, p)) for p in (before, at, after))
+    y0, y1, y2 = (list(map(ys.__getitem__, p)) for p in (before, at, after))
+    # collinear iff the slopes match, cross-multiplied
+    left = map(mul, map(sub, y1, y0), map(sub, x2, x1))
+    right = map(mul, map(sub, y2, y1), map(sub, x1, x0))
+    return list(compress(at, map(eq, left, right)))
 
 
 def _affine(num: int, slope: int, den: int):
@@ -223,6 +229,14 @@ def compose(outer: PLMap, inner: PLMap,
     value, so each one costs a few integer operations. Either argument order
     works; it is cheapest with the map of fewer pieces inside, as `iterates`
     does.
+
+    The result keeps only the nodes where its slope changes. Inside one
+    inner segment of slope s, the cell on outer's piece k has slope
+    s * (slope of piece k), so two neighbouring cells there can share a
+    slope only at a cut through a straight node of outer (none when outer
+    came from compose). Collinearity is tested only at those cuts and at
+    inner's interior nodes, the joins between inner segments; every other
+    node is a kink by construction.
     """
     do, xo, yo = outer.den, outer.xnum, outer.ynum
     di, xi, yi = inner.den, inner.xnum, inner.ynum
@@ -266,27 +280,45 @@ def compose(outer: PLMap, inner: PLMap,
     den = lcm(di, do, *(e for _, _, (_, _, e) in cuts.values()),
               *(e for _, _, e in branches.values()))
 
+    scale_i, scale_o, straight = den // di, den // do, outer._straight
     new_x, new_y = [], []
+    tested = []     # output positions where collinearity must be tested
     for i in range(segments + 1):
+        if 0 < i < segments:
+            tested.append(len(new_x))
         a, c, e = node_values[i]
-        new_x.append(xi[i] * (den // di))
+        new_x.append(xi[i] * scale_i)
         new_y.append((a + c * yi[i]) * (den // e))
         if i in cuts:
             first, stop, (a, c, e) = cuts[i]
             a, c = a * (den // e), c * (den // e)
             levels, values = xo[first:stop], yo[first:stop]
+            # outer's straight nodes among the levels cut, as positions
+            base = len(new_x)
+            cut_straight = straight[bisect_left(straight, first):
+                                    bisect_left(straight, stop)]
             if yi[i] > yi[i + 1]:
                 levels, values = levels[::-1], values[::-1]
-            new_x.extend([a + c * x for x in levels])
-            new_y.extend([y * (den // do) for y in values])
-    new_x, new_y = _pruned(new_x, new_y)
+                tested += [base + stop - 1 - k
+                           for k in reversed(cut_straight)]
+            else:
+                tested += [base + k - first for k in cut_straight]
+            new_x += map(a.__add__, map(c.__mul__, levels))
+            new_y += values if scale_o == 1 else map(scale_o.__mul__, values)
+    drop = _collinear(new_x, new_y, tested)
+    if drop:
+        keep = bytearray([1]) * len(new_x)
+        for p in drop:
+            keep[p] = 0
+        new_x, new_y = list(compress(new_x, keep)), list(compress(new_y, keep))
     g = gcd(den, *new_x, *new_y)
     if g > 1:
         den //= g
-        new_x = [x // g for x in new_x]
-        new_y = [y // g for y in new_y]
+        new_x = map(floordiv, new_x, repeat(g))
+        new_y = map(floordiv, new_y, repeat(g))
+    new_x, new_y = tuple(new_x), tuple(new_y)
     _check_self_map(den, new_x, new_y)
-    return PLMap._trusted(den, tuple(new_x), tuple(new_y))
+    return PLMap._trusted(den, new_x, new_y)
 
 
 def iterates(f: PLMap, n_max: int, piece_cap: int = DEFAULT_PIECE_CAP):
@@ -309,55 +341,74 @@ def iterates(f: PLMap, n_max: int, piece_cap: int = DEFAULT_PIECE_CAP):
         yield power
 
 
-def _roots(f: PLMap, sign: int):
-    """Each x with f(x) = sign*x, in increasing order, as an unreduced
-    (numerator, denominator) pair.
+def _line_crossings(f: PLMap, sign: int):
+    """Where f meets the line y = sign*x, as (d, crossings); the one pass
+    behind both the counters and the solvers.
 
-    One pass over the integer differences y - sign*x at the nodes of f: a
-    zero difference is a root at that node, a strict sign change between two
-    nodes a root inside the segment. sign = -1 requires a domain symmetric
-    about 0, so that -x stays inside it.
+    d lists the integer differences y - sign*x at f's nodes, so a zero of d
+    is a root at that node; crossings lists, ascending, each k where d
+    changes sign strictly between nodes k and k+1, which hides one root
+    inside that segment. Both come from C-level passes over sign masks.
+    sign = -1 requires a domain symmetric about 0, so that -x stays inside
+    it.
     """
     if sign < 0:
         lo, hi = f.domain
         if lo != -hi:
             raise ValueError(f"domain [{lo}, {hi}] is not symmetric about 0")
+    d = list(map(sub if sign > 0 else add, f.ynum, f.xnum))
+    if d.count(0) > 1:
+        zero = list(map(not_, d))
+        on_line = next(compress(count(), map(and_, zero, zero[1:])), None)
+        if on_line is not None:
+            den, xnum = f.den, f.xnum
+            line = "x" if sign > 0 else "-x"
+            raise InfiniteSolutionsError(
+                f"segment [{Fraction(xnum[on_line], den)}, "
+                f"{Fraction(xnum[on_line + 1], den)}] coincides with "
+                f"y = {line}")
+    above = list(map((0).__lt__, d))
+    below = list(map((0).__gt__, d))
+    crossings = list(compress(count(), map(or_, map(and_, above, below[1:]),
+                                           map(and_, below, above[1:]))))
+    return d, crossings
+
+
+def _solutions(f: PLMap, sign: int) -> tuple[Fraction, ...]:
+    """Sorted exact solutions of f(x) = sign*x."""
+    d, crossings = _line_crossings(f, sign)
     den, xnum = f.den, f.xnum
-    diffs = map(sub if sign > 0 else add, f.ynum, xnum)
-    x0 = d0 = None
-    for x1, d1 in zip(xnum, diffs):
-        if d1 == 0:
-            if d0 == 0:
-                line = "x" if sign > 0 else "-x"
-                raise InfiniteSolutionsError(
-                    f"segment [{Fraction(x0, den)}, {Fraction(x1, den)}] "
-                    f"coincides with y = {line}")
-            yield x1, den
-        elif d0 and (d0 > 0) != (d1 > 0):
-            # the zero of the difference, linear from d0 at x0 to d1 at x1
-            yield x1 * d0 - x0 * d1, den * (d0 - d1)
-        x0, d0 = x1, d1
+    # a root at node k sorts as 2k, one inside segment k as 2k+1
+    roots = [(2 * k, Fraction(xnum[k], den))
+             for k in compress(count(), map(not_, d))]
+    # the zero of the difference, linear from d0 at x0 to d1 at x1
+    roots += [(2 * k + 1, Fraction(xnum[k + 1] * d[k] - xnum[k] * d[k + 1],
+                                   den * (d[k] - d[k + 1])))
+              for k in crossings]
+    return tuple(root for _, root in sorted(roots))
 
 
 def fixed_point_solutions(f: PLMap):
     """Sorted exact solutions of f(x) = x."""
-    return tuple(Fraction(p, q) for p, q in _roots(f, 1))
+    return _solutions(f, 1)
 
 
 def antifixed_point_solutions(g: PLMap):
     """Sorted exact solutions of g(x) = -x; requires a domain symmetric about
     0 so that -x stays inside it."""
-    return tuple(Fraction(p, q) for p, q in _roots(g, -1))
+    return _solutions(g, -1)
 
 
 def count_fixed(f: PLMap) -> int:
     """Number of distinct solutions of f(x) = x."""
-    return sum(1 for _ in _roots(f, 1))
+    d, crossings = _line_crossings(f, 1)
+    return d.count(0) + len(crossings)
 
 
 def count_antifixed(g: PLMap) -> int:
     """Number of distinct solutions of g(x) = -x."""
-    return sum(1 for _ in _roots(g, -1))
+    d, crossings = _line_crossings(g, -1)
+    return d.count(0) + len(crossings)
 
 
 def is_odd_map(f: PLMap) -> bool:

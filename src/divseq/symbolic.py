@@ -22,17 +22,18 @@ the middle one and reverses each mirrored partner's new row for the rest, j
 of the 2j-1 rows for g_j's own tensors. `expand_word` needs no
 x-coordinates: the laps a lap splits into tile its extent, so every lap
 lies in the bucket of its n=1 ancestor. Validation runs on every tensor
-`step` returns.
+built from outside; `step` adds nonnegative counts of a valid tensor, so
+its results skip it.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
 from collections import Counter, namedtuple
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import cache
 
+from ._record import Record
 from .interval_map import build_gj
 
 __all__ = [
@@ -159,27 +160,33 @@ def _rule(j: int) -> _Rule:
                  cells(1), cells(-1))
 
 
-@dataclass(frozen=True)
-class EdgeTensor:
+class EdgeTensor(Record):
     """Edge counts a(k, i) at one time step: entry (k, i) is the number of
     label-i edges whose x-extent lies in bucket k. Both indices run over
     [-(j-1), j-1]; counts is the raw (2j-1) x (2j-1) grid with both indices
-    shifted by j-1."""
+    shifted by j-1. Immutable; building one checks j, n, the grid's shape
+    and that no count is negative."""
 
-    j: int
-    n: int
-    counts: tuple[tuple[int, ...], ...]
+    __slots__ = __match_args__ = ("j", "n", "counts")
 
-    def __post_init__(self):
-        _check_j(self.j)
-        if self.n < 1:
-            raise ValueError(f"n must be >= 1, got {self.n}")
-        size = 2 * self.j - 1
-        counts = self.counts
+    def __init__(self, j: int, n: int, counts: tuple[tuple[int, ...], ...]):
+        _check_j(j)
+        if n < 1:
+            raise ValueError(f"n must be >= 1, got {n}")
+        size = 2 * j - 1
         if len(counts) != size or set(map(len, counts)) != {size}:
             raise ValueError(f"counts grid must be {size}x{size}")
         if min(map(min, counts)) < 0:
             raise ValueError("edge counts must be nonnegative")
+        super().__init__(j, n, counts)
+
+    @classmethod
+    def _trusted(cls, j: int, n: int, counts) -> EdgeTensor:
+        """A tensor known to be valid, such as a valid one stepped by
+        additions alone; nothing is checked."""
+        self = object.__new__(cls)
+        Record.__init__(self, j, n, counts)
+        return self
 
     def entry(self, k: int, i: int) -> int:
         w = self.j - 1
@@ -217,7 +224,7 @@ def step(t: EdgeTensor) -> EdgeTensor:
         m = len(rows) - 1 - r
         mirrored = rows[r] == rows[m][::-1]
         new.append(new[m][::-1] if mirrored else advance(rows[r]))
-    return EdgeTensor(t.j, t.n + 1, tuple(new))
+    return EdgeTensor._trusted(t.j, t.n + 1, tuple(new))
 
 
 def c_count(t: EdgeTensor) -> int:

@@ -9,7 +9,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from divseq.arith import divisibility_check, factorize, phi1, phi2
+from divseq.arith import (
+    Factorization,
+    divisibility_check,
+    factorize,
+    phi1,
+    phi2,
+)
 from divseq.sequences import make_theorem5_psi
 
 
@@ -33,6 +39,22 @@ def test_factorize_prime_beyond_sieve_table():
     # 1048583 is prime and larger than the precomputed sieve bound
     assert factorize(1048583).factors == ((1048583, 1),)
     assert factorize(1048583 * 4).factors == ((2, 2), (1048583, 1))
+
+
+def test_factorization_is_an_immutable_record():
+    fac = factorize(12)
+    assert repr(fac) == "Factorization(n=12, factors=((2, 2), (3, 1)))"
+    assert fac == Factorization(n=12, factors=((2, 2), (3, 1)))
+    assert hash(fac) == hash(Factorization(12, ((2, 2), (3, 1))))
+    assert fac != factorize(24) and fac != (12, ((2, 2), (3, 1)))
+    with pytest.raises(AttributeError):
+        fac.n = 13
+    with pytest.raises(AttributeError):
+        del fac.factors
+    assert not hasattr(fac, "__dict__")
+    match fac:
+        case Factorization(n, ((p, k), *_)):
+            assert (n, p, k) == (12, 2, 2)
 
 
 def test_factorization_accessors():

@@ -43,14 +43,17 @@ def run_main(capsys, *args: str):
 SRC = str(Path(divseq.__file__).resolve().parent.parent)
 
 
+def child_env() -> dict:
+    path = os.environ.get("PYTHONPATH")
+    return dict(os.environ,
+                PYTHONPATH=os.pathsep.join([SRC, path] if path else [SRC]))
+
+
 def run_proc(*args: str, timeout: float | None = None,
              stdout=subprocess.PIPE) -> subprocess.CompletedProcess:
-    path = os.environ.get("PYTHONPATH")
-    env = dict(os.environ,
-               PYTHONPATH=os.pathsep.join([SRC, path] if path else [SRC]))
     return subprocess.run([sys.executable, "-m", "divseq", *args],
-                          stdout=stdout, stderr=subprocess.PIPE, env=env,
-                          timeout=timeout)
+                          stdout=stdout, stderr=subprocess.PIPE,
+                          env=child_env(), timeout=timeout)
 
 
 # -- expression grammar ------------------------------------------------------
@@ -547,6 +550,25 @@ def test_output_is_byte_identical_across_runs():
     assert first.returncode == second.returncode == 0
     assert first.stdout == second.stdout
     assert first.stdout.endswith(b"\n")
+
+
+# -- import weight ------------------------------------------------------------
+
+def test_cli_import_leaves_heavy_modules_out():
+    # dataclasses would pull in inspect, ast, dis and tokenize; json is
+    # imported only by a command that writes JSON
+    code = ("import sys; before = set(sys.modules); import divseq.cli; "
+            "print(*sorted(set(sys.modules) - before))")
+    proc = subprocess.run([sys.executable, "-c", code], env=child_env(),
+                          capture_output=True, text=True, check=True)
+    loaded = set(proc.stdout.split())
+    assert "divseq.cli" in loaded
+    assert loaded.isdisjoint({"dataclasses", "inspect", "json"})
+    proc = run_proc("verify", "theorem5phi(3)", "--mode", "phi1-mod-n",
+                    "--format", "json", "--n-max", "12")
+    assert proc.returncode == 0
+    assert json.loads(proc.stdout)["summary"] == {
+        "checked": 12, "failures": 0, "first_failure": None}
 
 
 # -- writing: all the work that can fail is done before the first byte, then

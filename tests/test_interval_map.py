@@ -410,3 +410,140 @@ def test_composition_leaving_the_domain_raises(inner):
     outer = PLMap([lo - 1, inner.ys[0], hi + 1], [lo - 1, hi + 1, lo - 1])
     with pytest.raises(ValueError, match="not a self-map"):
         compose(outer, inner)
+
+
+# -- compose and the counters against references ------------------------------
+
+def _stack_pruned(xs, ys):
+    """Drop every interior node collinear with its neighbours, on a stack:
+    the pruning compose applied to every node before it tested only where a
+    node can be collinear."""
+    out_x, out_y = [xs[0]], [ys[0]]
+    for x2, y2 in zip(xs[1:], ys[1:]):
+        while len(out_x) >= 2:
+            x0, x1, y0, y1 = out_x[-2], out_x[-1], out_y[-2], out_y[-1]
+            if (y1 - y0) * (x2 - x1) == (y2 - y1) * (x1 - x0):
+                out_x.pop()
+                out_y.pop()
+            else:
+                break
+        out_x.append(x2)
+        out_y.append(y2)
+    return out_x, out_y
+
+
+def reference_compose(outer: PLMap, inner: PLMap) -> tuple[PLMap, int]:
+    """outer∘inner in Fractions, and its piece count before pruning: inner's
+    nodes plus the preimages of outer's breakpoints strictly inside each
+    non-constant inner segment, valued pointwise."""
+    xs = [inner.xs[0]]
+    for x0, x1, y0, y1 in zip(inner.xs, inner.xs[1:], inner.ys, inner.ys[1:]):
+        if y0 != y1:
+            xs += sorted(x0 + (b - y0) * (x1 - x0) / (y1 - y0)
+                         for b in outer.xs if min(y0, y1) < b < max(y0, y1))
+        xs.append(x1)
+    ys = [outer(inner(x)) for x in xs]
+    return PLMap(*_stack_pruned(xs, ys)), len(xs) - 1
+
+
+@settings(max_examples=150, deadline=None)
+@given(pair=map_pairs())
+def test_compose_equals_the_stack_pruned_reference(pair):
+    a, b = pair
+    # maps from compose have no straight node; drawn maps may have some
+    for outer, inner in ((a, b), (b, a), (compose(a, b), b),
+                         (a, compose(b, a))):
+        got, (want, _) = compose(outer, inner), reference_compose(outer, inner)
+        assert (got.den, got.xnum, got.ynum) == (want.den, want.xnum,
+                                                 want.ynum)
+
+
+def test_compose_prunes_cuts_through_straight_outer_nodes():
+    # outer is straight at 1/3 and 2/3 and bends at 1/2; a rising inner
+    # segment cuts all three, a falling one cuts them in reverse order
+    half = Fraction(1, 2)
+    outer = PLMap([0, Fraction(1, 3), half, Fraction(2, 3), 1],
+                  [0, Fraction(1, 3), half, Fraction(1, 3), 0])
+    for inner in (PLMap([0, 1], [0, 1]), PLMap([0, 1], [1, 0])):
+        assert compose(outer, inner) == PLMap([0, half, 1], [0, half, 0])
+    tent = PLMap([0, half, 1], [0, 1, 0])
+    assert compose(outer, tent) == PLMap([0, half / 2, half, 3 * half / 2, 1],
+                                         [0, half, 0, half, 0])
+
+
+@settings(max_examples=60, deadline=None)
+@given(f=random_maps, cap=st.integers(1, 80))
+def test_piece_cap_trips_at_the_reference_iterate(f, cap):
+    power, trips = f, None
+    for n in (2, 3):
+        power, needed = reference_compose(power, f)
+        if needed > cap:
+            trips = n
+            break
+    if trips is None:
+        assert len(list(iterates(f, 3, cap))) == 3
+    else:
+        with pytest.raises(PieceCapExceededError) as info:
+            list(iterates(f, 3, cap))
+        assert info.value.n == trips
+        assert str(info.value) == (f"composition needs {needed} pieces; "
+                                   f"cap is {cap}")
+
+
+def _on_line_message(f: PLMap, sign: int) -> str | None:
+    """The InfiniteSolutionsError text for the first segment of f on
+    y = sign*x, or None when no segment lies on it."""
+    for x0, x1, y0, y1 in zip(f.xs, f.xs[1:], f.ys, f.ys[1:]):
+        if y0 == sign * x0 and y1 == sign * x1:
+            line = "x" if sign > 0 else "-x"
+            return f"segment [{x0}, {x1}] coincides with y = {line}"
+    return None
+
+
+def _check_counter_pair(f: PLMap, sign: int):
+    """The counter and the solver agree on f: the same count, or the same
+    InfiniteSolutionsError naming the first segment on the line."""
+    count, solve = ((count_fixed, fixed_point_solutions) if sign > 0
+                    else (count_antifixed, antifixed_point_solutions))
+    message = _on_line_message(f, sign)
+    if message is None:
+        roots = solve(f)
+        assert count(f) == len(roots)
+        assert list(roots) == sorted(set(roots))
+        assert all(f(x) == sign * x for x in roots)
+        return
+    for fn in (count, solve):
+        with pytest.raises(InfiniteSolutionsError) as info:
+            fn(f)
+        assert str(info.value) == message
+
+
+@settings(max_examples=80, deadline=None)
+@given(f=random_maps, n=st.integers(1, 3))
+def test_counters_count_the_solutions(f, n):
+    *_, power = iterates(f, n)
+    lo, hi = f.domain
+    for sign in (1, -1) if lo == -hi else (1,):
+        _check_counter_pair(power, sign)
+
+
+@st.composite
+def maps_on_a_line(draw):
+    """A map of a symmetric domain with one or more segments moved onto
+    y = x or y = -x, and the sign of that line."""
+    hi = Fraction(draw(st.integers(1, 40)), draw(st.integers(1, 12)))
+    m = draw(pl_maps((-hi, hi)))
+    sign = draw(st.sampled_from((1, -1)))
+    ys = list(m.ys)
+    for k in draw(st.sets(st.integers(0, m.pieces - 1), min_size=1)):
+        ys[k], ys[k + 1] = sign * m.xs[k], sign * m.xs[k + 1]
+    return PLMap(m.xs, ys), sign
+
+
+@settings(max_examples=80, deadline=None)
+@given(case=maps_on_a_line())
+def test_counters_name_the_first_segment_on_the_line(case):
+    f, sign = case
+    assert _on_line_message(f, sign) is not None
+    _check_counter_pair(f, sign)
+    _check_counter_pair(f, -sign)

@@ -90,6 +90,20 @@ def test_edge_tensor_validation():
         initial_tensor(3).entry(3, 0)
 
 
+def test_edge_tensor_is_an_immutable_record():
+    t = initial_tensor(2)
+    assert repr(t) == ("EdgeTensor(j=2, n=1, counts=((0, 0, 1), (0, 1, 0), "
+                       "(1, 0, 0)))")
+    assert t == EdgeTensor(j=2, n=1, counts=t.counts)
+    assert hash(t) == hash(EdgeTensor(2, 1, t.counts))
+    assert t != step(t) and t != EdgeTensor(2, 2, t.counts)
+    with pytest.raises(AttributeError):
+        t.n = 2
+    with pytest.raises(AttributeError):
+        del t.counts
+    assert not hasattr(t, "__dict__")
+
+
 # -- the step ----------------------------------------------------------------
 
 def test_step_j3_center_row():
