@@ -9,6 +9,7 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Callable
+from contextlib import nullcontext
 from decimal import (
     MAX_EMAX,
     MAX_PREC,
@@ -19,14 +20,17 @@ from decimal import (
     InvalidOperation,
     Overflow,
     Rounded,
+    getcontext,
     localcontext,
 )
+from math import isqrt
 
 from ._record import Record
 
 __all__ = [
     "Factorization",
     "IntSequence",
+    "PrimeTable",
     "factorize",
     "phi1",
     "phi2",
@@ -45,16 +49,27 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
                         Overflow])
 
 
+# what exact_context returns inside a context that is already exact
+_ALREADY_EXACT = nullcontext()
+
+
 def exact_context():
     """A decimal.localcontext (a copy of one shared exact context) in which
     +, -, * and % on integral Decimals are exact; the caller's own decimal
-    context is restored on exit."""
+    context is restored on exit.
+
+    Inside a context with precision MAX_PREC and exponent limit MAX_EMAX,
+    in which integral values are already exact, it is a no-op instead, so
+    nested entries (phi1 inside a report row's context) cost a check, not
+    a context copy."""
+    context = getcontext()
+    if context.prec == MAX_PREC and context.Emax == MAX_EMAX:
+        return _ALREADY_EXACT
     return localcontext(_EXACT)
 
 
 def _sieve(limit: int) -> tuple[int, ...]:
-    flags = bytearray([1]) * (limit + 1)
-    flags[0] = flags[1] = 0
+    flags = bytearray(2) + bytearray([1]) * (limit - 1)  # 0, 1: not prime
     for p in range(2, int(limit**0.5) + 1):
         if flags[p]:
             flags[p * p :: p] = bytearray(len(flags[p * p :: p]))
@@ -107,45 +122,101 @@ def factorize(n: int) -> Factorization:
     return Factorization(n, tuple(factors))
 
 
-def _alternating_sum(seq: IntSequence, n: int, primes: tuple[int, ...]) -> int:
-    total = 0
+class PrimeTable:
+    """The distinct primes of every n <= limit, read from a
+    smallest-prime-factor sieve built once: one 2-byte array entry per n,
+    filled by slice assignments over the primes up to sqrt(limit), in
+    O(limit log log limit). A report builds one for its n_max and reads each
+    row's primes from it instead of factorizing every n."""
+
+    __slots__ = ("limit", "_spf")
+
+    def __init__(self, limit: int):
+        if not 0 <= limit < 1 << 32:
+            raise ValueError(f"PrimeTable needs 0 <= limit < 2**32, "
+                             f"got {limit}")
+        # imported here, so that a command without a report skips it
+        from array import array
+        self.limit = limit
+        # _spf[n] is the smallest prime factor of a composite n, 0 for
+        # n < 2 and for the primes: no composite n <= limit has a smallest
+        # prime above sqrt(limit) < 2**16. The smaller primes come last,
+        # so their entries are the ones that stay.
+        spf = self._spf = array("H", bytes(2 * (limit + 1)))
+        for p in reversed(_sieve(isqrt(limit))):
+            spf[p * p::p] = array("H", [p]) * len(range(p * p, limit + 1, p))
+
+    def primes(self, n: int) -> tuple[int, ...]:
+        """The distinct primes of n, ascending, as factorize(n).primes,
+        for 1 <= n <= limit."""
+        if not 0 < n <= self.limit:
+            raise ValueError(f"PrimeTable.primes requires 1 <= n <= "
+                             f"{self.limit}, got {n}")
+        spf = self._spf
+        found = []
+        p = spf[n]
+        while p:
+            found.append(p)
+            n //= p
+            while n % p == 0:
+                n //= p
+            p = spf[n]
+        if n > 1:  # what is left is prime
+            found.append(n)
+        return tuple(found)
+
+
+def _alternating_sum(seq: IntSequence, n: int, primes) -> int:
+    """The signed sum of seq(n // d) over the squarefree divisors d of the
+    product of primes (distinct primes of n), with sign (-1)**(number of
+    primes in d). The quotients n // d of each sign are built by doubling:
+    each prime p adds m // p, of the other sign, for every quotient m so
+    far."""
+    plus, minus = [n], []
+    for p in primes:
+        plus, minus = (plus + [m // p for m in minus],
+                       minus + [m // p for m in plus])
     with exact_context():
-        for size in range(len(primes) + 1):
-            sign = -1 if size % 2 else 1
-            for subset in itertools.combinations(primes, size):
-                d = 1
-                for p in subset:
-                    d *= p
-                total += sign * seq(n // d)
-    return total
+        return sum(map(seq, plus)) - sum(map(seq, minus))
 
 
-def phi1(seq: IntSequence, n: int) -> int:
+def phi1(seq: IntSequence, n: int, primes=None) -> int:
     """Alternating inclusion-exclusion of seq over the distinct primes of n.
 
     phi1(seq, 1) = seq(1); for n with distinct primes p1..pr it is the signed
     sum of seq(n / d) over all 2**r squarefree divisors d of p1*...*pr, the
     sign being (-1)**(number of primes in d).
+
+    primes, when given, must be the distinct primes of n, as
+    factorize(n).primes or PrimeTable.primes(n) give them; a report passes
+    them from its PrimeTable. Without it, phi1 factorizes n.
     """
     if n < 1:
         raise ValueError(f"phi1 requires n >= 1, got {n}")
-    return _alternating_sum(seq, n, factorize(n).primes)
+    if primes is None:
+        primes = factorize(n).primes
+    return _alternating_sum(seq, n, primes)
 
 
-def phi2(seq: IntSequence, n: int) -> int:
+def phi2(seq: IntSequence, n: int, primes=None) -> int:
     """Variant of phi1 that ranges over the distinct *odd* primes of n.
 
     When the odd part of n is 1 (n a power of two, including n = 1) the value
     is seq(n) - 1; otherwise it is the alternating sum over subsets of the
     odd primes, so the prime 2 never appears in a denominator.
+
+    primes, when given, must be the distinct primes of n, 2 included when n
+    is even, as for phi1; without it, phi2 factorizes n.
     """
     if n < 1:
         raise ValueError(f"phi2 requires n >= 1, got {n}")
-    fac = factorize(n)
-    if not fac.odd_primes:
+    if primes is None:
+        primes = factorize(n).primes
+    odd_primes = [p for p in primes if p != 2]
+    if not odd_primes:
         with exact_context():
             return seq(n) - 1
-    return _alternating_sum(seq, n, fac.odd_primes)
+    return _alternating_sum(seq, n, odd_primes)
 
 
 def divisibility_check(value, modulus: int) -> tuple[bool, int]:

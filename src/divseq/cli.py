@@ -26,7 +26,7 @@ import os
 import sys
 
 from . import __version__
-from .arith import divisibility_check, phi1, phi2
+from .arith import PrimeTable, divisibility_check, exact_context, phi1, phi2
 from .interval_map import (
     DEFAULT_PIECE_CAP,
     InfiniteSolutionsError,
@@ -216,18 +216,35 @@ def _prefill(seq: Sequence, n_max: int, per_row=()):
 
 
 def _divisibility_rows(seq: Sequence, mode: str, n_max: int):
-    """Yield the rows of run_divisibility one at a time."""
+    """Yield the rows of run_divisibility one at a time, after _prefill.
+
+    A row reads its values from the filled exact cache and its primes from
+    one PrimeTable, and computes phi and the remainder inside one exact
+    context, which it leaves before the row is yielded. Past the end of the
+    cache, where a table ran out, the row asks seq.exact, whose
+    TableRangeError it reports."""
     transform, mod_factor = _MODES[mode]
+    filled = min(len(seq._exact), n_max)
+    primes = PrimeTable(filled).primes
+    cached = [None, *seq._exact[:filled]].__getitem__  # n -> q(n)
     for n in range(1, n_max + 1):
         modulus = mod_factor * n
-        try:
-            q = seq.exact(n)
-            value = transform(seq.exact, n)
-        except TableRangeError as exc:
-            yield {"n": n, "q": None, "phi": None, "modulus": modulus,
-                   "remainder": None, "pass": False, "error": str(exc)}
-            continue
-        ok, remainder = divisibility_check(value, modulus)
+        if n <= filled:
+            q = cached(n)
+            with exact_context():
+                value = transform(cached, n, primes(n))
+                # as divisibility_check, without a call and a context each
+                remainder = int(value % modulus) % modulus
+            ok = not remainder
+        else:
+            try:
+                q = seq.exact(n)
+                value = transform(seq.exact, n)
+            except TableRangeError as exc:
+                yield {"n": n, "q": None, "phi": None, "modulus": modulus,
+                       "remainder": None, "pass": False, "error": str(exc)}
+                continue
+            ok, remainder = divisibility_check(value, modulus)
         yield {"n": n, "q": str(q), "phi": str(value), "modulus": modulus,
                "remainder": str(remainder), "pass": ok}
 
@@ -241,6 +258,7 @@ def run_divisibility(seq: Sequence, mode: str, n_max: int) -> list[dict]:
     (a table running out of values) fails with them None and the message
     under "error"; it is not raised. `verify` streams the same rows.
     """
+    _prefill(seq, n_max, TableRangeError)
     return list(_divisibility_rows(seq, mode, n_max))
 
 
@@ -330,7 +348,8 @@ def _render(fmt: str, meta: dict, header, rows, summary: dict | None = None):
     sep = "," if fmt == "csv" else "\t"
     write(sep.join(header) + "\n")
     for row in rows:
-        write(sep.join(_cell(row[key]) for key in header) + "\n")
+        write(sep.join(map(_cell, map(row.__getitem__, header))))
+        write("\n")
 
 
 def _report(fmt: str, meta: dict, seq: Sequence, mode: str,

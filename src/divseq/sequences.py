@@ -138,19 +138,24 @@ class LinearRecurrence(Sequence):
 
     head is called only for the n being filled, so a family with a large
     order computes none of its seed values before they are asked for. It
-    returns an int, converted to the number type being filled.
+    returns an int, converted to the number type being filled. coeffs is
+    any iterable, read into a tuple, or a tuple or the zigzag families' lazy
+    view, kept as given; its entries are read once, on the first fill past
+    the head, and the fill itself uses only the order.
     """
 
     def __init__(self, seq_id: str, guarantee: str, head, coeffs,
                  constant: int):
         super().__init__(seq_id, guarantee)
         self.head = head
-        self.coeffs = tuple(coeffs)
+        self.coeffs = (coeffs if isinstance(coeffs, (tuple, _ZigzagCoeffs))
+                       else tuple(coeffs))
+        self.order = len(self.coeffs)
         self.constant = constant
         self._terms = _Terms(self.coeffs, constant)
 
     def _compute(self, n: int, values: list, num: type):
-        if n <= len(self.coeffs):
+        if n <= self.order:
             return num(self.head(n))
         units, lags, factors, constant = self._terms[num]
         at = values.__getitem__
@@ -164,28 +169,44 @@ class _Terms(dict):
 
     q(n-i) is values[-i], as the cache holds q(1)..q(n-1) when q(n) is
     computed. Terms with coefficient 1 are added without a multiplication,
-    and terms with coefficient 0 are dropped. A dict, so a filled entry is
-    read at the cost of a plain lookup."""
+    and terms with coefficient 0 are dropped. The coefficients are read
+    once, for the int terms; another type converts those. A dict, so a
+    filled entry is read at the cost of a plain lookup."""
 
-    def __init__(self, coeffs: tuple, constant: int):
+    def __init__(self, coeffs, constant: int):
         super().__init__()
         self.coeffs, self.constant = coeffs, constant
 
     def __missing__(self, num: type):
-        terms = [(-i, c) for i, c in enumerate(self.coeffs, 1) if c]
-        factors, constant = tuple(c for _, c in terms if c != 1), self.constant
-        if num is not int:  # the int terms are the coefficients as given
-            factors, constant = tuple(map(num, factors)), num(constant)
-        entry = self[num] = (tuple(i for i, c in terms if c == 1),
-                             tuple(i for i, c in terms if c != 1),
-                             factors, constant)
+        if num is int:
+            terms = [(-i, c) for i, c in enumerate(self.coeffs, 1) if c]
+            entry = (tuple(i for i, c in terms if c == 1),
+                     tuple(i for i, c in terms if c != 1),
+                     tuple(c for _, c in terms if c != 1), self.constant)
+        else:
+            units, lags, factors, constant = self[int]
+            entry = units, lags, tuple(map(num, factors)), num(constant)
+        self[num] = entry
         return entry
 
 
-def _zigzag_coeffs(j: int) -> tuple[int, ...]:
-    """Coefficients of the order-(2j-1) recurrence shared by the theorem5
-    families: 2i-1 for lags i = 1..j, then 4j-2i-1 for lags i = j+1..2j-1."""
-    return tuple(2 * min(i, 2 * j - i) - 1 for i in range(1, 2 * j))
+class _ZigzagCoeffs:
+    """The coefficients of the order-(2j-1) recurrence shared by the
+    theorem5 families, 2*min(i, 2j-i) - 1 for lags i = 1..2j-1 (so 2i-1 up
+    to lag j, then 4j-2i-1), computed when read: a family of order 2*10**6
+    costs nothing to build."""
+
+    __slots__ = ("j",)
+
+    def __init__(self, j: int):
+        self.j = j
+
+    def __len__(self):
+        return 2 * self.j - 1
+
+    def __getitem__(self, index: int) -> int:
+        i = range(1, 2 * self.j)[index]  # the lag; IndexError past the end
+        return 2 * min(i, 2 * self.j - i) - 1
 
 
 class TableSequence(Sequence):
@@ -292,7 +313,7 @@ def make_theorem5_phi(j: int) -> Sequence:
         return 3**n - 2 - 4 * n * 3 ** (n - j - 1)
 
     return LinearRecurrence(f"theorem5phi(j={j})", MAP_DERIVED_PHI, head,
-                            _zigzag_coeffs(j), 0)
+                            _ZigzagCoeffs(j), 0)
 
 
 def make_theorem5_psi(j: int) -> Sequence:
@@ -310,7 +331,7 @@ def make_theorem5_psi(j: int) -> Sequence:
         return 3**n - 4 * n * 3 ** (n - j - 1)
 
     return LinearRecurrence(f"theorem5psi(j={j})", ODD_MAP_DERIVED_PSI, head,
-                            _zigzag_coeffs(j), 0)
+                            _ZigzagCoeffs(j), 0)
 
 
 def constant(value: int) -> Sequence:

@@ -3,7 +3,14 @@
 from __future__ import annotations
 
 import random
-from decimal import Context, Decimal, InvalidOperation, localcontext
+from decimal import (
+    MAX_PREC,
+    Context,
+    Decimal,
+    InvalidOperation,
+    getcontext,
+    localcontext,
+)
 
 import pytest
 from hypothesis import given, settings
@@ -11,7 +18,9 @@ from hypothesis import strategies as st
 
 from divseq.arith import (
     Factorization,
+    PrimeTable,
     divisibility_check,
+    exact_context,
     factorize,
     phi1,
     phi2,
@@ -213,3 +222,63 @@ def test_divisibility_check_on_a_4000_digit_decimal():
     with localcontext(Context()):
         with pytest.raises(InvalidOperation):
             Decimal(digits) % modulus
+
+
+# -- the prime table a report reads its primes from ---------------------------
+
+def test_prime_table_matches_factorize_to_20000():
+    table = PrimeTable(20000)
+    for n in range(1, 20001):
+        assert table.primes(n) == factorize(n).primes, n
+
+
+def test_prime_table_smallest_limits():
+    assert PrimeTable(1).primes(1) == ()
+    assert [PrimeTable(2).primes(n) for n in (1, 2)] == [(), (2,)]
+    assert [PrimeTable(4).primes(n) for n in (3, 4)] == [(3,), (2,)]
+
+
+@pytest.mark.parametrize("limit, n", [(0, 1), (1, 0), (5, 6), (5, -1)])
+def test_prime_table_rejects_n_outside_its_range(limit, n):
+    with pytest.raises(ValueError):
+        PrimeTable(limit).primes(n)
+
+
+def test_phi_with_supplied_primes_equals_phi_that_factorizes():
+    rng = random.Random(11)
+    cache: dict[int, int] = {}
+
+    def seq(n: int) -> int:
+        return cache.setdefault(n, rng.choice((0, rng.randrange(-10**9,
+                                                                10**9))))
+
+    psi = make_theorem5_psi(3)
+    table = PrimeTable(2310)
+    for n in (*range(1, 300), 512, 1024, 2048, 1155, 2310):
+        primes = table.primes(n)
+        for values in (seq, psi, psi.exact):
+            assert phi1(values, n, primes) == phi1(values, n), n
+            assert phi2(values, n, primes) == phi2(values, n), n
+
+
+@pytest.mark.parametrize("phi", [phi1, phi2])
+@pytest.mark.parametrize("primes", [None, ()])
+def test_phi_rejects_n_below_one(phi, primes):
+    for bad in (0, -4):
+        with pytest.raises(ValueError):
+            phi(mersenne, bad, primes)
+
+
+def test_exact_context_nested_in_an_exact_context_changes_nothing():
+    with localcontext(Context(prec=5)) as caller:
+        with exact_context() as outer:
+            assert outer is not caller and outer.prec == MAX_PREC
+            with exact_context():
+                assert getcontext() is outer
+            assert getcontext() is outer
+        assert getcontext() is caller
+    # MAX_PREC digits alone are not exact: the exponent limit still
+    # overflows, so such a context is replaced
+    with localcontext(Context(prec=MAX_PREC)) as caller:
+        with exact_context():
+            assert getcontext() is not caller

@@ -4,7 +4,9 @@ exit codes, and byte-level determinism."""
 from __future__ import annotations
 
 import contextlib
+import decimal
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -18,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import divseq
-from divseq import __version__, sequences
+from divseq import __version__, cli, sequences
 from divseq.cli import (
     ExpressionError,
     _render,
@@ -269,6 +271,77 @@ def test_run_divisibility_returns_the_rows_verify_prints(capsys, tmp_path):
         rows = run_divisibility(parse_expression(expr), "phi1-mod-n", n_max)
         assert rows == json.loads(out)["rows"]
     assert [row["n"] for row in rows if "error" in row] == [5, 6]
+
+
+def reference_phi(q: dict, n: int, odd_only: bool) -> int:
+    """phi1 (or phi2, when odd_only) by trial division and
+    itertools.combinations, as a second route to the report's values."""
+    primes, rest, p = [], n, 2
+    while rest > 1:
+        if rest % p == 0:
+            primes.append(p)
+            while rest % p == 0:
+                rest //= p
+        p += 1
+    if odd_only:
+        primes = [p for p in primes if p != 2]
+        if not primes:
+            return q[n] - 1
+    total = 0
+    for size in range(len(primes) + 1):
+        for subset in itertools.combinations(primes, size):
+            d = 1
+            for p in subset:
+                d *= p
+            total += (-1) ** size * q[n // d]
+    return total
+
+
+@settings(max_examples=25, deadline=None)
+@example(period=[3, 0, -5, 10**40], length=2310, n_max=2310)
+@example(period=[0], length=0, n_max=3)
+@given(period=st.lists(st.just(0) | st.integers(-10**40, 10**40),
+                       min_size=1, max_size=12),
+       length=st.integers(0, 2400), n_max=st.integers(1, 2400))
+def test_report_rows_match_a_reference_inclusion_exclusion(period, length,
+                                                           n_max):
+    # int tables with negatives and zeros, of any length against n_max: a
+    # row past the table's end fails with the table's own message
+    values = [period[(n * n) % len(period)] * (n % 7 - 3)
+              for n in range(1, length + 1)]
+    q = dict(enumerate(values, start=1))
+    for mode, factor in (("phi1-mod-n", 1), ("phi2-mod-2n", 2)):
+        seq = sequences.parse_table("\n".join(map(str, values)))
+        rows = run_divisibility(seq, mode, n_max)
+        assert [row["n"] for row in rows] == list(range(1, n_max + 1))
+        for row in rows:
+            n = row["n"]
+            if n > length:
+                assert row == {
+                    "n": n, "q": None, "phi": None, "modulus": factor * n,
+                    "remainder": None, "pass": False,
+                    "error": f"table(<table>) holds {length} values; "
+                             f"n={n} is out of range"}
+                continue
+            phi = reference_phi(q, n, mode == "phi2-mod-2n")
+            remainder = phi % (factor * n)
+            assert row == {"n": n, "q": str(q[n]), "phi": str(phi),
+                           "modulus": factor * n,
+                           "remainder": str(remainder),
+                           "pass": remainder == 0}, (mode, n)
+
+
+def test_report_rows_leave_the_decimal_context_at_each_row():
+    # the exact context of a row ends before the row is yielded, so the
+    # code that renders it runs in the caller's context
+    seen = set()
+    with decimal.localcontext() as caller:
+        for mode in ("phi1-mod-n", "phi2-mod-2n"):
+            seq = parse_expression("theorem5psi(2)")
+            cli._prefill(seq, 40)
+            for _ in cli._divisibility_rows(seq, mode, 40):
+                seen.add(decimal.getcontext() is caller)
+    assert seen == {True}
 
 
 def test_verify_bad_expression_is_usage_error(capsys):

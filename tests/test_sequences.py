@@ -6,6 +6,7 @@ import os
 import sys
 import threading
 import time
+import tracemalloc
 from decimal import Decimal
 
 import pytest
@@ -162,6 +163,26 @@ def test_seed_values_are_computed_only_when_filled():
     assert values(make_theorem5_phi(10**5), 3) == [1, 7, 25]
     assert values(make_theorem5_psi(10**5), 3) == [3, 9, 27]
     assert time.perf_counter() - start < 2.0
+
+
+def test_zigzag_coefficients_are_computed_when_read():
+    assert tuple(make_theorem5_phi(4).coeffs) == (1, 3, 5, 7, 5, 3, 1)
+    assert tuple(make_theorem5_psi(2).coeffs) == (1, 3, 1)
+    # an order-(2*10**6 - 1) family holds no coefficient tuple: building it
+    # and filling its head allocates well under the 16 MB of such a tuple
+    tracemalloc.start()
+    try:
+        seq = make_theorem5_phi(10**6)
+        assert values(seq, 3) == [1, 7, 25]
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**6
+    coeffs = seq.coeffs
+    assert len(coeffs) == seq.order == 2 * 10**6 - 1
+    assert (coeffs[0], coeffs[10**6 - 1], coeffs[-1]) == (1, 2 * 10**6 - 1, 1)
+    with pytest.raises(IndexError):
+        coeffs[2 * 10**6 - 1]
 
 
 class MulCountingInt(int):
