@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import itertools
 from collections.abc import Callable
-from contextlib import nullcontext
 from decimal import (
     MAX_EMAX,
     MAX_PREC,
@@ -20,7 +19,6 @@ from decimal import (
     InvalidOperation,
     Overflow,
     Rounded,
-    getcontext,
     localcontext,
 )
 from math import isqrt
@@ -30,7 +28,6 @@ from ._record import Record
 __all__ = [
     "Factorization",
     "IntSequence",
-    "PrimeTable",
     "factorize",
     "phi1",
     "phi2",
@@ -49,22 +46,10 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
                         Overflow])
 
 
-# what exact_context returns inside a context that is already exact
-_ALREADY_EXACT = nullcontext()
-
-
 def exact_context():
     """A decimal.localcontext (a copy of one shared exact context) in which
     +, -, * and % on integral Decimals are exact; the caller's own decimal
-    context is restored on exit.
-
-    Inside a context with precision MAX_PREC and exponent limit MAX_EMAX,
-    in which integral values are already exact, it is a no-op instead, so
-    nested entries (phi1 inside a report row's context) cost a check, not
-    a context copy."""
-    context = getcontext()
-    if context.prec == MAX_PREC and context.Emax == MAX_EMAX:
-        return _ALREADY_EXACT
+    context is restored on exit."""
     return localcontext(_EXACT)
 
 
@@ -127,7 +112,8 @@ class PrimeTable:
     smallest-prime-factor sieve built once: one 2-byte array entry per n,
     filled by slice assignments over the primes up to sqrt(limit), in
     O(limit log log limit). A report builds one for its n_max and reads each
-    row's primes from it instead of factorizing every n."""
+    row's primes from it instead of factorizing every n. Not in __all__: it
+    serves the reports, not library callers."""
 
     __slots__ = ("limit", "_spf")
 

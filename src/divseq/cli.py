@@ -26,7 +26,7 @@ import os
 import sys
 
 from . import __version__
-from .arith import PrimeTable, divisibility_check, exact_context, phi1, phi2
+from .arith import PrimeTable, divisibility_check, phi1, phi2
 from .interval_map import (
     DEFAULT_PIECE_CAP,
     InfiniteSolutionsError,
@@ -219,34 +219,27 @@ def _divisibility_rows(seq: Sequence, mode: str, n_max: int):
     """Yield the rows of run_divisibility one at a time, after _prefill.
 
     A row reads its values from the filled exact cache and its primes from
-    one PrimeTable, and computes phi and the remainder inside one exact
-    context, which it leaves before the row is yielded. Past the end of the
-    cache, where a table ran out, the row asks seq.exact, whose
-    TableRangeError it reports."""
+    one PrimeTable. Past the end of the cache, where a table ran out, the
+    row reports the TableRangeError of seq.exact(n)."""
     transform, mod_factor = _MODES[mode]
-    filled = min(len(seq._exact), n_max)
+    values = seq.filled_exact(n_max)
+    filled = len(values)
     primes = PrimeTable(filled).primes
-    cached = [None, *seq._exact[:filled]].__getitem__  # n -> q(n)
-    for n in range(1, n_max + 1):
+    cached = [None, *values].__getitem__  # n -> q(n)
+    for n in range(1, filled + 1):
         modulus = mod_factor * n
-        if n <= filled:
-            q = cached(n)
-            with exact_context():
-                value = transform(cached, n, primes(n))
-                # as divisibility_check, without a call and a context each
-                remainder = int(value % modulus) % modulus
-            ok = not remainder
-        else:
-            try:
-                q = seq.exact(n)
-                value = transform(seq.exact, n)
-            except TableRangeError as exc:
-                yield {"n": n, "q": None, "phi": None, "modulus": modulus,
-                       "remainder": None, "pass": False, "error": str(exc)}
-                continue
-            ok, remainder = divisibility_check(value, modulus)
-        yield {"n": n, "q": str(q), "phi": str(value), "modulus": modulus,
-               "remainder": str(remainder), "pass": ok}
+        value = transform(cached, n, primes(n))
+        ok, remainder = divisibility_check(value, modulus)
+        yield {"n": n, "q": str(cached(n)), "phi": str(value),
+               "modulus": modulus, "remainder": str(remainder), "pass": ok}
+    # the cache fills in order, so each n past its end meets again the
+    # error that stopped _prefill
+    for n in range(filled + 1, n_max + 1):
+        try:
+            seq.exact(n)
+        except TableRangeError as exc:
+            yield {"n": n, "q": None, "phi": None, "modulus": mod_factor * n,
+                   "remainder": None, "pass": False, "error": str(exc)}
 
 
 def run_divisibility(seq: Sequence, mode: str, n_max: int) -> list[dict]:

@@ -104,6 +104,12 @@ class Sequence:
                 self._fill(self._exact, n, Decimal)
         return self._exact[n - 1]
 
+    def filled_exact(self, n_max: int) -> list[Decimal]:
+        """The exact values already cached, q(1)..q(k) for the largest
+        k <= n_max the cache reaches, as a new list (q(n) at index n - 1);
+        nothing is filled."""
+        return self._exact[:n_max]
+
     def __call__(self, n: int) -> int:
         return self.eval(n)
 
@@ -139,16 +145,16 @@ class LinearRecurrence(Sequence):
     head is called only for the n being filled, so a family with a large
     order computes none of its seed values before they are asked for. It
     returns an int, converted to the number type being filled. coeffs is
-    any iterable, read into a tuple, or a tuple or the zigzag families' lazy
-    view, kept as given; its entries are read once, on the first fill past
-    the head, and the fill itself uses only the order.
+    any iterable, read into a tuple, or the zigzag families' lazy view,
+    kept as given; its entries are read once, on the first fill past the
+    head, and the fill itself uses only the order.
     """
 
     def __init__(self, seq_id: str, guarantee: str, head, coeffs,
                  constant: int):
         super().__init__(seq_id, guarantee)
         self.head = head
-        self.coeffs = (coeffs if isinstance(coeffs, (tuple, _ZigzagCoeffs))
+        self.coeffs = (coeffs if isinstance(coeffs, _ZigzagCoeffs)
                        else tuple(coeffs))
         self.order = len(self.coeffs)
         self.constant = constant

@@ -4,9 +4,13 @@ from __future__ import annotations
 
 import random
 from decimal import (
+    MAX_EMAX,
     MAX_PREC,
+    MIN_EMIN,
+    ROUND_FLOOR,
     Context,
     Decimal,
+    Inexact,
     InvalidOperation,
     getcontext,
     localcontext,
@@ -269,16 +273,21 @@ def test_phi_rejects_n_below_one(phi, primes):
             phi(mersenne, bad, primes)
 
 
-def test_exact_context_nested_in_an_exact_context_changes_nothing():
-    with localcontext(Context(prec=5)) as caller:
-        with exact_context() as outer:
-            assert outer is not caller and outer.prec == MAX_PREC
-            with exact_context():
-                assert getcontext() is outer
-            assert getcontext() is outer
-        assert getcontext() is caller
-    # MAX_PREC digits alone are not exact: the exponent limit still
-    # overflows, so such a context is replaced
-    with localcontext(Context(prec=MAX_PREC)) as caller:
+def _wide(**settings) -> Context:
+    """A context with the exact context's precision and exponent range."""
+    return Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN, **settings)
+
+
+@pytest.mark.parametrize("caller", [
+    _wide(rounding=ROUND_FLOOR),  # rounds an exact zero to -0
+    _wide(traps=[]),              # would round instead of raising
+    _wide(traps=[InvalidOperation, Inexact]),
+], ids=["round-floor", "no-traps", "some-traps"])
+def test_phi_ignores_a_wide_caller_context_that_is_not_exact(caller):
+    with localcontext(caller) as caller:
         with exact_context():
             assert getcontext() is not caller
+        assert getcontext() is caller
+        # an exact zero from equal sums stays 0, where ROUND_FLOOR gives -0
+        assert str(phi1(lambda n: Decimal(5), 6)) == "0"
+        assert str(phi2(lambda n: Decimal(-5), 9)) == "0"

@@ -332,8 +332,8 @@ def test_report_rows_match_a_reference_inclusion_exclusion(period, length,
 
 
 def test_report_rows_leave_the_decimal_context_at_each_row():
-    # the exact context of a row ends before the row is yielded, so the
-    # code that renders it runs in the caller's context
+    # every exact context a row enters ends before the row is yielded, so
+    # the code that renders it runs in the caller's context
     seen = set()
     with decimal.localcontext() as caller:
         for mode in ("phi1-mod-n", "phi2-mod-2n"):

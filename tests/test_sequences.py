@@ -402,6 +402,16 @@ def test_fill_past_the_cap_is_refused(at):
     assert seq._values == seq._exact == []
 
 
+def test_filled_exact_reads_the_cache_without_filling():
+    seq = make_theorem4(2, 0, 1)
+    assert seq.filled_exact(5) == []
+    seq.exact(3)
+    assert seq.filled_exact(5) == [seq.exact(n) for n in (1, 2, 3)]
+    assert seq.filled_exact(2) == [seq.exact(1), seq.exact(2)]
+    seq.filled_exact(5).clear()  # a copy: the cache keeps its values
+    assert len(seq.filled_exact(10)) == 3
+
+
 def test_nested_dilation_past_the_cap_fills_nothing():
     # the first level asked for 2**24 > FILL_CAP refuses before any level
     # computes a value
