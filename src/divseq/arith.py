@@ -80,10 +80,6 @@ class Factorization(Record):
         """The distinct prime divisors, ascending."""
         return tuple(p for p, _ in self.factors)
 
-    @property
-    def odd_primes(self) -> tuple[int, ...]:
-        return tuple(p for p, _ in self.factors if p != 2)
-
 
 def factorize(n: int) -> Factorization:
     """Unique prime factorization of n >= 1; factorize(1) has no factors."""

@@ -205,14 +205,20 @@ _MODES = {
 def _prefill(seq: Sequence, n_max: int, per_row=()):
     """Fill seq.exact for n = 1..n_max, so that every value a report row
     reads is cached and no row can fail. Errors of the types in per_row are
-    left for the rows to report; any other is raised here. The fill
-    ascends, as the rows do, so an error names the n the rows would meet
-    first."""
-    for n in range(1, n_max + 1):
-        try:
-            seq.exact(n)
-        except per_row:
-            pass
+    left for the rows to report; any other is raised here.
+
+    One exact(n_max) call fills under one lock and one context. If it
+    fails, the fill goes again one n at a time, as the rows do, so an error
+    names the n the rows would meet first: the failed call cached only
+    values that this ascent fills too."""
+    try:
+        seq.exact(n_max)
+    except Exception:
+        for n in range(1, n_max + 1):
+            try:
+                seq.exact(n)
+            except per_row:
+                pass
 
 
 def _divisibility_rows(seq: Sequence, mode: str, n_max: int):

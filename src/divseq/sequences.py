@@ -11,6 +11,12 @@ the same value as an integral `decimal.Decimal`, computed under
 `divseq.arith.exact_context()`. `str` of a Decimal is linear in its length,
 where `str` of an int is quadratic, so the command line prints values from
 `exact`.
+
+`eval` reaches n by one of two routes. It fills the int cache bottom-up to
+n, or, for a LinearRecurrence whose cache is short of n by more than
+order * n.bit_length() values, it jumps: it computes x**(n-1) modulo the
+characteristic polynomial and caches nothing. `exact` always fills, as the
+reports read every n.
 """
 
 from __future__ import annotations
@@ -78,9 +84,10 @@ class Sequence:
     """Integer-valued function on n >= 1 with memoized, append-only caches,
     one per number type (int for eval, Decimal for exact).
 
-    Values are filled bottom-up (never by recursion on n), so recurrence
-    evaluation is linear time and safe at any depth. The caches are guarded
-    by a lock; concurrent eval() or exact() calls return identical values.
+    Values are filled bottom-up (never by recursion on n), so a fill is
+    linear in n and safe at any depth; eval() may instead jump to a far n
+    without filling (see LinearRecurrence). The caches are guarded by a
+    lock; concurrent eval() or exact() calls return identical values.
     """
 
     def __init__(self, seq_id: str, guarantee: str = NO_GUARANTEE):
@@ -91,8 +98,12 @@ class Sequence:
         self._exact: list[Decimal] = []
 
     def eval(self, n: int) -> int:
-        """The value at n as an int."""
+        """The value at n as an int: read from the cache, jumped to (see
+        LinearRecurrence) or, failing that, filled up to n."""
         if not 0 < n <= len(self._values):
+            value = self._jump(n)
+            if value is not None:
+                return value
             with self._lock:
                 self._fill(self._values, n, int)
         return self._values[n - 1]
@@ -116,6 +127,11 @@ class Sequence:
     def _at(self, n: int, num: type):
         """The value at n in number type num (int or Decimal)."""
         return self.eval(n) if num is int else self.exact(n)
+
+    def _jump(self, n: int):
+        """The int value at n computed without touching the caches, or None
+        where eval should fill instead; only a LinearRecurrence jumps."""
+        return None
 
     def _fill(self, values: list, n: int, num: type):
         if n < 1:
@@ -146,8 +162,16 @@ class LinearRecurrence(Sequence):
     order computes none of its seed values before they are asked for. It
     returns an int, converted to the number type being filled. coeffs is
     any iterable, read into a tuple, or the zigzag families' lazy view,
-    kept as given; its entries are read once, on the first fill past the
-    head, and the fill itself uses only the order.
+    kept as given; the fill reads its entries once, on its first step past
+    the head, and otherwise uses only the order.
+
+    eval(n) has two routes. When 0 < order and the int cache is short of n
+    by more than order * n.bit_length() values, it jumps: about order**2 *
+    log2(n) multiplications against the order additions per value that a
+    fill would make. The jump reads the coefficients and the head afresh,
+    takes no lock and caches nothing. Otherwise, and always past FILL_CAP
+    (which the fill refuses), eval fills as every Sequence does. An
+    ascending scan is short by 1 at each step, so it never jumps.
     """
 
     def __init__(self, seq_id: str, guarantee: str, head, coeffs,
@@ -167,6 +191,51 @@ class LinearRecurrence(Sequence):
         at = values.__getitem__
         total = sum(map(at, units), constant)
         return sum(map(mul, factors, map(at, lags)), total)
+
+    def _jump(self, n: int):
+        if not 0 < self.order * n.bit_length() < n - len(self._values) \
+                or n > FILL_CAP:
+            return None
+        coeffs = list(self.coeffs)
+        seed = [self.head(i) for i in range(1, self.order + 1)]
+        if self.constant:
+            # subtracting the recurrence at n-1 from the one at n drops the
+            # constant: from n = order+2 on, q follows the recurrence of
+            # (x - 1)*P(x), of order + 1, whose head gains q(order+1)
+            seed.append(sum(map(mul, coeffs, reversed(seed)), self.constant))
+            coeffs = [a - b for a, b in zip(coeffs + [0], [-1] + coeffs)]
+        return sum(map(mul, _x_power_mod(n - 1, coeffs), seed))
+
+
+def _x_power_mod(m: int, coeffs: list[int]) -> list[int]:
+    """x**m modulo P(x) = x**k - coeffs[0]*x**(k-1) - ... - coeffs[k-1], for
+    k = len(coeffs) >= 1, as its k coefficients, constant term first.
+
+    If q(n) = coeffs[0]*q(n-1) + ... + coeffs[k-1]*q(n-k) for n > k, then
+    q(m+1) is the sum of r[i]*q(i+1) for r = _x_power_mod(m, coeffs).
+    Square and multiply over the bits of m, one schoolbook square and one
+    reduction per bit (Fiduccia, SIAM J. Comput. 1985): O(k**2 log m)
+    multiplications."""
+    k = len(coeffs)
+    lags = [(i, c) for i, c in enumerate(coeffs, 1) if c]
+    power = [1] + [0] * (k - 1)
+    for bit in bin(m)[2:]:
+        square = [0] * (2 * k)  # degree <= 2k-2, so the top entry stays 0
+        for i, a in enumerate(power):
+            if a:
+                square[2 * i] += a * a
+                a += a
+                for d, b in enumerate(power[i + 1:], 2 * i + 1):
+                    square[d] += a * b
+        if bit == "1":  # times x: the zero top entry moves to the bottom
+            square.insert(0, square.pop())
+        for d in range(2 * k - 1, k - 1, -1):
+            top = square.pop()  # x**d = x**(d-k) * x**k, then x**k = P's tail
+            if top:
+                for i, c in lags:
+                    square[d - i] += c * top
+        power = square
+    return power
 
 
 class _Terms(dict):
@@ -261,8 +330,18 @@ class DilationSequence(Sequence):
     def _fill(self, values: list, n: int, num: type):
         if 0 < n <= FILL_CAP:
             # the base first, to k*n: nested dilations ask for k**depth * n,
-            # and a base past the cap refuses before any value is computed
-            self.base._at(self.k * n, num)
+            # and a base past the cap refuses before any value is computed.
+            # Its int cache is filled, not jumped past: the values below
+            # read it at k, 2k, ..., k*n, each of which a jump would compute
+            # afresh. The Decimal cache is read through _at, as the values
+            # are: the depth of these calls sets which nestings the command
+            # line refuses as "nested too deeply"
+            base = self.base
+            if num is int:
+                with base._lock:
+                    base._fill(base._values, self.k * n, int)
+            else:
+                base._at(self.k * n, num)
         super()._fill(values, n, num)
 
     def _compute(self, n: int, values: list, num: type):

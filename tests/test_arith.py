@@ -73,9 +73,6 @@ def test_factorization_is_an_immutable_record():
 def test_factorization_accessors():
     fac = factorize(360)
     assert fac.primes == (2, 3, 5)
-    assert fac.odd_primes == (3, 5)
-    assert factorize(8).odd_primes == ()
-    assert factorize(1).odd_primes == ()
     assert factorize(1).primes == ()
 
 

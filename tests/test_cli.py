@@ -733,6 +733,21 @@ def test_failure_past_the_first_row_writes_nothing(capsys, monkeypatch, args,
     assert run_main(capsys, *args) == (3, "", err)
 
 
+def test_prefill_fills_in_one_call_and_names_the_first_failing_n():
+    seq = parse_expression("theorem5phi(3)")
+    calls = []
+    exact = seq.exact
+    seq.exact = lambda n: calls.append(n) or exact(n)
+    cli._prefill(seq, 50)
+    assert calls == [50]
+    assert len(seq.filled_exact(50)) == 50
+    # exact(5) fails on a 2-value table; the ascent after it meets n=3
+    table = sequences.parse_table("1\n2\n")
+    with pytest.raises(sequences.TableRangeError, match="n=3 is out"):
+        cli._prefill(table, 5)
+    cli._prefill(table, 5, sequences.TableRangeError)  # left to the rows
+
+
 @pytest.mark.parametrize("fmt", ["csv", "tsv", "json"])
 @pytest.mark.parametrize("args, bound", [
     (("verify", "theorem5phi(3)", "--mode", "phi1-mod-n"), 0.6),

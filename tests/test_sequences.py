@@ -13,6 +13,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from divseq import sequences
 from divseq.arith import phi1
 from divseq.sequences import (
     FILL_CAP,
@@ -247,6 +248,104 @@ def test_ids_of_parameters_past_the_int_digit_limit():
     combined = linear_combine(big, constant(1), -1, constant(2))
     assert combined.id == f"lin({digits},const(1),-1,const(2))"
     assert _digit_limit() == limit  # restored after each id
+
+
+# -- the jump: eval at a far n without filling ---------------------------------
+
+def filled(seq, n):
+    """q(n) by an ascending scan of a fresh copy of seq, which never jumps."""
+    copy = LinearRecurrence("copy", NO_GUARANTEE, seq.head, seq.coeffs,
+                            seq.constant)
+    return values(copy, n)[-1]
+
+
+def jumps(seq, n):
+    """Whether eval(n) on seq, as it is now, takes the jump."""
+    return 0 < seq.order * n.bit_length() < n - len(seq._values)
+
+
+# (head value, coefficient) pairs of orders 1..8, coefficients zero or
+# negative too, the last one included
+recurrences = st.lists(st.tuples(st.integers(-10**6, 10**6),
+                                 st.integers(-3, 3)), min_size=1, max_size=8)
+
+
+@settings(max_examples=80, deadline=None)
+@given(terms=recurrences, constant_=st.integers(-5, 5),
+       n=st.integers(1, 3000))
+@example(terms=[(1, -2)], constant_=0, n=3000)
+@example(terms=[(4, 0)], constant_=3, n=3000)
+@example(terms=[(1, 1), (2, 0)], constant_=-1, n=2999)
+def test_jump_equals_fill(terms, constant_, n):
+    head, coeffs = zip(*terms)
+    seq = LinearRecurrence("x", NO_GUARANTEE, lambda i: head[i - 1], coeffs,
+                           constant_)
+    jumped = jumps(seq, n)
+    assert seq(n) == filled(seq, n)
+    assert (seq._values == []) == jumped
+    assert seq._exact == []
+
+
+@pytest.mark.parametrize("j", range(2, 9))
+def test_jump_equals_fill_for_every_family(j):
+    factories = [lambda: make_theorem5_phi(j), lambda: make_theorem5_psi(j),
+                 lambda: make_theorem4(j, 0, 1),
+                 lambda: make_theorem4(j, 3, -2)]
+    for factory in factories:
+        seq = factory()
+        for n in (150, 577, 1000):
+            fresh = factory()
+            assert jumps(fresh, n), (seq.id, n)
+            assert fresh(n) == filled(seq, n), (seq.id, n)
+            assert fresh._values == fresh._exact == []
+            assert dict(fresh._terms) == {}
+
+
+def test_ascending_eval_fills_and_never_jumps(monkeypatch):
+    def no_jump(m, coeffs):
+        raise AssertionError("jumped")
+
+    expected = values(make_theorem5_phi(3), 600)
+    monkeypatch.setattr(sequences, "_x_power_mod", no_jump)
+    seq = make_theorem5_phi(3)
+    assert values(seq, 600) == expected
+    assert len(seq._values) == 600
+    # a dilation reads its base at k, 2k, ...: filled, not jumped to
+    base = values(make_theorem5_phi(2), 64 * 40)
+    assert values(dilate(make_theorem5_phi(2), 64), 40) == base[63::64]
+    # neither does the head, nor an order-0 recurrence
+    big = make_theorem5_phi(10**5)
+    assert big(5000) == 3**5000 - 2
+    assert constant(7)(10**5) == 7
+
+
+def test_far_eval_past_the_cap_is_refused():
+    seq = make_theorem5_phi(3)
+    with pytest.raises(FillCapExceededError, match=f"n={FILL_CAP + 1} .*"
+                                                   f"fill cap of {FILL_CAP}"):
+        seq(FILL_CAP + 1)
+    assert seq._values == seq._exact == []
+
+
+def test_concurrent_far_eval_returns_identical_values():
+    seq = make_theorem5_psi(5)
+    far = (3000, 2500, 4096, 3001)
+    results = []
+    barrier = threading.Barrier(6)
+
+    def worker():
+        barrier.wait()
+        results.append([seq(n) for n in far])
+
+    threads = [threading.Thread(target=worker) for _ in range(6)]
+    for t in threads:
+        t.start()
+    for t in threads:
+        t.join(timeout=60)
+    assert not any(t.is_alive() for t in threads)
+    expected = values(make_theorem5_psi(5), 4096)
+    assert results == [[expected[n - 1] for n in far]] * 6
+    assert seq._values == []
 
 
 # -- exact values (Decimal) ----------------------------------------------------
