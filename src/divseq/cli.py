@@ -10,13 +10,15 @@ combinator with its parameters; the expression parser and `seq` read it.
 `--piece-cap` belongs to `oracle` and `crosscheck`, which compose maps.
 Every command finishes all the work that can fail before the first byte
 goes out, so a command that fails writes nothing to stdout. The rows then
-stream, one at a time, so a report holds the values it reads but not the
-table it prints.
+stream, one at a time, in blocks of at least 64 KB. A report keeps only the
+values that later rows read, q(1..n_max // 2) (n_max // 3 for phi2), and
+computes each later value once, in order, for its own row; `seq` keeps
+none.
 
 Exit codes: 0 success/agreement, 1 verification failure or disagreement,
 2 usage error (including a map with a whole segment on y = x or y = -x,
-whose solution count is infinite, and a sequence expression nested past
-the recursion limit), 3 a resource cap: the piece cap or the fill cap.
+whose solution count is infinite, and a sequence expression nested more
+than 150 deep), 3 a resource cap: the piece cap or the fill cap.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from itertools import chain, islice
 
 from . import __version__
 from .arith import PrimeTable, divisibility_check, phi1, phi2
@@ -95,11 +98,17 @@ _GENERATORS = {
 }
 _GENERATORS["constant"] = _GENERATORS["const"]
 
+# the most combinators one expression may sit inside: filling a value
+# recurses through every level, about five frames each, so the parser
+# refuses deeper nesting rather than leave it to the recursion limit
+_MAX_NESTING = 150
+
 
 class _ExprParser:
     def __init__(self, text: str):
         self.text = text
         self.pos = 0
+        self.depth = 0  # the expressions open around the one being read
         self._read = {int: self._integer, str: self._path,
                       Sequence: self._expr, list: self._exprs}
 
@@ -170,6 +179,10 @@ class _ExprParser:
         return seq
 
     def _expr(self) -> Sequence:
+        if self.depth > _MAX_NESTING:
+            raise ExpressionError(
+                "the sequence expression is nested too deeply")
+        self.depth += 1
         name = self._name()
         self._expect("(")
         if name not in _GENERATORS:
@@ -185,6 +198,7 @@ class _ExprParser:
         except ValueError as exc:  # the factory rejects a parameter
             raise ExpressionError(str(exc)) from None
         self._expect(")")
+        self.depth -= 1
         return seq
 
 
@@ -202,50 +216,68 @@ _MODES = {
 }
 
 
-def _prefill(seq: Sequence, n_max: int, per_row=()):
-    """Fill seq.exact for n = 1..n_max, so that every value a report row
-    reads is cached and no row can fail. Errors of the types in per_row are
-    left for the rows to report; any other is raised here.
+# the least divisor d > 1 of n at which a mode's transform reads q(n / d):
+# phi2 ranges over odd divisors only. Kept apart from _MODES, whose entries
+# the benchmark's tracer unpacks as (transform, factor) pairs
+_LEAST_DIVISOR = {"phi1-mod-n": 2, "phi2-mod-2n": 3}
 
-    One exact(n_max) call fills under one lock and one context. If it
-    fails, the fill goes again one n at a time, as the rows do, so an error
-    names the n the rows would meet first: the failed call cached only
-    values that this ascent fills too."""
-    try:
-        seq.exact(n_max)
-    except Exception:
-        for n in range(1, n_max + 1):
-            try:
-                seq.exact(n)
-            except per_row:
-                pass
+
+def _prefill(seq: Sequence, n_max: int, per_row=(), keep: int | None = None):
+    """Check that q(1..n_max) can be computed, then fill seq.exact for
+    n = 1..keep (n_max when keep is None), in one exact(keep) call. Errors
+    of the types in per_row are left for the rows to report; the first
+    other one is raised here, before anything is filled.
+
+    The check reads the expression, not values: q(1..seq._reach()) can be
+    computed, and each n past that meets seq._refusal(n), the error that
+    exact(n) raises. So an error names the n an ascent n = 1, 2, ... would
+    meet first, and a fill-cap refusal costs no fill."""
+    reach = seq._reach()
+    for n in range(reach + 1, n_max + 1):
+        error = seq._refusal(n)
+        if not isinstance(error, per_row):
+            raise error
+    fill = min(n_max if keep is None else keep, reach)
+    if fill:
+        seq.exact(fill)
 
 
 def _divisibility_rows(seq: Sequence, mode: str, n_max: int):
-    """Yield the rows of run_divisibility one at a time, after _prefill.
+    """Check and fill seq (see _prefill), then return an iterator of the
+    rows of run_divisibility, one at a time.
 
-    A row reads its values from the filled exact cache and its primes from
-    one PrimeTable. Past the end of the cache, where a table ran out, the
-    row reports the TableRangeError of seq.exact(n)."""
+    Row n reads q(n) and q(n / d) for the squarefree divisors d > 1 of n
+    that its transform ranges over, all at or below keep = n_max // 2
+    (n_max // 3 for phi2). So only q(1..keep) is filled; the later values
+    stream from seq._stream, each computed once, in order, for its row and
+    then dropped. Each row reads its primes from one PrimeTable. Past the
+    last n that can be computed, where a table ran out, a row reports the
+    TableRangeError that seq.exact(n) would raise."""
     transform, mod_factor = _MODES[mode]
-    values = seq.filled_exact(n_max)
-    filled = len(values)
-    primes = PrimeTable(filled).primes
-    cached = [None, *values].__getitem__  # n -> q(n)
-    for n in range(1, filled + 1):
-        modulus = mod_factor * n
-        value = transform(cached, n, primes(n))
-        ok, remainder = divisibility_check(value, modulus)
-        yield {"n": n, "q": str(cached(n)), "phi": str(value),
-               "modulus": modulus, "remainder": str(remainder), "pass": ok}
-    # the cache fills in order, so each n past its end meets again the
-    # error that stopped _prefill
-    for n in range(filled + 1, n_max + 1):
-        try:
-            seq.exact(n)
-        except TableRangeError as exc:
+    keep = n_max // _LEAST_DIVISOR[mode]
+    _prefill(seq, n_max, TableRangeError, keep)
+    stop = min(n_max, seq._reach())
+    values = [None, *seq.filled_exact(min(keep, stop))]  # q(n) at index n
+    stream = seq._stream(len(values), stop)
+    primes = PrimeTable(stop).primes
+
+    def rows():
+        cached = values.__getitem__
+        for n, q in enumerate(chain(islice(values, 1, None), stream), 1):
+            at = (cached if n < len(values)
+                  else lambda m: q if m == n else cached(m))
+            modulus = mod_factor * n
+            value = transform(at, n, primes(n))
+            ok, remainder = divisibility_check(value, modulus)
+            yield {"n": n, "q": str(q), "phi": str(value),
+                   "modulus": modulus, "remainder": str(remainder),
+                   "pass": ok}
+        for n in range(stop + 1, n_max + 1):
             yield {"n": n, "q": None, "phi": None, "modulus": mod_factor * n,
-                   "remainder": None, "pass": False, "error": str(exc)}
+                   "remainder": None, "pass": False,
+                   "error": str(seq._refusal(n))}
+
+    return rows()
 
 
 def run_divisibility(seq: Sequence, mode: str, n_max: int) -> list[dict]:
@@ -253,11 +285,12 @@ def run_divisibility(seq: Sequence, mode: str, n_max: int) -> list[dict]:
 
     Returns the row dicts of the report table: n, q, phi, modulus,
     remainder and pass, with q, phi and remainder as strings (q and phi
-    printed from seq.exact, in linear time). A row that cannot be evaluated
-    (a table running out of values) fails with them None and the message
-    under "error"; it is not raised. `verify` streams the same rows.
+    printed from exact Decimals, in linear time). A row that cannot be
+    evaluated (a table running out of values) fails with them None and the
+    message under "error"; it is not raised. `verify` streams the same
+    rows, and afterwards seq.exact holds only the values the rows read
+    more than once (see _divisibility_rows).
     """
-    _prefill(seq, n_max, TableRangeError)
     return list(_divisibility_rows(seq, mode, n_max))
 
 
@@ -310,21 +343,41 @@ def _cell(value) -> str:
     return str(value)
 
 
+# characters per write: where stdout is unbuffered (PYTHONUNBUFFERED), each
+# write is a system call
+_BLOCK = 1 << 16
+
+
 def _render(fmt: str, meta: dict, header, rows, summary: dict | None = None):
-    """Write one table in fmt to stdout, a row at a time, from any iterable
-    of row dicts.
+    """Write one table in fmt to stdout from any iterable of row dicts,
+    joining its text into one write per _BLOCK characters or more.
 
     The caller has finished all the work that can fail, so a command that
-    fails writes nothing. JSON writes the dicts as they are (their values
-    are scalars, and big ones must already be strings, so they keep every
-    digit), byte for byte as
+    fails writes nothing. The rows are read one at a time, so the table is
+    never held whole."""
+    block, size = [], 0
+    for text in _table_text(fmt, meta, header, rows, summary):
+        block.append(text)
+        size += len(text)
+        if size >= _BLOCK:
+            sys.stdout.write("".join(block))
+            block, size = [], 0
+    if block:
+        sys.stdout.write("".join(block))
+
+
+def _table_text(fmt: str, meta: dict, header, rows, summary: dict | None):
+    """Yield the text of one table in fmt, in pieces of about a row.
+
+    JSON renders the dicts as they are (their values are scalars, and big
+    ones must already be strings, so they keep every digit), byte for byte
+    as
     json.dumps({"meta": meta, "rows": [...], "summary": summary}, indent=2)
     would, with no summary key when summary is None. The summary is read
     after the last row, so a row generator may fill it in as it goes.
-    csv/tsv write the header columns of each row, booleans as true/false and
-    None as blank, one line at a time.
+    csv/tsv render the header columns of each row, booleans as true/false
+    and None as blank, one line per row.
     """
-    write = sys.stdout.write
     if fmt == "json":
         import json     # only here: csv/tsv commands skip its import
         # the C encoder, which json.dumps uses only without indent, writes a
@@ -332,36 +385,35 @@ def _render(fmt: str, meta: dict, header, rows, summary: dict | None = None):
         # its item separator carries the line break and the indent
         items = json.JSONEncoder(separators=(",\n      ", ": ")).encode
         # the head is {"meta": meta} without its closing "\n}"
-        write(json.dumps({"meta": meta}, indent=2)[:-2] + ',\n  "rows": [')
+        yield json.dumps({"meta": meta}, indent=2)[:-2] + ',\n  "rows": ['
         empty = True
         for row in rows:
             body = "{\n      " + items(row)[1:-1] + "\n    }" if row else "{}"
-            write(("\n    " if empty else ",\n    ") + body)
+            yield ("\n    " if empty else ",\n    ") + body
             empty = False
-        write("]" if empty else "\n  ]")
+        yield "]" if empty else "\n  ]"
         if summary is not None:
-            write(',\n  "summary": '
-                  + json.dumps(summary, indent=2).replace("\n", "\n  "))
-        write("\n}\n")
+            yield (',\n  "summary": '
+                   + json.dumps(summary, indent=2).replace("\n", "\n  "))
+        yield "\n}\n"
         return
     sep = "," if fmt == "csv" else "\t"
-    write(sep.join(header) + "\n")
+    yield sep.join(header) + "\n"
     for row in rows:
-        write(sep.join(map(_cell, map(row.__getitem__, header))))
-        write("\n")
+        yield sep.join(map(_cell, map(row.__getitem__, header))) + "\n"
 
 
 def _report(fmt: str, meta: dict, seq: Sequence, mode: str,
             n_max: int) -> int:
-    """Fill seq, then stream its divisibility report, and in csv/tsv each
-    row's error to stderr after the table; returns the number of failed
-    rows."""
-    _prefill(seq, n_max, TableRangeError)
+    """Check and fill seq, then stream its divisibility report, and in
+    csv/tsv each row's error to stderr after the table; returns the number
+    of failed rows."""
+    rows = _divisibility_rows(seq, mode, n_max)
     summary = {"checked": 0, "failures": 0, "first_failure": None}
     errors = []
 
     def tallied():
-        for row in _divisibility_rows(seq, mode, n_max):
+        for row in rows:
             summary["checked"] += 1
             if not row["pass"]:
                 summary["failures"] += 1
@@ -397,13 +449,15 @@ def _seq_from_flags(args) -> Sequence:
 
 def cmd_seq(args) -> int:
     seq = _seq_from_flags(args)
-    _prefill(seq, args.n_max)
+    # no row reads another's value, so every value streams and none is
+    # kept; the stream refuses before the first byte if one cannot be
+    # computed
+    values = seq._stream(1, args.n_max)
     meta = {"command": "seq", "params": {"kind": args.kind, "id": seq.id,
                                          "n_max": args.n_max},
             "version": __version__}
     _render(args.format, meta, ("n", "value"),
-            ({"n": n, "value": str(seq.exact(n))}
-             for n in range(1, args.n_max + 1)))
+            ({"n": n, "value": str(q)} for n, q in enumerate(values, 1)))
     return 0
 
 

@@ -15,17 +15,25 @@ where `str` of an int is quadratic, so the command line prints values from
 `eval` reaches n by one of two routes. It fills the int cache bottom-up to
 n, or, for a LinearRecurrence whose cache is short of n by more than
 order * n.bit_length() values, it jumps: it computes x**(n-1) modulo the
-characteristic polynomial and caches nothing. `exact` always fills, as the
-reports read every n.
+characteristic polynomial and caches nothing. `exact` always fills.
+
+A report reads each value at n > n_max // 2 once, so the command line fills
+`exact` only below that and streams the rest: `_stream(start, stop)` yields
+q(start..stop) as Decimals, computed from the exact cache below start and
+the streams of the sequences a value reads, and caches nothing. Whether
+q(1..n) can be computed at all, and which error it meets, `_reach()` and
+`_refusal(n)` decide from the expression alone, before anything is filled.
 """
 
 from __future__ import annotations
 
+import math
 import sys
 import threading
 from contextlib import contextmanager
 from decimal import Decimal
-from functools import reduce
+from functools import partial, reduce
+from itertools import count, islice
 from operator import mul
 
 from .arith import exact_context
@@ -88,7 +96,18 @@ class Sequence:
     linear in n and safe at any depth; eval() may instead jump to a far n
     without filling (see LinearRecurrence). The caches are guarded by a
     lock; concurrent eval() or exact() calls return identical values.
+
+    A subclass whose values read other sequences at the same n lists them in
+    _parts, in the order _compute asks them, and sets _scale and _length
+    from theirs; _reach reads both.
     """
+
+    _parts = ()
+    # the largest product of dilation factors on the way from this sequence
+    # to one that fills (so FILL_CAP // _scale bounds the n it can serve),
+    # and the fewest values the tables below allow, in units of n
+    _scale = 1
+    _length = math.inf
 
     def __init__(self, seq_id: str, guarantee: str = NO_GUARANTEE):
         self.id = seq_id
@@ -137,18 +156,53 @@ class Sequence:
         if n < 1:
             raise ValueError(f"sequence domain is n >= 1, got {n}")
         if n > FILL_CAP:
-            raise FillCapExceededError(
-                f"n={n} is past the fill cap of {FILL_CAP} values")
+            raise _past_the_cap(n)
         while len(values) < n:
-            # `or num()` turns Decimal('-0'), the product of 0 and a
-            # negative number, into 0, which prints as the int 0 does
-            values.append(self._compute(len(values) + 1, values, num)
-                          or num())
+            values.append(self._compute(len(values) + 1, values, num))
 
     def _compute(self, n: int, values: list, num: type):
         """Value at n in number type num; may read values[:n-1], the cache
-        of that type, which is already filled."""
+        of that type, which is already filled. This one combines the values
+        of the parts at n."""
+        return self._combine(num, *[s._at(n, num) for s in self._parts])
+
+    def _combine(self, num: type, *values):
+        """The value at n from the values of the parts at n, in type num."""
         raise NotImplementedError
+
+    def _reach(self) -> int:
+        """The largest N for which exact(1), ..., exact(N) all succeed,
+        decided without filling: the fill cap bounds each sequence that
+        fills at its dilation multiple of n, and each table its length."""
+        return min(FILL_CAP // self._scale, self._length)
+
+    def _refusal(self, n: int) -> Exception:
+        """The error that exact(n) raises, for an n past _reach(), found by
+        walking the expression as _fill does, without filling anything."""
+        if n > FILL_CAP:
+            return _past_the_cap(n)
+        # the fill stops at the first value it cannot compute, which asks
+        # its parts in order
+        m = self._reach() + 1
+        return next(s._refusal(m) for s in self._parts if s._reach() < m)
+
+    def _stream(self, start: int, stop: int):
+        """An iterator of q(start), ..., q(stop) as integral Decimals, each
+        computed when it is asked for, inside exact_context(), and cached
+        nowhere; it reads the exact cache below start, filled where short.
+
+        Where q(start..stop) cannot all be computed, it refuses at once
+        with the error that an ascent from start meets first, as the fill
+        would."""
+        if stop > self._reach():
+            raise self._refusal(max(start, self._reach() + 1))
+        return _in_exact_context(islice(self._tail(start), stop - start + 1))
+
+    def _tail(self, start: int):
+        """q(start), q(start+1), ... as Decimals, without end, combined
+        from the tails of the parts; advanced inside exact_context()."""
+        return map(partial(self._combine, Decimal),
+                   *[s._tail(start) for s in self._parts])
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.id}>"
@@ -191,6 +245,19 @@ class LinearRecurrence(Sequence):
         at = values.__getitem__
         total = sum(map(at, units), constant)
         return sum(map(mul, factors, map(at, lags)), total)
+
+    def _tail(self, start: int):
+        # the order values before start are all a value reads, so a sliding
+        # window of them stands in for the cache
+        if start > 1:
+            self.exact(start - 1)
+        window = self._exact[max(start - 1 - self.order, 0):start - 1]
+        for n in count(start):
+            value = self._compute(n, window, Decimal)
+            window.append(value)
+            if len(window) > self.order:
+                del window[0]
+            yield value
 
     def _jump(self, n: int):
         if not 0 < self.order * n.bit_length() < n - len(self._values) \
@@ -289,15 +356,27 @@ class TableSequence(Sequence):
     the filled caches; evaluation past the end is an error, never an
     extrapolation."""
 
+    _scale = 0  # a table fills nothing, so the fill cap does not bound it
+
     def __init__(self, values, decimals, source: str = "<table>"):
         super().__init__(f"table({source})")
         self._values, self._exact = list(values), list(decimals)
+        self._length = len(self._exact)
 
     def _fill(self, values: list, n: int, num: type):
         if n > len(values):
-            raise TableRangeError(f"{self.id} holds {len(values)} "
-                                  f"values; n={n} is out of range")
+            raise self._refusal(n)
         super()._fill(values, n, num)
+
+    def _reach(self) -> int:
+        return self._length
+
+    def _refusal(self, n: int) -> Exception:
+        return TableRangeError(f"{self.id} holds {self._length} values; "
+                               f"n={n} is out of range")
+
+    def _tail(self, start: int):
+        return islice(self._exact, start - 1, None)
 
 
 class LinearCombinationSequence(Sequence):
@@ -309,12 +388,16 @@ class LinearCombinationSequence(Sequence):
         with unlimited_int_digits():
             seq_id = f"lin({k},{a.id},{m},{b.id})"
         super().__init__(seq_id, PHI1_CLOSURE if ok else NO_GUARANTEE)
-        self.a, self.b = a, b
+        self._parts = a, b
+        self._scale = max(a._scale, b._scale, 1)
+        self._length = min(a._length, b._length)
         self._weights = {int: (k, m), Decimal: (Decimal(k), Decimal(m))}
 
-    def _compute(self, n: int, values: list, num: type):
+    def _combine(self, num: type, a, b):
         k, m = self._weights[num]
-        return k * self.a._at(n, num) + m * self.b._at(n, num)
+        # `or num()` turns Decimal('-0'), the product of 0 and a negative
+        # number, into 0, which prints as the int 0 does
+        return k * a + m * b or num()
 
 
 class DilationSequence(Sequence):
@@ -326,6 +409,9 @@ class DilationSequence(Sequence):
         super().__init__(seq_id, guarantee)
         self.base = seq
         self.k = k
+        self._scale = max(k * seq._scale, 1)
+        # inf // k is nan, not inf
+        self._length = seq._length // k if seq._length < math.inf else math.inf
 
     def _fill(self, values: list, n: int, num: type):
         if 0 < n <= FILL_CAP:
@@ -333,9 +419,7 @@ class DilationSequence(Sequence):
             # and a base past the cap refuses before any value is computed.
             # Its int cache is filled, not jumped past: the values below
             # read it at k, 2k, ..., k*n, each of which a jump would compute
-            # afresh. The Decimal cache is read through _at, as the values
-            # are: the depth of these calls sets which nestings the command
-            # line refuses as "nested too deeply"
+            # afresh. The Decimal cache is filled as the values read it
             base = self.base
             if num is int:
                 with base._lock:
@@ -346,6 +430,16 @@ class DilationSequence(Sequence):
 
     def _compute(self, n: int, values: list, num: type):
         return self.base._at(self.k * n, num)
+
+    def _refusal(self, n: int) -> Exception:
+        if n > FILL_CAP:
+            return _past_the_cap(n)
+        return self.base._refusal(self.k * n)
+
+    def _tail(self, start: int):
+        # every k-th value of the base, from k*start on
+        k = self.k
+        return islice(self.base._tail(k * (start - 1) + 1), k - 1, None, k)
 
 
 class ProductSequence(Sequence):
@@ -364,10 +458,28 @@ class ProductSequence(Sequence):
         else:
             guarantee = NO_GUARANTEE
         super().__init__("prod(%s)" % ",".join(s.id for s in seqs), guarantee)
-        self.factors = seqs
+        self._parts = seqs
+        self._scale = max(1, *(s._scale for s in seqs))
+        self._length = min(s._length for s in seqs)
 
-    def _compute(self, n: int, values: list, num: type):
-        return reduce(mul, (s._at(n, num) for s in self.factors))
+    def _combine(self, num: type, *values):
+        return reduce(mul, values) or num()  # Decimal('-0') made 0
+
+
+def _past_the_cap(n: int) -> FillCapExceededError:
+    return FillCapExceededError(
+        f"n={n} is past the fill cap of {FILL_CAP} values")
+
+
+def _in_exact_context(values):
+    """Yield the items of the iterator values, each computed inside
+    exact_context() and handed out in the caller's context."""
+    while True:
+        with exact_context():
+            value = next(values, None)
+        if value is None:
+            return
+        yield value
 
 
 def make_theorem4(j: int, k: int, m: int) -> Sequence:

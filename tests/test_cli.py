@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 import divseq
 from divseq import __version__, cli, sequences
+from divseq.arith import divisibility_check
 from divseq.cli import (
     ExpressionError,
     _render,
@@ -331,6 +332,96 @@ def test_report_rows_match_a_reference_inclusion_exclusion(period, length,
                            "pass": remainder == 0}, (mode, n)
 
 
+@pytest.fixture(scope="module")
+def table_dir(tmp_path_factory):
+    path = tmp_path_factory.mktemp("tables")
+    (path / "short.txt").write_text("1\n-0\n15\n")
+    (path / "mixed.txt").write_text("\n".join(
+        str((-1) ** n * (n * n % 11) * 10**n) for n in range(1, 41)) + "\n")
+    return path
+
+
+# generators and combinators with small parameters, so that n_max <= 300
+# rarely meets the fill cap (a report that does must raise as the ascent
+# did); DIR stands for the table directory
+REPORT_LEAVES = st.one_of(
+    st.builds("theorem4({},{},{})".format, st.integers(2, 4),
+              st.integers(-3, 3), st.integers(-3, 3)),
+    st.builds("theorem5phi({})".format, st.integers(2, 4)),
+    st.builds("theorem5psi({})".format, st.integers(2, 4)),
+    st.builds("const({})".format, st.integers(-3, 3)),
+    st.sampled_from(["table(DIR/short.txt)", "table(DIR/mixed.txt)"]),
+)
+REPORT_EXPRS = st.recursive(REPORT_LEAVES, lambda sub: st.one_of(
+    st.builds("lin({},{},{},{})".format, st.integers(-3, 3), sub,
+              st.integers(-3, 3), sub),
+    st.builds("dilate({},{})".format, sub, st.integers(1, 3)),
+    st.builds("dilateodd({},{})".format, sub, st.sampled_from([1, 3])),
+    st.builds(lambda seqs: f"prod({','.join(seqs)})",
+              st.lists(sub, min_size=1, max_size=3)),
+), max_leaves=4)
+
+
+def rows_from_a_full_cache(seq, mode: str, n_max: int):
+    """The report rows built as they were before streaming: an ascent of
+    seq.exact(n) for every n, a row per n read from that cache, the first
+    error other than a table's end raised."""
+    transform, factor = cli._MODES[mode]
+    rows = []
+    for n in range(1, n_max + 1):
+        try:
+            q = seq.exact(n)
+        except sequences.TableRangeError as exc:
+            rows.append({"n": n, "q": None, "phi": None,
+                         "modulus": factor * n, "remainder": None,
+                         "pass": False, "error": str(exc)})
+            continue
+        phi = transform(seq.exact, n)
+        ok, remainder = divisibility_check(phi, factor * n)
+        rows.append({"n": n, "q": str(q), "phi": str(phi),
+                     "modulus": factor * n, "remainder": str(remainder),
+                     "pass": ok})
+    return rows
+
+
+def outcome(report, *args):
+    try:
+        return report(*args)
+    except sequences.FillCapExceededError as exc:
+        return str(exc)
+
+
+def assert_caches_within(seq, bound: int):
+    """No exact cache below seq holds more than bound values, times the
+    dilation factors on the way to it; tables hold what they loaded."""
+    if isinstance(seq, sequences.TableSequence):
+        return
+    assert len(seq._exact) <= bound, (seq.id, len(seq._exact), bound)
+    if isinstance(seq, sequences.DilationSequence):
+        assert_caches_within(seq.base, seq.k * bound)
+    for part in seq._parts:
+        assert_caches_within(part, bound)
+
+
+@settings(max_examples=80, deadline=None)
+@example(expr="lin(-1,const(0),-1,prod(const(0),const(-3)))", n_max=7)
+@example(expr="dilate(lin(1,table(DIR/mixed.txt),2,dilate(table(DIR/short.txt)"
+              ",3)),2)", n_max=30)
+@example(expr="prod(dilateodd(theorem5psi(2),3),table(DIR/mixed.txt))",
+         n_max=300)
+@given(expr=REPORT_EXPRS, n_max=st.integers(1, 300))
+def test_streamed_rows_equal_rows_from_a_full_cache(table_dir, expr, n_max):
+    text = expr.replace("DIR", str(table_dir))
+    for mode in ("phi1-mod-n", "phi2-mod-2n"):
+        seq = parse_expression(text)
+        got = outcome(run_divisibility, seq, mode, n_max)
+        want = outcome(rows_from_a_full_cache, parse_expression(text), mode,
+                       n_max)
+        assert got == want, mode
+        least = 2 if mode == "phi1-mod-n" else 3
+        assert_caches_within(seq, n_max // least)
+
+
 def test_report_rows_leave_the_decimal_context_at_each_row():
     # every exact context a row enters ends before the row is yielded, so
     # the code that renders it runs in the caller's context
@@ -375,6 +466,40 @@ def test_verify_nested_dilations_past_the_fill_cap_exit_three():
                     timeout=60)
     assert (proc.returncode, proc.stdout) == (3, b"")
     assert proc.stderr == b"divseq: n=16777216 is past the fill cap of " \
+                          b"10000000 values\n"
+
+
+def nested(wrap: tuple[str, str], depth: int) -> str:
+    left, right = wrap
+    return left * depth + "const(1)" + right * depth
+
+
+@pytest.mark.parametrize("wrap", [
+    ("dilate(", ",1)"), ("lin(1,", ",1,const(2))"), ("prod(", ")"),
+], ids=["dilate", "lin", "prod"])
+def test_nesting_limit_is_decided_by_the_parser(wrap):
+    at = run_proc("verify", nested(wrap, cli._MAX_NESTING), "--mode",
+                  "phi1-mod-n", "--n-max", "3")
+    assert (at.returncode, at.stderr) == (0, b"")
+    past = run_proc("verify", nested(wrap, cli._MAX_NESTING + 1), "--mode",
+                    "phi1-mod-n", "--n-max", "3")
+    assert (past.returncode, past.stdout, past.stderr) == (
+        2, b"", b"divseq: the sequence expression is nested too deeply\n")
+    with pytest.raises(ExpressionError, match="^the sequence expression is "
+                                              "nested too deeply$"):
+        parse_expression(nested(wrap, cli._MAX_NESTING + 1))
+
+
+@pytest.mark.parametrize("args", [
+    ("verify", "theorem5phi(3)", "--mode", "phi1-mod-n"),
+    ("conjecture", "--j", "3"),
+    ("seq", "theorem5-phi", "--j", "3"),
+], ids=["verify", "conjecture", "seq"])
+def test_fill_cap_refusal_fills_nothing_first(args):
+    # the ascent would fill 10**7 values before it met n = 10**7 + 1
+    proc = run_proc(*args, "--n-max", str(sequences.FILL_CAP + 1), timeout=5)
+    assert (proc.returncode, proc.stdout) == (3, b"")
+    assert proc.stderr == b"divseq: n=10000001 is past the fill cap of " \
                           b"10000000 values\n"
 
 
@@ -768,6 +893,31 @@ def test_streamed_table_holds_its_values_not_its_rows(tmp_path, args, bound,
             tracemalloc.stop()
     assert code == 0
     assert peak < bound * path.stat().st_size
+
+
+class WriteLog(io.StringIO):
+    """A stdout that records the length of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "tsv", "json"])
+def test_tables_are_written_in_blocks(fmt):
+    out = WriteLog()
+    with contextlib.redirect_stdout(out):
+        code = main(["verify", "theorem5phi(3)", "--mode", "phi1-mod-n",
+                     "--n-max", "600", "--format", fmt])
+    assert code == 0
+    *full, last = out.sizes
+    assert full and all(size >= cli._BLOCK for size in full)
+    assert 0 < last < cli._BLOCK + 2 * len(out.getvalue()) // 600
+    assert sum(out.sizes) == len(out.getvalue())
 
 
 # quotes, backslashes, control and non-ASCII characters, often; any, too

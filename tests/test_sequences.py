@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import decimal
 import os
 import sys
 import threading
@@ -521,6 +522,114 @@ def test_nested_dilation_past_the_cap_fills_nothing():
         levels[-1].exact(1)
     assert all(s._values == s._exact == [] for s in levels)
     assert values(dilate(dilate(levels[0], 2), 3), 4) == [1] * 4
+
+
+# -- deciding a fill without filling, and streaming past the cache -----------
+
+# a recipe is a nested tuple that build() turns into a fresh sequence, so a
+# test can compare sequences of one shape whose caches differ
+RECIPE_LEAVES = st.one_of(
+    st.tuples(st.just("theorem4"), st.integers(2, 3), st.integers(-2, 2),
+              st.integers(-2, 2)),
+    st.tuples(st.just("theorem5phi"), st.integers(2, 3)),
+    st.tuples(st.just("const"), st.integers(-2, 2)),
+    st.tuples(st.just("table"), st.lists(st.integers(-9, 9), max_size=30)),
+)
+RECIPES = st.recursive(RECIPE_LEAVES, lambda sub: st.one_of(
+    st.tuples(st.just("lin"), st.integers(-2, 2), sub, st.integers(-2, 2),
+              sub),
+    st.tuples(st.just("dilate"), sub, st.integers(1, 4)),
+    st.tuples(st.just("prod"), st.lists(sub, min_size=1, max_size=3)),
+), max_leaves=5)
+
+
+def build(recipe):
+    kind, *args = recipe
+    if kind == "table":
+        return parse_table("\n".join(map(str, args[0])))
+    if kind == "lin":
+        k, a, m, b = args
+        return linear_combine(k, build(a), m, build(b))
+    if kind == "dilate":
+        return dilate(build(args[0]), args[1])
+    if kind == "prod":
+        return product(map(build, args[0]))
+    return {"theorem4": make_theorem4, "theorem5phi": make_theorem5_phi,
+            "const": constant}[kind](*args)
+
+
+def caches_within(seq, bound: int) -> bool:
+    """No exact cache below seq holds more than bound values, times the
+    dilation factors on the way to it; tables hold what they loaded."""
+    if isinstance(seq, sequences.TableSequence):
+        return True
+    if len(seq._exact) > bound:
+        return False
+    if isinstance(seq, sequences.DilationSequence):
+        return caches_within(seq.base, seq.k * bound)
+    return all(caches_within(part, bound) for part in seq._parts)
+
+
+@settings(max_examples=150, deadline=None)
+@example(recipe=("dilate", ("lin", 1, ("table", [1] * 30), 1, ("const", 1)),
+                 4))
+@example(recipe=("lin", 1, ("table", [1, 2]), 1, ("dilate", ("const", 1), 4)))
+@given(recipe=RECIPES)
+def test_reach_and_refusal_match_the_fill(recipe):
+    # with a fill cap of 40, both errors occur, in any order along n
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sequences, "FILL_CAP", 40)
+        ascent = build(recipe)
+        reach = ascent._reach()
+        for n in range(1, 60):
+            # one sequence filled as far as an ascent gets, one fresh
+            for seq in (ascent, build(recipe)):
+                try:
+                    seq.exact(n)
+                except (TableRangeError, FillCapExceededError) as exc:
+                    assert n > reach
+                    got = seq._refusal(n)
+                    assert (type(got), str(got)) == (type(exc), str(exc))
+                else:
+                    assert n <= reach
+
+
+@settings(max_examples=150, deadline=None)
+@example(recipe=("lin", -1, ("const", 0), -1, ("const", 0)), start=1,
+         length=3)
+@given(recipe=RECIPES, start=st.integers(1, 40), length=st.integers(0, 40))
+def test_stream_yields_the_filled_values_and_caches_nothing_past_start(
+        recipe, start, length):
+    seq, filled = build(recipe), build(recipe)
+    stop = start + length - 1
+    reach = seq._reach()
+    if stop > reach:
+        # refused at once, as the ascent from start is by the fill
+        with pytest.raises((TableRangeError, FillCapExceededError)) as got:
+            seq._stream(start, stop)
+        assert caches_within(seq, 0)
+        with pytest.raises(got.type) as want:
+            filled.exact(max(start, reach + 1))
+        assert str(got.value) == str(want.value)
+        return
+    streamed = list(seq._stream(start, stop))
+    want = [filled.exact(n) for n in range(start, stop + 1)]
+    # str tells a negative zero apart
+    assert list(map(str, streamed)) == list(map(str, want))
+    assert all(type(v) is Decimal for v in streamed)
+    assert caches_within(seq, start - 1)
+
+
+def test_stream_values_are_computed_in_the_exact_context():
+    # 40-digit values, which the default 28-digit context would round
+    seq = linear_combine(1, make_theorem5_phi(2), 10**40, constant(1))
+    want = [seq.exact(n) for n in range(1, 21)]
+    with decimal.localcontext() as caller:
+        caller.prec = 5
+        streamed = list(linear_combine(1, make_theorem5_phi(2), 10**40,
+                                       constant(1))._stream(1, 20))
+        assert decimal.getcontext() is caller
+    assert streamed == want
 
 
 # -- guarantee flags ---------------------------------------------------------
