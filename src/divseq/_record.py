@@ -5,15 +5,16 @@ from __future__ import annotations
 
 
 class Record:
-    """A record whose fields are its class's __slots__, set once by
-    __init__ (in slot order) and never again. == holds between records of
-    the same class with equal fields, hash is the hash of the field tuple
-    and repr names the fields, as for a frozen dataclass."""
+    """A record whose fields are its class's __match_args__, slots set
+    once by __init__ (in that order) and never again; a class may add
+    private slots after them. == holds between records of the same class
+    with equal fields, hash is the hash of the field tuple and repr names
+    the fields, as for a frozen dataclass."""
 
     __slots__ = ()
 
     def __init__(self, *values):
-        for name, value in zip(self.__slots__, values):
+        for name, value in zip(self.__match_args__, values):
             object.__setattr__(self, name, value)
 
     def __setattr__(self, name, value):
@@ -23,7 +24,7 @@ class Record:
         raise AttributeError(f"cannot delete field {name!r}")
 
     def _values(self) -> tuple:
-        return tuple(getattr(self, name) for name in self.__slots__)
+        return tuple(getattr(self, name) for name in self.__match_args__)
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
@@ -35,5 +36,5 @@ class Record:
 
     def __repr__(self):
         fields = ", ".join(f"{name}={getattr(self, name)!r}"
-                           for name in self.__slots__)
+                           for name in self.__match_args__)
         return f"{type(self).__qualname__}({fields})"

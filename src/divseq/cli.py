@@ -407,10 +407,13 @@ def _report(fmt: str, meta: dict, seq: Sequence, mode: str,
             n_max: int) -> int:
     """Check and fill seq, then stream its divisibility report, and in
     csv/tsv each row's error to stderr after the table; returns the number
-    of failed rows."""
+    of failed rows.
+
+    The rows with an error are those past the last n that can be computed,
+    so their lines are rebuilt from seq._refusal(n) after the table, not
+    held while it is written."""
     rows = _divisibility_rows(seq, mode, n_max)
     summary = {"checked": 0, "failures": 0, "first_failure": None}
-    errors = []
 
     def tallied():
         for row in rows:
@@ -419,14 +422,13 @@ def _report(fmt: str, meta: dict, seq: Sequence, mode: str,
                 summary["failures"] += 1
                 if summary["first_failure"] is None:
                     summary["first_failure"] = row["n"]
-                if "error" in row and fmt != "json":
-                    errors.append(f"divseq: row n={row['n']}: {row['error']}")
             yield row
 
     _render(fmt, meta, ("n", "q", "phi", "modulus", "remainder", "pass"),
             tallied(), summary)
-    for line in errors:
-        print(line, file=sys.stderr)
+    if fmt != "json":
+        for n in range(min(n_max, seq._reach()) + 1, n_max + 1):
+            print(f"divseq: row n={n}: {seq._refusal(n)}", file=sys.stderr)
     return summary["failures"]
 
 

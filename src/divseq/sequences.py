@@ -13,9 +13,9 @@ where `str` of an int is quadratic, so the command line prints values from
 `exact`.
 
 `eval` reaches n by one of two routes. It fills the int cache bottom-up to
-n, or, for a LinearRecurrence whose cache is short of n by more than
-order * n.bit_length() values, it jumps: it computes x**(n-1) modulo the
-characteristic polynomial and caches nothing. `exact` always fills.
+n, or, for a LinearRecurrence whose cache is far enough short of n (see its
+docstring), it jumps: it computes x**(n-1) modulo the characteristic
+polynomial and caches nothing. `exact` always fills.
 
 A report reads each value at n > n_max // 2 once, so the command line fills
 `exact` only below that and streams the rest: `_stream(start, stop)` yields
@@ -36,6 +36,7 @@ from functools import partial, reduce
 from itertools import count, islice
 from operator import mul
 
+from ._charpoly import _x_power_mod
 from .arith import exact_context
 
 __all__ = [
@@ -219,13 +220,20 @@ class LinearRecurrence(Sequence):
     kept as given; the fill reads its entries once, on its first step past
     the head, and otherwise uses only the order.
 
-    eval(n) has two routes. When 0 < order and the int cache is short of n
-    by more than order * n.bit_length() values, it jumps: about order**2 *
-    log2(n) multiplications against the order additions per value that a
-    fill would make. The jump reads the coefficients and the head afresh,
-    takes no lock and caches nothing. Otherwise, and always past FILL_CAP
-    (which the fill refuses), eval fills as every Sequence does. An
-    ascending scan is short by 1 at each step, so it never jumps.
+    eval(n) has two routes. A jump makes about order**2 * log2(n)
+    multiplications where a fill makes order additions per value, and
+    multiplying grows faster with the values' size than adding. So a jump
+    to n is reckoned to cost as much as filling order * b * max(1, b - 9)
+    values, b = n.bit_length(). eval jumps when 0 < order and the int cache
+    is short of n by more than that plus the reckoned cost of the earlier
+    jumps that went past every jump before them, the ones a fill would
+    have made unneeded. The jump reads the coefficients and the head
+    afresh, takes no lock and caches nothing. Otherwise, and always past
+    FILL_CAP (which the fill refuses), eval fills as every Sequence does.
+    An ascending scan is short by 1 at each step, so it never jumps; a
+    strided one jumps while its values are small, then fills once its
+    jumps would have paid for the fill. Evaluations at or below the
+    farthest jump (a report's divisors, the same n again) add nothing.
     """
 
     def __init__(self, seq_id: str, guarantee: str, head, coeffs,
@@ -237,6 +245,10 @@ class LinearRecurrence(Sequence):
         self.order = len(self.coeffs)
         self.constant = constant
         self._terms = _Terms(self.coeffs, constant)
+        # the farthest n jumped to, and the reckoned cost, in values filled,
+        # of the jumps that went past every one before them; an update that
+        # concurrent jumps lose only moves a fill
+        self._farthest = self._jumped = 0
 
     def _compute(self, n: int, values: list, num: type):
         if n <= self.order:
@@ -260,9 +272,14 @@ class LinearRecurrence(Sequence):
             yield value
 
     def _jump(self, n: int):
-        if not 0 < self.order * n.bit_length() < n - len(self._values) \
+        b = n.bit_length()
+        cost = self.order * b * max(1, b - 9)
+        if not 0 < cost + self._jumped < n - len(self._values) \
                 or n > FILL_CAP:
             return None
+        if n > self._farthest:
+            self._farthest = n
+            self._jumped += cost
         coeffs = list(self.coeffs)
         seed = [self.head(i) for i in range(1, self.order + 1)]
         if self.constant:
@@ -272,37 +289,6 @@ class LinearRecurrence(Sequence):
             seed.append(sum(map(mul, coeffs, reversed(seed)), self.constant))
             coeffs = [a - b for a, b in zip(coeffs + [0], [-1] + coeffs)]
         return sum(map(mul, _x_power_mod(n - 1, coeffs), seed))
-
-
-def _x_power_mod(m: int, coeffs: list[int]) -> list[int]:
-    """x**m modulo P(x) = x**k - coeffs[0]*x**(k-1) - ... - coeffs[k-1], for
-    k = len(coeffs) >= 1, as its k coefficients, constant term first.
-
-    If q(n) = coeffs[0]*q(n-1) + ... + coeffs[k-1]*q(n-k) for n > k, then
-    q(m+1) is the sum of r[i]*q(i+1) for r = _x_power_mod(m, coeffs).
-    Square and multiply over the bits of m, one schoolbook square and one
-    reduction per bit (Fiduccia, SIAM J. Comput. 1985): O(k**2 log m)
-    multiplications."""
-    k = len(coeffs)
-    lags = [(i, c) for i, c in enumerate(coeffs, 1) if c]
-    power = [1] + [0] * (k - 1)
-    for bit in bin(m)[2:]:
-        square = [0] * (2 * k)  # degree <= 2k-2, so the top entry stays 0
-        for i, a in enumerate(power):
-            if a:
-                square[2 * i] += a * a
-                a += a
-                for d, b in enumerate(power[i + 1:], 2 * i + 1):
-                    square[d] += a * b
-        if bit == "1":  # times x: the zero top entry moves to the bottom
-            square.insert(0, square.pop())
-        for d in range(2 * k - 1, k - 1, -1):
-            top = square.pop()  # x**d = x**(d-k) * x**k, then x**k = P's tail
-            if top:
-                for i, c in lags:
-                    square[d - i] += c * top
-        power = square
-    return power
 
 
 class _Terms(dict):

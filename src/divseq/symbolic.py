@@ -24,6 +24,15 @@ x-coordinates: the laps a lap splits into tile its extent, so every lap
 lies in the bucket of its n=1 ancestor. Validation runs on every tensor
 built from outside; `step` adds nonnegative counts of a valid tensor, so
 its results skip it.
+
+`step` itself computes nothing: it returns a deferred tensor, whose counts
+are computed when first read, from the nearest earlier tensor whose counts
+were known. A short distance d is stepped d times; a long one is jumped:
+each row is a row vector v and one step is v*M_j, where row i of M_j is the
+step of unit row i, so v*M_j**d is the sum of r[i]*v*M_j**i over i < 2j-1
+for r = x**d modulo M_j's characteristic polynomial (Cayley-Hamilton).
+That polynomial is computed once per j, on the first jump, and checked on
+the unit rows.
 """
 
 from __future__ import annotations
@@ -32,7 +41,9 @@ from bisect import bisect_left, bisect_right
 from collections import Counter, namedtuple
 from fractions import Fraction
 from functools import cache
+from operator import mul
 
+from ._charpoly import _charpoly, _x_power_mod
 from ._record import Record
 from .interval_map import build_gj
 
@@ -160,14 +171,76 @@ def _rule(j: int) -> _Rule:
                  cells(1), cells(-1))
 
 
+@cache
+def _char_coeffs(j: int) -> list[int]:
+    """z with det(x*I - M_j) = x**k - z[0]*x**(k-1) - ... - z[k-1], k = 2j-1,
+    where row i of M_j is unit row i stepped once. Checked by Cayley-Hamilton
+    on every unit row e: e*M_j**k is the sum of z[i-1]*e*M_j**(k-i)."""
+    advance, size = _rule(j).advance, 2 * j - 1
+    units = [tuple(int(c == i) for c in range(size)) for i in range(size)]
+    coeffs = [-c for c in _charpoly(list(map(advance, units)))[1:]]
+    for row in units:
+        powers = [row]
+        for _ in range(size):
+            powers.append(advance(powers[-1]))
+        if tuple(sum(map(mul, coeffs, column)) for column in
+                 zip(*reversed(powers[:-1]))) != powers[-1]:
+            raise RuntimeError(f"the step of g_{j} does not satisfy its "
+                               "characteristic polynomial")
+    return coeffs
+
+
+def _advanced(j: int, rows, start: int, n: int) -> tuple:
+    """The grid rows of g_j's tensor at start, stepped to n > start.
+
+    Each row moves on its own. A distance d = n - start of at most 16 times
+    the order k = 2j-1 is stepped d times; a longer one is jumped, row v to
+    the sum of r[i]*v*M_j**i for r = x**d modulo M_j's characteristic
+    polynomial, k-1 steps and k**2 multiplications a row (the crossover was
+    measured at 24 to 384 steps for j = 2..12). Rows up to the middle one
+    are computed; a later row that is its mirror partner's reverse gets the
+    partner's result reversed (mirroring commutes with the step), any other
+    row is computed."""
+    d, advance = n - start, _rule(j).advance
+    if d == 1:
+        row_at = advance
+    elif d <= 16 * (2 * j - 1):
+        def row_at(row):
+            for _ in range(d):
+                row = advance(row)
+            return row
+    else:
+        power = _x_power_mod(d, _char_coeffs(j))
+
+        def row_at(row):
+            stepped = [row]
+            for _ in power[1:]:
+                stepped.append(advance(stepped[-1]))
+            return tuple(sum(map(mul, power, column))
+                         for column in zip(*stepped))
+    new = list(map(row_at, rows[:j]))
+    for r in range(j, len(rows)):
+        m = len(rows) - 1 - r
+        new.append(new[m][::-1] if rows[r] == rows[m][::-1]
+                   else row_at(rows[r]))
+    return tuple(new)
+
+
+_set = object.__setattr__
+
+
 class EdgeTensor(Record):
     """Edge counts a(k, i) at one time step: entry (k, i) is the number of
     label-i edges whose x-extent lies in bucket k. Both indices run over
     [-(j-1), j-1]; counts is the raw (2j-1) x (2j-1) grid with both indices
     shifted by j-1. Immutable; building one checks j, n, the grid's shape
-    and that no count is negative."""
+    and that no count is negative.
 
-    __slots__ = __match_args__ = ("j", "n", "counts")
+    A tensor that `step` returns is deferred (see _DeferredTensor): its
+    counts are computed when first read, and later reads are slot reads."""
+
+    __match_args__ = ("j", "n", "counts")
+    __slots__ = (*__match_args__, "_anchor", "__weakref__")
 
     def __init__(self, j: int, n: int, counts: tuple[tuple[int, ...], ...]):
         _check_j(j)
@@ -180,14 +253,6 @@ class EdgeTensor(Record):
             raise ValueError("edge counts must be nonnegative")
         super().__init__(j, n, counts)
 
-    @classmethod
-    def _trusted(cls, j: int, n: int, counts) -> EdgeTensor:
-        """A tensor known to be valid, such as a valid one stepped by
-        additions alone; nothing is checked."""
-        self = object.__new__(cls)
-        Record.__init__(self, j, n, counts)
-        return self
-
     def entry(self, k: int, i: int) -> int:
         w = self.j - 1
         if not (-w <= k <= w and -w <= i <= w):
@@ -198,6 +263,41 @@ class EdgeTensor(Record):
         return sum(sum(row) for row in self.counts)
 
 
+_COUNTS = EdgeTensor.counts  # the slot, under _DeferredTensor's property
+
+
+class _DeferredTensor(EdgeTensor):
+    """An EdgeTensor whose counts slot is still unset. _anchor holds the
+    counts and n of the nearest earlier tensor whose counts were known, and
+    the first read of counts computes them (see _advanced), sets the slot,
+    turns the tensor into a plain EdgeTensor and drops the anchor. So a
+    tensor that has been read keeps no earlier one alive, and later reads
+    are slot reads of an EdgeTensor, as fast as on a tensor built whole
+    (a __getattr__ fallback on EdgeTensor would slow down every attribute
+    read of every tensor). The counts are set before the anchor is dropped,
+    so a concurrent first read that finds no anchor finds the counts."""
+
+    __slots__ = ()
+
+    @property
+    def counts(self):
+        anchor = self._anchor
+        if anchor is None:
+            return _COUNTS.__get__(self)
+        counts = _advanced(self.j, *anchor, self.n)
+        _COUNTS.__set__(self, counts)
+        _set(self, "__class__", EdgeTensor)
+        _set(self, "_anchor", None)
+        return counts
+
+    def __eq__(self, other):
+        # Record's == holds only within one class: compare as an EdgeTensor
+        self.counts
+        return self == other
+
+    __hash__ = EdgeTensor.__hash__
+
+
 def initial_tensor(j: int) -> EdgeTensor:
     """The n=1 tensor: one edge per bucket, read off the seed word."""
     _check_j(j)
@@ -205,36 +305,38 @@ def initial_tensor(j: int) -> EdgeTensor:
 
 
 def step(t: EdgeTensor) -> EdgeTensor:
-    """Advance the tensor one iterate; rows (fixed bucket k) evolve
-    independently. New entry i is the sum of the old entries whose laps
-    split into a label-i lap, summed most-used first along shared prefix
-    sums: with w = j-1, every entry is s = a(0) + a(-w) or u = a(0) + a(w)
-    plus at most one more entry, 2j-1 additions per computed row.
+    """Advance the tensor one iterate, in constant time: the result is
+    deferred, anchored where t is (or at t, if t's counts are known), and
+    its counts are computed when first read.
 
-    Rows up to the middle one are always computed. A later row that is its
-    mirror partner's reverse (row 2j-2-r of the grid is row r reversed, as
-    in every tensor of g_j, which is odd) is that partner's new row
-    reversed; any other row is computed. So a tensor of g_j costs j rows of
-    additions, and any other tensor gets the same counts as stepping every
-    row."""
-    advance = _rule(t.j).advance
-    rows = t.counts
-    new = list(map(advance, rows[:t.j]))
-    for r in range(t.j, len(rows)):
-        m = len(rows) - 1 - r
-        mirrored = rows[r] == rows[m][::-1]
-        new.append(new[m][::-1] if mirrored else advance(rows[r]))
-    return EdgeTensor._trusted(t.j, t.n + 1, tuple(new))
+    Rows (fixed bucket k) evolve independently. New entry i is the sum of
+    the old entries whose laps split into a label-i lap, summed most-used
+    first along shared prefix sums: with w = j-1, every entry is
+    s = a(0) + a(-w) or u = a(0) + a(w) plus at most one more entry, 2j-1
+    additions per computed row. Rows up to the middle one are always
+    computed. A later row that is its mirror partner's reverse (row 2j-2-r
+    of the grid is row r reversed, as in every tensor of g_j, which is odd)
+    is that partner's new row reversed; any other row is computed. So a
+    tensor of g_j costs j rows of additions a step, and any other tensor
+    gets the same counts as stepping every row."""
+    new = object.__new__(_DeferredTensor)
+    _set(new, "j", t.j)
+    _set(new, "n", t.n + 1)
+    # only a tensor that step made has its anchor slot set (to None once read)
+    _set(new, "_anchor", getattr(t, "_anchor", None) or (t.counts, t.n))
+    return new
 
 
 def c_count(t: EdgeTensor) -> int:
     """Weighted tally equal to the number of solutions of h^n(x) = x."""
-    return sum(t.counts[r][c] for r, c in _rule(t.j).fixed)
+    counts = t.counts
+    return sum(counts[r][c] for r, c in _rule(t.j).fixed)
 
 
 def d_count(t: EdgeTensor) -> int:
     """Weighted tally equal to the number of solutions of h^n(x) = -x."""
-    return sum(t.counts[r][c] for r, c in _rule(t.j).antifixed)
+    counts = t.counts
+    return sum(counts[r][c] for r, c in _rule(t.j).antifixed)
 
 
 def label_pair(j: int, i: int) -> tuple[int, int]:

@@ -261,8 +261,12 @@ def filled(seq, n):
 
 
 def jumps(seq, n):
-    """Whether eval(n) on seq, as it is now, takes the jump."""
-    return 0 < seq.order * n.bit_length() < n - len(seq._values)
+    """Whether eval(n) on seq, as it is now, takes the jump: the reckoned
+    cost of this jump and of the earlier ones past every jump before them
+    stays below what the cache lacks."""
+    b = n.bit_length()
+    cost = seq.order * b * max(1, b - 9)
+    return 0 < cost + seq._jumped < n - len(seq._values)
 
 
 # (head value, coefficient) pairs of orders 1..8, coefficients zero or
@@ -318,6 +322,32 @@ def test_ascending_eval_fills_and_never_jumps(monkeypatch):
     big = make_theorem5_phi(10**5)
     assert big(5000) == 3**5000 - 2
     assert constant(7)(10**5) == 7
+
+
+def test_strided_scan_jumps_while_values_are_small_then_fills(monkeypatch):
+    # each n = 64*i lies past every earlier jump, so the jumps' reckoned
+    # cost adds up: order 5, b = n.bit_length(), 5*b each while b <= 10 and
+    # 5*b*(b - 9) past that; at i = 21 the 20 jumps (1 245 values) and this
+    # one (110) reach the 1 344 values the cache lacks, and eval fills
+    calls = []
+
+    def counted(m, coeffs):
+        calls.append(m)
+        return x_power_mod(m, coeffs)
+
+    x_power_mod = sequences._x_power_mod
+    monkeypatch.setattr(sequences, "_x_power_mod", counted)
+    seq = make_theorem5_phi(3)
+    scanned = [seq(64 * i) for i in range(1, 301)]
+    assert calls == [64 * i - 1 for i in range(1, 21)]
+    assert len(seq._values) == 64 * 300
+    assert scanned == values(make_theorem5_phi(3), 64 * 300)[63::64]
+    # a single far eval still jumps, and evaluations below the farthest
+    # jump (a report's divisors) put no fill nearer
+    far = make_theorem5_phi(3)
+    for n in (10**5, 5 * 10**4, 2 * 10**4, 10**4, 10**5):
+        far(n)
+    assert far._values == [] and len(calls) == 25
 
 
 def test_far_eval_past_the_cap_is_refused():

@@ -6,13 +6,17 @@ Fraction expansion written out below."""
 from __future__ import annotations
 
 import random
+import sys
+import threading
+import weakref
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import divseq.symbolic
+from divseq._charpoly import _charpoly
 from divseq.interval_map import (
     PLMap,
     build_gj,
@@ -24,6 +28,7 @@ from divseq.sequences import make_theorem5_phi, make_theorem5_psi
 from divseq.symbolic import (
     EdgeTensor,
     WordLengthError,
+    _char_coeffs,
     _rule,
     bucket_interval,
     c_count,
@@ -537,3 +542,195 @@ def test_rule_rejects_a_map_that_is_not_odd(monkeypatch):
     monkeypatch.setattr(divseq.symbolic, "_paper_pairs", lambda j: pairs)
     with pytest.raises(RuntimeError, match="mirroring"):
         _rule.__wrapped__(3)
+
+
+# -- deferred counts: M_j's characteristic polynomial and the jump -------------
+
+# the library's own step, which defers the counts; the conftest wrapper that
+# `step` names here reads every result at once
+lazy_step = step.__wrapped__
+
+
+def step_matrix(j: int) -> list[tuple[int, ...]]:
+    """M_j: row i is unit row i stepped once."""
+    size = 2 * j - 1
+    advance = _rule(j).advance
+    return [advance(tuple(int(c == i) for c in range(size)))
+            for i in range(size)]
+
+
+def fraction_det(rows) -> Fraction:
+    """Determinant by Gaussian elimination over Fraction."""
+    a = [list(map(Fraction, row)) for row in rows]
+    det = Fraction(1)
+    for c in range(len(a)):
+        pivot = next((r for r in range(c, len(a)) if a[r][c]), None)
+        if pivot is None:
+            return Fraction(0)
+        if pivot != c:
+            a[c], a[pivot] = a[pivot], a[c]
+            det = -det
+        det *= a[c][c]
+        for r in range(c + 1, len(a)):
+            factor = a[r][c] / a[c][c]
+            a[r] = [x - factor * y for x, y in zip(a[r], a[c])]
+    return det
+
+
+def eager(t: EdgeTensor, d: int):
+    """t's grid stepped d times, every row on its own each time."""
+    advance = _rule(t.j).advance
+    rows = t.counts
+    for _ in range(d):
+        rows = tuple(map(advance, rows))
+    return rows
+
+
+square_matrices = st.integers(1, 6).flatmap(lambda k: st.lists(
+    st.lists(st.integers(-9, 9), min_size=k, max_size=k),
+    min_size=k, max_size=k))
+
+
+@settings(max_examples=60, deadline=None)
+@given(square_matrices)
+def test_charpoly_equals_the_determinant_of_x_minus_a(rows):
+    # k + 1 points fix a polynomial of degree k
+    k, poly = len(rows), _charpoly(rows)
+    assert len(poly) == k + 1 and poly[0] == 1
+    for x in range(-3, 4):
+        shifted = [[x * (r == c) - rows[r][c] for c in range(k)]
+                   for r in range(k)]
+        assert sum(p * x ** (k - i) for i, p in enumerate(poly)) \
+            == fraction_det(shifted)
+
+
+@pytest.mark.parametrize("j", range(2, 11))
+def test_characteristic_polynomial_is_the_theorem5_recurrence(j):
+    # det(xI - M_j) = x**(2j-1) - z_1*x**(2j-2) - ... - z_(2j-1)
+    z = list(make_theorem5_phi(j).coeffs)
+    assert _charpoly(step_matrix(j)) == [1, *(-c for c in z)]
+    assert _char_coeffs(j) == z
+
+
+@pytest.mark.parametrize("j", range(2, 9))
+def test_traces_of_step_matrix_powers_are_theorem5phi(j):
+    m = step_matrix(j)
+    phi, power = make_theorem5_phi(j), m
+    for n in range(1, 40):
+        assert sum(power[i][i] for i in range(len(m))) == phi(n), n
+        power = [[sum(map(int.__mul__, row, column)) for column in zip(*m)]
+                 for row in power]
+
+
+def test_char_coeffs_checks_cayley_hamilton(monkeypatch):
+    # x**5 - 1 is no polynomial of M_3
+    monkeypatch.setattr(divseq.symbolic, "_charpoly",
+                        lambda rows: [1, 0, 0, 0, 0, -1])
+    with pytest.raises(RuntimeError, match="characteristic polynomial"):
+        _char_coeffs.__wrapped__(3)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.one_of(big_tensors(), mirrored_tensors(), near_mirrored_tensors()),
+       st.integers(1, 3000), st.integers(0, 3000))
+@example(initial_tensor(12), 3000, 0)
+@example(initial_tensor(12), 3000, 2000)
+@example(EdgeTensor(4, 1, tuple(tuple(range(r, r + 7)) for r in range(7))),
+         3000, 0)
+def test_deferred_counts_equal_eager_stepping(t, d, read):
+    # read once on the way there, which moves the anchor, or never
+    u = t
+    for i in range(1, d + 1):
+        u = lazy_step(u)
+        if i == read < d:
+            u.counts
+    assert (u.j, u.n) == (t.j, t.n + d)
+    assert u.counts == eager(t, d)
+
+
+def test_reads_one_step_apart_never_jump(monkeypatch):
+    def no_jump(m, coeffs):
+        raise AssertionError("jumped")
+
+    monkeypatch.setattr(divseq.symbolic, "_x_power_mod", no_jump)
+    for j in (2, 3, 8):
+        t, want = initial_tensor(j), initial_tensor(j).counts
+        for n in range(2, 102):
+            t, want = lazy_step(t), interpreted_step(j, want)
+            assert (t.n, t.counts) == (n, want)
+
+
+def test_a_far_read_jumps_once(monkeypatch):
+    calls = []
+
+    def counted(m, coeffs):
+        calls.append(m)
+        return x_power_mod(m, coeffs)
+
+    x_power_mod = divseq.symbolic._x_power_mod
+    monkeypatch.setattr(divseq.symbolic, "_x_power_mod", counted)
+    t = initial_tensor(8)
+    for _ in range(2999):
+        t = lazy_step(t)
+    assert (c_count(t), d_count(t)) == (make_theorem5_phi(8)(3000),
+                                        make_theorem5_psi(8)(3000))
+    assert calls == [2999]
+
+
+def test_a_deferred_tensor_is_the_same_record():
+    t = initial_tensor(2)
+    whole = EdgeTensor(2, 3, eager(t, 2))
+    checks = (lambda u: u == whole, lambda u: whole == u,
+              lambda u: not u != whole, lambda u: u == lazy_step(lazy_step(t)),
+              lambda u: hash(u) == hash(whole), lambda u: repr(u) == repr(whole))
+    for check in checks:
+        u = lazy_step(lazy_step(t))
+        assert type(u) is not EdgeTensor and isinstance(u, EdgeTensor)
+        assert check(u)
+        assert type(u) is EdgeTensor
+    u = lazy_step(t)
+    with pytest.raises(AttributeError):
+        u.counts = whole.counts
+    with pytest.raises(AttributeError):
+        u.n = 5
+    assert (u.j, u.n) == (2, 2) and not hasattr(u, "__dict__")
+
+
+def test_six_threads_reading_one_deferred_tensor_get_identical_counts():
+    want = eager(initial_tensor(8), 2999)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for _ in range(5):
+            t = initial_tensor(8)
+            for _ in range(2999):
+                t = lazy_step(t)
+            barrier, results = threading.Barrier(6), []
+
+            def worker():
+                barrier.wait()
+                results.append(t.counts)
+
+            threads = [threading.Thread(target=worker) for _ in range(6)]
+            for thread in threads:
+                thread.start()
+            for thread in threads:
+                thread.join(timeout=60)
+            assert not any(thread.is_alive() for thread in threads)
+            assert results == [want] * 6
+            assert type(t) is EdgeTensor and t._anchor is None
+    finally:
+        sys.setswitchinterval(interval)
+
+
+def test_unread_steps_keep_no_earlier_tensor_alive():
+    first = initial_tensor(3)
+    refs, t = [weakref.ref(first)], first
+    del first
+    for i in range(1, 10**4):
+        t = lazy_step(t)
+        if i % 2500 == 0:
+            refs.append(weakref.ref(t))
+    assert [ref() for ref in refs] == [None] * 4
+    assert c_count(t) == make_theorem5_phi(3)(10**4)
+    assert t._anchor is None  # the n = 1 counts are dropped once read
