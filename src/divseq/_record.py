@@ -26,6 +26,13 @@ class Record:
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__match_args__)
 
+    def __reduce__(self):
+        # copy and pickle rebuild through __init__, as __setattr__ refuses.
+        # The fields are read before the class, since reading one may
+        # change it (see symbolic._DeferredTensor)
+        values = self._values()
+        return type(self), values
+
     def __eq__(self, other):
         if other.__class__ is not self.__class__:
             return NotImplemented

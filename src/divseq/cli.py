@@ -10,10 +10,9 @@ combinator with its parameters; the expression parser and `seq` read it.
 `--piece-cap` belongs to `oracle` and `crosscheck`, which compose maps.
 Every command finishes all the work that can fail before the first byte
 goes out, so a command that fails writes nothing to stdout. The rows then
-stream, one at a time, in blocks of at least 64 KB. A report keeps only the
-values that later rows read, q(1..n_max // 2) (n_max // 3 for phi2), and
-computes each later value once, in order, for its own row; `seq` keeps
-none.
+stream, one at a time, in blocks of at least 64 KB. A report computes each
+value once, in order, for its own row, and keeps only the values that later
+rows read, q(1..n_max // 2) (n_max // 3 for phi2); `seq` keeps none.
 
 Exit codes: 0 success/agreement, 1 verification failure or disagreement,
 2 usage error (including a map with a whole segment on y = x or y = -x,
@@ -26,7 +25,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from itertools import chain, islice
 
 from . import __version__
 from .arith import PrimeTable, divisibility_check, phi1, phi2
@@ -98,9 +96,10 @@ _GENERATORS = {
 }
 _GENERATORS["constant"] = _GENERATORS["const"]
 
-# the most combinators one expression may sit inside: filling a value
-# recurses through every level, about five frames each, so the parser
-# refuses deeper nesting rather than leave it to the recursion limit
+# the most combinators one expression may sit inside: a sequence's tail is
+# built by recursion through every level, and a value is pulled through one
+# tail per level, so the parser refuses deeper nesting rather than leave it
+# to the recursion limit
 _MAX_NESTING = 150
 
 
@@ -222,49 +221,47 @@ _MODES = {
 _LEAST_DIVISOR = {"phi1-mod-n": 2, "phi2-mod-2n": 3}
 
 
-def _prefill(seq: Sequence, n_max: int, per_row=(), keep: int | None = None):
-    """Check that q(1..n_max) can be computed, then fill seq.exact for
-    n = 1..keep (n_max when keep is None), in one exact(keep) call. Errors
-    of the types in per_row are left for the rows to report; the first
-    other one is raised here, before anything is filled.
+def _check_reach(seq: Sequence, n_max: int, per_row=()):
+    """Check that q(1..n_max) can be computed. Errors of the types in
+    per_row are left for the rows to report; the first other one is raised
+    here, before any value is computed.
 
     The check reads the expression, not values: q(1..seq._reach()) can be
     computed, and each n past that meets seq._refusal(n), the error that
     exact(n) raises. So an error names the n an ascent n = 1, 2, ... would
     meet first, and a fill-cap refusal costs no fill."""
-    reach = seq._reach()
-    for n in range(reach + 1, n_max + 1):
+    for n in range(seq._reach() + 1, n_max + 1):
         error = seq._refusal(n)
         if not isinstance(error, per_row):
             raise error
-    fill = min(n_max if keep is None else keep, reach)
-    if fill:
-        seq.exact(fill)
 
 
 def _divisibility_rows(seq: Sequence, mode: str, n_max: int):
-    """Check and fill seq (see _prefill), then return an iterator of the
-    rows of run_divisibility, one at a time.
+    """Check seq (see _check_reach), then return an iterator of the rows of
+    run_divisibility, one at a time.
 
     Row n reads q(n) and q(n / d) for the squarefree divisors d > 1 of n
     that its transform ranges over, all at or below keep = n_max // 2
-    (n_max // 3 for phi2). So only q(1..keep) is filled; the later values
-    stream from seq._stream, each computed once, in order, for its row and
-    then dropped. Each row reads its primes from one PrimeTable. Past the
-    last n that can be computed, where a table ran out, a row reports the
-    TableRangeError that seq.exact(n) would raise."""
+    (n_max // 3 for phi2). The values come from one seq._stream, each
+    computed once, in order, for its row; the rows keep q(1..keep) in a
+    list of their own and drop the later ones. Each row reads its primes
+    from one PrimeTable. Past the last n that can be computed, where a
+    table ran out, a row reports the TableRangeError that seq.exact(n)
+    would raise."""
     transform, mod_factor = _MODES[mode]
     keep = n_max // _LEAST_DIVISOR[mode]
-    _prefill(seq, n_max, TableRangeError, keep)
+    _check_reach(seq, n_max, TableRangeError)
     stop = min(n_max, seq._reach())
-    values = [None, *seq.filled_exact(min(keep, stop))]  # q(n) at index n
-    stream = seq._stream(len(values), stop)
+    stream = seq._stream(stop)
     primes = PrimeTable(stop).primes
 
     def rows():
+        values = [None]  # q(n) at index n, for n <= keep
         cached = values.__getitem__
-        for n, q in enumerate(chain(islice(values, 1, None), stream), 1):
-            at = (cached if n < len(values)
+        for n, q in enumerate(stream, 1):
+            if n <= keep:
+                values.append(q)
+            at = (cached if n <= keep
                   else lambda m: q if m == n else cached(m))
             modulus = mod_factor * n
             value = transform(at, n, primes(n))
@@ -288,8 +285,8 @@ def run_divisibility(seq: Sequence, mode: str, n_max: int) -> list[dict]:
     printed from exact Decimals, in linear time). A row that cannot be
     evaluated (a table running out of values) fails with them None and the
     message under "error"; it is not raised. `verify` streams the same
-    rows, and afterwards seq.exact holds only the values the rows read
-    more than once (see _divisibility_rows).
+    rows. The values are streamed, so seq caches none of them (see
+    _divisibility_rows).
     """
     return list(_divisibility_rows(seq, mode, n_max))
 
@@ -405,9 +402,9 @@ def _table_text(fmt: str, meta: dict, header, rows, summary: dict | None):
 
 def _report(fmt: str, meta: dict, seq: Sequence, mode: str,
             n_max: int) -> int:
-    """Check and fill seq, then stream its divisibility report, and in
-    csv/tsv each row's error to stderr after the table; returns the number
-    of failed rows.
+    """Check seq, then stream its divisibility report, and in csv/tsv each
+    row's error to stderr after the table; returns the number of failed
+    rows.
 
     The rows with an error are those past the last n that can be computed,
     so their lines are rebuilt from seq._refusal(n) after the table, not
@@ -454,7 +451,7 @@ def cmd_seq(args) -> int:
     # no row reads another's value, so every value streams and none is
     # kept; the stream refuses before the first byte if one cannot be
     # computed
-    values = seq._stream(1, args.n_max)
+    values = seq._stream(args.n_max)
     meta = {"command": "seq", "params": {"kind": args.kind, "id": seq.id,
                                          "n_max": args.n_max},
             "version": __version__}

@@ -12,17 +12,15 @@ the same value as an integral `decimal.Decimal`, computed under
 where `str` of an int is quadratic, so the command line prints values from
 `exact`.
 
-`eval` reaches n by one of two routes. It fills the int cache bottom-up to
-n, or, for a LinearRecurrence whose cache is far enough short of n (see its
-docstring), it jumps: it computes x**(n-1) modulo the characteristic
-polynomial and caches nothing. `exact` always fills.
-
-A report reads each value at n > n_max // 2 once, so the command line fills
-`exact` only below that and streams the rest: `_stream(start, stop)` yields
-q(start..stop) as Decimals, computed from the exact cache below start and
-the streams of the sequences a value reads, and caches nothing. Whether
-q(1..n) can be computed at all, and which error it meets, `_reach()` and
-`_refusal(n)` decide from the expression alone, before anything is filled.
+A sequence computes values in one place only, its `_tail(start, num)`: an
+iterator of q(start), q(start+1), ... in number type num, read from the
+tails of the sequences a value reads. A cache that is short of n is extended
+from it, and `_stream(stop)` yields q(1..stop) from it as Decimals and
+caches nothing. Whether q(1..n) can be computed at all, and which error it
+meets, `_reach()` and `_refusal(n)` decide from the expression alone, before
+any value is computed. The one other route is a LinearRecurrence's `eval`
+of a far n (see its docstring): it jumps, computing x**(n-1) modulo the
+characteristic polynomial, and caches nothing.
 """
 
 from __future__ import annotations
@@ -33,7 +31,7 @@ import threading
 from contextlib import contextmanager
 from decimal import Decimal
 from functools import partial, reduce
-from itertools import count, islice
+from itertools import islice
 from operator import mul
 
 from ._charpoly import _x_power_mod
@@ -93,14 +91,15 @@ class Sequence:
     """Integer-valued function on n >= 1 with memoized, append-only caches,
     one per number type (int for eval, Decimal for exact).
 
-    Values are filled bottom-up (never by recursion on n), so a fill is
-    linear in n and safe at any depth; eval() may instead jump to a far n
-    without filling (see LinearRecurrence). The caches are guarded by a
-    lock; concurrent eval() or exact() calls return identical values.
+    A cache short of n is extended from _tail, bottom-up (never by recursion
+    on n), so a fill is linear in n and safe at any depth; eval() may
+    instead jump to a far n without filling (see LinearRecurrence). The
+    caches are guarded by a lock; concurrent eval() or exact() calls return
+    identical values.
 
     A subclass whose values read other sequences at the same n lists them in
-    _parts, in the order _compute asks them, and sets _scale and _length
-    from theirs; _reach reads both.
+    _parts, in the order _refusal asks them, sets _scale and _length from
+    theirs (_reach reads both) and combines their values in _combine.
     """
 
     _parts = ()
@@ -135,18 +134,8 @@ class Sequence:
                 self._fill(self._exact, n, Decimal)
         return self._exact[n - 1]
 
-    def filled_exact(self, n_max: int) -> list[Decimal]:
-        """The exact values already cached, q(1)..q(k) for the largest
-        k <= n_max the cache reaches, as a new list (q(n) at index n - 1);
-        nothing is filled."""
-        return self._exact[:n_max]
-
     def __call__(self, n: int) -> int:
         return self.eval(n)
-
-    def _at(self, n: int, num: type):
-        """The value at n in number type num (int or Decimal)."""
-        return self.eval(n) if num is int else self.exact(n)
 
     def _jump(self, n: int):
         """The int value at n computed without touching the caches, or None
@@ -154,22 +143,16 @@ class Sequence:
         return None
 
     def _fill(self, values: list, n: int, num: type):
+        """Extend values, the cache of number type num, to q(1..n) from
+        _tail; past _reach() refuse, before any value is computed."""
         if n < 1:
             raise ValueError(f"sequence domain is n >= 1, got {n}")
-        if n > FILL_CAP:
-            raise _past_the_cap(n)
-        while len(values) < n:
-            values.append(self._compute(len(values) + 1, values, num))
-
-    def _compute(self, n: int, values: list, num: type):
-        """Value at n in number type num; may read values[:n-1], the cache
-        of that type, which is already filled. This one combines the values
-        of the parts at n."""
-        return self._combine(num, *[s._at(n, num) for s in self._parts])
-
-    def _combine(self, num: type, *values):
-        """The value at n from the values of the parts at n, in type num."""
-        raise NotImplementedError
+        if n > self._reach():
+            raise self._refusal(n)
+        # a fill that waited for the lock may find values already past n
+        start = len(values) + 1
+        if start <= n:
+            values.extend(islice(self._tail(start, num), n - start + 1))
 
     def _reach(self) -> int:
         """The largest N for which exact(1), ..., exact(N) all succeed,
@@ -178,32 +161,32 @@ class Sequence:
         return min(FILL_CAP // self._scale, self._length)
 
     def _refusal(self, n: int) -> Exception:
-        """The error that exact(n) raises, for an n past _reach(), found by
-        walking the expression as _fill does, without filling anything."""
+        """The error that exact(n) raises for an n past _reach(): the one an
+        ascent n = 1, 2, ... meets first, found from the expression."""
         if n > FILL_CAP:
             return _past_the_cap(n)
-        # the fill stops at the first value it cannot compute, which asks
-        # its parts in order
+        # the ascent stops at the first value it cannot compute, and asks
+        # the parts in order
         m = self._reach() + 1
         return next(s._refusal(m) for s in self._parts if s._reach() < m)
 
-    def _stream(self, start: int, stop: int):
-        """An iterator of q(start), ..., q(stop) as integral Decimals, each
+    def _stream(self, stop: int):
+        """An iterator of q(1), ..., q(stop) as integral Decimals, each
         computed when it is asked for, inside exact_context(), and cached
-        nowhere; it reads the exact cache below start, filled where short.
+        nowhere.
 
-        Where q(start..stop) cannot all be computed, it refuses at once
-        with the error that an ascent from start meets first, as the fill
-        would."""
+        Where q(1..stop) cannot all be computed, it refuses at once with
+        the error that an ascent meets first, as exact would."""
         if stop > self._reach():
-            raise self._refusal(max(start, self._reach() + 1))
-        return _in_exact_context(islice(self._tail(start), stop - start + 1))
+            raise self._refusal(self._reach() + 1)
+        return _in_exact_context(islice(self._tail(1, Decimal), stop))
 
-    def _tail(self, start: int):
-        """q(start), q(start+1), ... as Decimals, without end, combined
-        from the tails of the parts; advanced inside exact_context()."""
-        return map(partial(self._combine, Decimal),
-                   *[s._tail(start) for s in self._parts])
+    def _tail(self, start: int, num: type):
+        """q(start), q(start+1), ... in number type num, without end: the
+        one place a value is computed. This one combines the tails of the
+        parts. A Decimal tail is advanced inside exact_context()."""
+        return map(partial(self._combine, num),
+                   *[s._tail(start, num) for s in self._parts])
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.id}>"
@@ -213,12 +196,12 @@ class LinearRecurrence(Sequence):
     """q(n) = head(n) for n <= order = len(coeffs), then
     q(n) = coeffs[0]*q(n-1) + ... + coeffs[order-1]*q(n-order) + constant.
 
-    head is called only for the n being filled, so a family with a large
+    head is called only for the n being computed, so a family with a large
     order computes none of its seed values before they are asked for. It
-    returns an int, converted to the number type being filled. coeffs is
+    returns an int, converted to the number type being computed. coeffs is
     any iterable, read into a tuple, or the zigzag families' lazy view,
-    kept as given; the fill reads its entries once, on its first step past
-    the head, and otherwise uses only the order.
+    kept as given; its entries are read once, on the first step past the
+    head, and otherwise only the order is used.
 
     eval(n) has two routes. A jump makes about order**2 * log2(n)
     multiplications where a fill makes order additions per value, and
@@ -250,25 +233,29 @@ class LinearRecurrence(Sequence):
         # concurrent jumps lose only moves a fill
         self._farthest = self._jumped = 0
 
-    def _compute(self, n: int, values: list, num: type):
-        if n <= self.order:
-            return num(self.head(n))
-        units, lags, factors, constant = self._terms[num]
-        at = values.__getitem__
-        total = sum(map(at, units), constant)
-        return sum(map(mul, factors, map(at, lags)), total)
-
-    def _tail(self, start: int):
-        # the order values before start are all a value reads, so a sliding
-        # window of them stands in for the cache
-        if start > 1:
-            self.exact(start - 1)
-        window = self._exact[max(start - 1 - self.order, 0):start - 1]
-        for n in count(start):
-            value = self._compute(n, window, Decimal)
+    def _tail(self, start: int, num: type):
+        # a value reads only the order values before it, so a sliding window
+        # of them stands in for the cache. The cache is filled to start - 1
+        # first, by _fill: eval may jump and cache nothing
+        cache = self._values if num is int else self._exact
+        if len(cache) < start - 1:
+            with self._lock:
+                self._fill(cache, start - 1, num)
+        order = self.order
+        window = cache[max(start - 1 - order, 0):start - 1]
+        for n in range(start, order + 1):
+            value = num(self.head(n))
             window.append(value)
-            if len(window) > self.order:
-                del window[0]
+            yield value
+        # from here on the window holds order values, so each new one
+        # pushes out the oldest
+        units, lags, factors, constant = self._terms[num]
+        at = window.__getitem__
+        while True:
+            value = sum(map(mul, factors, map(at, lags)),
+                        sum(map(at, units), constant))
+            window.append(value)
+            del window[0]
             yield value
 
     def _jump(self, n: int):
@@ -293,10 +280,10 @@ class LinearRecurrence(Sequence):
 
 class _Terms(dict):
     """Number type -> a recurrence's terms in that type, built on the first
-    fill past the head: (unit lags, other lags, their factors, constant).
+    step past the head: (unit lags, other lags, their factors, constant).
 
-    q(n-i) is values[-i], as the cache holds q(1)..q(n-1) when q(n) is
-    computed. Terms with coefficient 1 are added without a multiplication,
+    q(n-i) is window[-i], as the window of _tail ends at q(n-1) when q(n)
+    is computed. Terms with coefficient 1 are added without a multiplication,
     and terms with coefficient 0 are dropped. The coefficients are read
     once, for the int terms; another type converts those. A dict, so a
     filled entry is read at the cost of a plain lookup."""
@@ -349,11 +336,6 @@ class TableSequence(Sequence):
         self._values, self._exact = list(values), list(decimals)
         self._length = len(self._exact)
 
-    def _fill(self, values: list, n: int, num: type):
-        if n > len(values):
-            raise self._refusal(n)
-        super()._fill(values, n, num)
-
     def _reach(self) -> int:
         return self._length
 
@@ -361,8 +343,10 @@ class TableSequence(Sequence):
         return TableRangeError(f"{self.id} holds {self._length} values; "
                                f"n={n} is out of range")
 
-    def _tail(self, start: int):
-        return islice(self._exact, start - 1, None)
+    def _tail(self, start: int, num: type):
+        # by index: islice would step over the first start - 1 values
+        cache = self._values if num is int else self._exact
+        return map(cache.__getitem__, range(start - 1, self._length))
 
 
 class LinearCombinationSequence(Sequence):
@@ -399,33 +383,16 @@ class DilationSequence(Sequence):
         # inf // k is nan, not inf
         self._length = seq._length // k if seq._length < math.inf else math.inf
 
-    def _fill(self, values: list, n: int, num: type):
-        if 0 < n <= FILL_CAP:
-            # the base first, to k*n: nested dilations ask for k**depth * n,
-            # and a base past the cap refuses before any value is computed.
-            # Its int cache is filled, not jumped past: the values below
-            # read it at k, 2k, ..., k*n, each of which a jump would compute
-            # afresh. The Decimal cache is filled as the values read it
-            base = self.base
-            if num is int:
-                with base._lock:
-                    base._fill(base._values, self.k * n, int)
-            else:
-                base._at(self.k * n, num)
-        super()._fill(values, n, num)
-
-    def _compute(self, n: int, values: list, num: type):
-        return self.base._at(self.k * n, num)
-
     def _refusal(self, n: int) -> Exception:
         if n > FILL_CAP:
             return _past_the_cap(n)
         return self.base._refusal(self.k * n)
 
-    def _tail(self, start: int):
+    def _tail(self, start: int, num: type):
         # every k-th value of the base, from k*start on
         k = self.k
-        return islice(self.base._tail(k * (start - 1) + 1), k - 1, None, k)
+        return islice(self.base._tail(k * (start - 1) + 1, num), k - 1, None,
+                      k)
 
 
 class ProductSequence(Sequence):

@@ -418,8 +418,8 @@ def test_streamed_rows_equal_rows_from_a_full_cache(table_dir, expr, n_max):
         want = outcome(rows_from_a_full_cache, parse_expression(text), mode,
                        n_max)
         assert got == want, mode
-        least = 2 if mode == "phi1-mod-n" else 3
-        assert_caches_within(seq, n_max // least)
+        # the rows keep the values they read again in a list of their own
+        assert_caches_within(seq, 0)
 
 
 def test_report_rows_leave_the_decimal_context_at_each_row():
@@ -429,7 +429,6 @@ def test_report_rows_leave_the_decimal_context_at_each_row():
     with decimal.localcontext() as caller:
         for mode in ("phi1-mod-n", "phi2-mod-2n"):
             seq = parse_expression("theorem5psi(2)")
-            cli._prefill(seq, 40)
             for _ in cli._divisibility_rows(seq, mode, 40):
                 seen.add(decimal.getcontext() is caller)
     assert seen == {True}
@@ -858,19 +857,12 @@ def test_failure_past_the_first_row_writes_nothing(capsys, monkeypatch, args,
     assert run_main(capsys, *args) == (3, "", err)
 
 
-def test_prefill_fills_in_one_call_and_names_the_first_failing_n():
-    seq = parse_expression("theorem5phi(3)")
-    calls = []
-    exact = seq.exact
-    seq.exact = lambda n: calls.append(n) or exact(n)
-    cli._prefill(seq, 50)
-    assert calls == [50]
-    assert len(seq.filled_exact(50)) == 50
-    # exact(5) fails on a 2-value table; the ascent after it meets n=3
+def test_check_reach_names_the_first_failing_n():
+    # exact(5) fails on a 2-value table; the ascent before it meets n=3
     table = sequences.parse_table("1\n2\n")
     with pytest.raises(sequences.TableRangeError, match="n=3 is out"):
-        cli._prefill(table, 5)
-    cli._prefill(table, 5, sequences.TableRangeError)  # left to the rows
+        cli._check_reach(table, 5)
+    cli._check_reach(table, 5, sequences.TableRangeError)  # left to the rows
 
 
 @pytest.mark.parametrize("fmt", ["csv", "tsv", "json"])

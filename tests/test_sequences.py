@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import decimal
+import math
 import os
 import sys
 import threading
@@ -532,16 +533,6 @@ def test_fill_past_the_cap_is_refused(at):
     assert seq._values == seq._exact == []
 
 
-def test_filled_exact_reads_the_cache_without_filling():
-    seq = make_theorem4(2, 0, 1)
-    assert seq.filled_exact(5) == []
-    seq.exact(3)
-    assert seq.filled_exact(5) == [seq.exact(n) for n in (1, 2, 3)]
-    assert seq.filled_exact(2) == [seq.exact(1), seq.exact(2)]
-    seq.filled_exact(5).clear()  # a copy: the cache keeps its values
-    assert len(seq.filled_exact(10)) == 3
-
-
 def test_nested_dilation_past_the_cap_fills_nothing():
     # the first level asked for 2**24 > FILL_CAP refuses before any level
     # computes a value
@@ -554,7 +545,7 @@ def test_nested_dilation_past_the_cap_fills_nothing():
     assert values(dilate(dilate(levels[0], 2), 3), 4) == [1] * 4
 
 
-# -- deciding a fill without filling, and streaming past the cache -----------
+# -- values, refusals and streams against a reference -------------------------
 
 # a recipe is a nested tuple that build() turns into a fresh sequence, so a
 # test can compare sequences of one shape whose caches differ
@@ -588,6 +579,72 @@ def build(recipe):
             "const": constant}[kind](*args)
 
 
+def reference(recipe):
+    """q of a recipe as a plain-int function of n, written from the
+    definitions and sharing no code with divseq.sequences. A table returns
+    its value or raises TableRangeError. Anything else refuses an n past
+    the fill cap, and a dilation then asks its base for k*n; then it fills
+    a list of its own ascending n = 1, 2, ..., each value read from the
+    parts at once, and raises the first error it meets."""
+    kind, *args = recipe
+    if kind == "table":
+        table = args[0]
+
+        def q(n):
+            if n > len(table):
+                raise TableRangeError(f"table(<table>) holds {len(table)} "
+                                      f"values; n={n} is out of range")
+            return table[n - 1]
+        return q
+    if kind == "theorem4":
+        j, k, m = args
+
+        def value(n):
+            if n <= j:
+                return m * (2**n - 1) + k
+            return sum(done[-j:]) - (j - 1) * k
+    elif kind == "theorem5phi":
+        j = args[0]
+
+        def value(n):
+            if n <= j:
+                return 3**n - 2
+            if n < 2 * j:
+                return 3**n - 2 - 4 * n * 3 ** (n - j - 1)
+            return sum((2 * min(i, 2 * j - i) - 1) * done[-i]
+                       for i in range(1, 2 * j))
+    elif kind == "const":
+        def value(n):
+            return args[0]
+    elif kind == "lin":
+        k, a, m, b = args[0], reference(args[1]), args[2], reference(args[3])
+
+        def value(n):
+            return k * a(n) + m * b(n)
+    elif kind == "dilate":
+        base, factor = reference(args[0]), args[1]
+
+        def value(n):
+            return base(factor * n)
+    else:
+        parts = list(map(reference, args[0]))
+
+        def value(n):
+            return math.prod(part(n) for part in parts)
+    done = []
+
+    def q(n):
+        if n > sequences.FILL_CAP:
+            raise FillCapExceededError(f"n={n} is past the fill cap of "
+                                       f"{sequences.FILL_CAP} values")
+        if kind == "dilate":
+            base(factor * n)
+        while len(done) < n:
+            done.append(value(len(done) + 1))
+        return done[n - 1]
+    return q
+
+
 def caches_within(seq, bound: int) -> bool:
     """No exact cache below seq holds more than bound values, times the
     dilation factors on the way to it; tables hold what they loaded."""
@@ -604,50 +661,59 @@ def caches_within(seq, bound: int) -> bool:
 @example(recipe=("dilate", ("lin", 1, ("table", [1] * 30), 1, ("const", 1)),
                  4))
 @example(recipe=("lin", 1, ("table", [1, 2]), 1, ("dilate", ("const", 1), 4)))
+@example(recipe=("dilate", ("prod", [("theorem4", 2, 1, -1),
+                                     ("theorem5phi", 3)]), 3))
 @given(recipe=RECIPES)
 def test_reach_and_refusal_match_the_fill(recipe):
-    # with a fill cap of 40, both errors occur, in any order along n
+    # eval, exact, _reach and _refusal against the reference fill. With a
+    # fill cap of 40, both errors occur, in any order along n
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sequences, "FILL_CAP", 40)
-        ascent = build(recipe)
+        ascent, want = build(recipe), reference(recipe)
         reach = ascent._reach()
         for n in range(1, 60):
-            # one sequence filled as far as an ascent gets, one fresh
-            for seq in (ascent, build(recipe)):
-                try:
-                    seq.exact(n)
-                except (TableRangeError, FillCapExceededError) as exc:
-                    assert n > reach
-                    got = seq._refusal(n)
-                    assert (type(got), str(got)) == (type(exc), str(exc))
-                else:
-                    assert n <= reach
+            # one sequence evaluated as far as an ascent gets, one fresh
+            seqs = (ascent, build(recipe))
+            try:
+                value = want(n)
+            except (TableRangeError, FillCapExceededError) as exc:
+                assert n > reach
+                refused = ascent._refusal(n)
+                assert (type(refused), str(refused)) == (type(exc), str(exc))
+                for at in (f for seq in seqs for f in (seq.eval, seq.exact)):
+                    with pytest.raises(type(exc)) as got:
+                        at(n)
+                    assert str(got.value) == str(exc)
+                continue
+            assert n <= reach
+            for seq in seqs:
+                got = seq.eval(n), seq.exact(n)
+                assert list(map(type, got)) == [int, Decimal]
+                # str tells a negative zero apart
+                assert list(map(str, got)) == [str(value)] * 2
 
 
 @settings(max_examples=150, deadline=None)
-@example(recipe=("lin", -1, ("const", 0), -1, ("const", 0)), start=1,
-         length=3)
-@given(recipe=RECIPES, start=st.integers(1, 40), length=st.integers(0, 40))
-def test_stream_yields_the_filled_values_and_caches_nothing_past_start(
-        recipe, start, length):
-    seq, filled = build(recipe), build(recipe)
-    stop = start + length - 1
-    reach = seq._reach()
-    if stop > reach:
-        # refused at once, as the ascent from start is by the fill
-        with pytest.raises((TableRangeError, FillCapExceededError)) as got:
-            seq._stream(start, stop)
+@example(recipe=("lin", -1, ("const", 0), -1, ("const", 0)), stop=3)
+@given(recipe=RECIPES, stop=st.integers(0, 60))
+def test_stream_yields_the_filled_values_and_caches_nothing(recipe, stop):
+    # with a fill cap of 40, both errors occur, in any order along n
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sequences, "FILL_CAP", 40)
+        seq, want = build(recipe), reference(recipe)
+        try:
+            values = [want(n) for n in range(1, stop + 1)]
+        except (TableRangeError, FillCapExceededError) as exc:
+            # refused at once, with the error the ascent meets first
+            with pytest.raises(type(exc)) as got:
+                seq._stream(stop)
+            assert str(got.value) == str(exc)
+        else:
+            streamed = list(seq._stream(stop))
+            assert all(type(v) is Decimal for v in streamed)
+            # str tells a negative zero apart
+            assert list(map(str, streamed)) == list(map(str, values))
         assert caches_within(seq, 0)
-        with pytest.raises(got.type) as want:
-            filled.exact(max(start, reach + 1))
-        assert str(got.value) == str(want.value)
-        return
-    streamed = list(seq._stream(start, stop))
-    want = [filled.exact(n) for n in range(start, stop + 1)]
-    # str tells a negative zero apart
-    assert list(map(str, streamed)) == list(map(str, want))
-    assert all(type(v) is Decimal for v in streamed)
-    assert caches_within(seq, start - 1)
 
 
 def test_stream_values_are_computed_in_the_exact_context():
@@ -657,7 +723,7 @@ def test_stream_values_are_computed_in_the_exact_context():
     with decimal.localcontext() as caller:
         caller.prec = 5
         streamed = list(linear_combine(1, make_theorem5_phi(2), 10**40,
-                                       constant(1))._stream(1, 20))
+                                       constant(1))._stream(20))
         assert decimal.getcontext() is caller
     assert streamed == want
 

@@ -5,6 +5,8 @@ Fraction expansion written out below."""
 
 from __future__ import annotations
 
+import copy
+import pickle
 import random
 import sys
 import threading
@@ -17,6 +19,7 @@ from hypothesis import strategies as st
 
 import divseq.symbolic
 from divseq._charpoly import _charpoly
+from divseq.arith import factorize
 from divseq.interval_map import (
     PLMap,
     build_gj,
@@ -694,6 +697,21 @@ def test_a_deferred_tensor_is_the_same_record():
     with pytest.raises(AttributeError):
         u.n = 5
     assert (u.j, u.n) == (2, 2) and not hasattr(u, "__dict__")
+
+
+@pytest.mark.parametrize("make", [
+    lambda: factorize(12), lambda: initial_tensor(3),
+    lambda: lazy_step(lazy_step(initial_tensor(3)))],
+    ids=["factorization", "tensor", "unread-deferred-tensor"])
+@pytest.mark.parametrize("clone", [
+    copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))],
+    ids=["copy", "deepcopy", "pickle"])
+def test_records_copy_and_pickle(make, clone):
+    record = make()
+    got = clone(record)
+    # a deferred tensor is read on the way, so it and its clone are plain
+    assert type(got) is type(record) is not divseq.symbolic._DeferredTensor
+    assert got == record == make()
 
 
 def test_six_threads_reading_one_deferred_tensor_get_identical_counts():
