@@ -36,7 +36,8 @@ __all__ = [
 ]
 
 # Any integer-valued function on n >= 1; divseq.sequences.Sequence qualifies,
-# and so does its exact method, which returns integral Decimals.
+# and so does a lookup of integral Decimals, such as a report's list of the
+# values it streamed.
 IntSequence = Callable[[int], int]
 
 # Integers of up to MAX_PREC digits are exact in this context, and any

@@ -25,6 +25,7 @@ from __future__ import annotations
 import argparse
 import os
 import sys
+from bisect import bisect_left
 
 from . import __version__
 from .arith import PrimeTable, divisibility_check, phi1, phi2
@@ -38,6 +39,7 @@ from .interval_map import (
     iterates,
     load_map_file,
 )
+from . import sequences
 from .sequences import (
     FillCapExceededError,
     Sequence,
@@ -227,13 +229,18 @@ def _check_reach(seq: Sequence, n_max: int, per_row=()):
     here, before any value is computed.
 
     The check reads the expression, not values: q(1..seq._reach()) can be
-    computed, and each n past that meets seq._refusal(n), the error that
-    exact(n) raises. So an error names the n an ascent n = 1, 2, ... would
-    meet first, and a fill-cap refusal costs no fill."""
-    for n in range(seq._reach() + 1, n_max + 1):
-        error = seq._refusal(n)
-        if not isinstance(error, per_row):
-            raise error
+    computed, and each n past that meets seq._refusal(n), the error an
+    ascent n = 1, 2, ... meets first, so a fill-cap refusal costs no fill.
+    Whether that error is of a per_row type changes at most once as n
+    grows, from yes to no: a table refuses every n alike, a combination up
+    to FILL_CAP as its first short part does at one n, a dilation as its
+    base at k*n, and past FILL_CAP all but a table meet the fill cap. So
+    the first other one is found by bisection of the first FILL_CAP + 1."""
+    past = range(seq._reach() + 1, n_max + 1)[:sequences.FILL_CAP + 1]
+    i = bisect_left(past, True,
+                    key=lambda n: not isinstance(seq._refusal(n), per_row))
+    if i < len(past):
+        raise seq._refusal(past[i])
 
 
 def _divisibility_rows(seq: Sequence, mode: str, n_max: int):
@@ -246,7 +253,7 @@ def _divisibility_rows(seq: Sequence, mode: str, n_max: int):
     computed once, in order, for its row; the rows keep q(1..keep) in a
     list of their own and drop the later ones. Each row reads its primes
     from one PrimeTable. Past the last n that can be computed, where a
-    table ran out, a row reports the TableRangeError that seq.exact(n)
+    table ran out, a row reports the TableRangeError that a fill to n
     would raise."""
     transform, mod_factor = _MODES[mode]
     keep = n_max // _LEAST_DIVISOR[mode]
@@ -282,7 +289,7 @@ def run_divisibility(seq: Sequence, mode: str, n_max: int) -> list[dict]:
 
     Returns the row dicts of the report table: n, q, phi, modulus,
     remainder and pass, with q, phi and remainder as strings (q and phi
-    printed from exact Decimals, in linear time). A row that cannot be
+    printed from streamed Decimals, in linear time). A row that cannot be
     evaluated (a table running out of values) fails with them None and the
     message under "error"; it is not raised. `verify` streams the same
     rows. The values are streamed, so seq caches none of them (see

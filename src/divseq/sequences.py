@@ -5,22 +5,21 @@ Every sequence is defined on n >= 1 and carries a provenance flag saying
 which divisibility guarantee (if any) it inherits. Verification code uses the
 flags purely as report labels; it never skips a check because of them.
 
-A sequence computes its values exactly in two number types, each with its own
-cache: `eval(n)` (and `seq(n)`) returns a Python int, and `exact(n)` returns
-the same value as an integral `decimal.Decimal`, computed under
-`divseq.arith.exact_context()`. `str` of a Decimal is linear in its length,
-where `str` of an int is quadratic, so the command line prints values from
-`exact`.
+A sequence's values are exact ints, from `eval(n)` (and `seq(n)`), which
+reads the sequence's one cache, or integral `decimal.Decimal`s, from
+`_stream(stop)`, computed under `divseq.arith.exact_context()` and cached
+nowhere. `str` of a Decimal is linear in its length, where `str` of an int
+is quadratic, so the command line prints values from a stream.
 
 A sequence computes values in one place only, its `_tail(start, num)`: an
 iterator of q(start), q(start+1), ... in number type num, read from the
-tails of the sequences a value reads. A cache that is short of n is extended
-from it, and `_stream(stop)` yields q(1..stop) from it as Decimals and
-caches nothing. Whether q(1..n) can be computed at all, and which error it
-meets, `_reach()` and `_refusal(n)` decide from the expression alone, before
-any value is computed. The one other route is a LinearRecurrence's `eval`
-of a far n (see its docstring): it jumps, computing x**(n-1) modulo the
-characteristic polynomial, and caches nothing.
+tails of the sequences a value reads. The cache, when short of n, is
+extended from it, and a stream reads it from q(1) on. Whether q(1..n) can
+be computed at all, and which error it meets, `_reach()` and `_refusal(n)`
+decide from the expression alone, before any value is computed. The one
+other route is a LinearRecurrence's `eval` of a far n (see its
+docstring): it jumps, computing x**(n-1) modulo the characteristic
+polynomial, and caches nothing.
 """
 
 from __future__ import annotations
@@ -62,7 +61,7 @@ __all__ = [
 # longest bad table token quoted in full in an error message
 _QUOTE_CAP = 40
 
-# largest n a sequence fills its caches to
+# largest n a sequence fills its cache to
 FILL_CAP = 10**7
 
 # Provenance flags. MAP_DERIVED_PHI marks fixed-point counts of some self-map
@@ -83,19 +82,16 @@ class TableRangeError(LookupError):
 
 
 class FillCapExceededError(RuntimeError):
-    """Evaluation at an n past FILL_CAP, which would fill a cache that
-    long."""
+    """A fill or a stream past n = FILL_CAP."""
 
 
 class Sequence:
-    """Integer-valued function on n >= 1 with memoized, append-only caches,
-    one per number type (int for eval, Decimal for exact).
-
-    A cache short of n is extended from _tail, bottom-up (never by recursion
-    on n), so a fill is linear in n and safe at any depth; eval() may
-    instead jump to a far n without filling (see LinearRecurrence). The
-    caches are guarded by a lock; concurrent eval() or exact() calls return
-    identical values.
+    """Integer-valued function on n >= 1 with one memoized, append-only int
+    cache, _values, extended from _tail bottom-up (never by recursion on
+    n), so a fill is linear in n and safe at any depth; eval() may instead
+    jump to a far n without filling (see LinearRecurrence). The cache is
+    guarded by a lock; concurrent eval() calls return identical values.
+    Decimal values come only from _stream, which caches nothing.
 
     A subclass whose values read other sequences at the same n lists them in
     _parts, in the order _refusal asks them, sets _scale and _length from
@@ -114,7 +110,6 @@ class Sequence:
         self.guarantee = guarantee
         self._lock = threading.Lock()
         self._values: list[int] = []
-        self._exact: list[Decimal] = []
 
     def eval(self, n: int) -> int:
         """The value at n as an int: read from the cache, jumped to (see
@@ -124,45 +119,38 @@ class Sequence:
             if value is not None:
                 return value
             with self._lock:
-                self._fill(self._values, n, int)
+                self._fill(n)
         return self._values[n - 1]
-
-    def exact(self, n: int) -> Decimal:
-        """The value at n as an integral Decimal; equal to eval(n)."""
-        if not 0 < n <= len(self._exact):
-            with self._lock, exact_context():
-                self._fill(self._exact, n, Decimal)
-        return self._exact[n - 1]
 
     def __call__(self, n: int) -> int:
         return self.eval(n)
 
     def _jump(self, n: int):
-        """The int value at n computed without touching the caches, or None
+        """The int value at n computed without touching the cache, or None
         where eval should fill instead; only a LinearRecurrence jumps."""
         return None
 
-    def _fill(self, values: list, n: int, num: type):
-        """Extend values, the cache of number type num, to q(1..n) from
-        _tail; past _reach() refuse, before any value is computed."""
+    def _fill(self, n: int):
+        """Extend _values to q(1..n) from _tail; past _reach() refuse,
+        before any value is computed."""
         if n < 1:
             raise ValueError(f"sequence domain is n >= 1, got {n}")
         if n > self._reach():
             raise self._refusal(n)
         # a fill that waited for the lock may find values already past n
-        start = len(values) + 1
+        start = len(self._values) + 1
         if start <= n:
-            values.extend(islice(self._tail(start, num), n - start + 1))
+            self._values.extend(islice(self._tail(start, int), n - start + 1))
 
     def _reach(self) -> int:
-        """The largest N for which exact(1), ..., exact(N) all succeed,
+        """The largest N for which q(1), ..., q(N) can all be computed,
         decided without filling: the fill cap bounds each sequence that
         fills at its dilation multiple of n, and each table its length."""
         return min(FILL_CAP // self._scale, self._length)
 
     def _refusal(self, n: int) -> Exception:
-        """The error that exact(n) raises for an n past _reach(): the one an
-        ascent n = 1, 2, ... meets first, found from the expression."""
+        """The error a fill to n raises past _reach(): the one an ascent
+        n = 1, 2, ... meets first, found from the expression."""
         if n > FILL_CAP:
             return _past_the_cap(n)
         # the ascent stops at the first value it cannot compute, and asks
@@ -176,7 +164,7 @@ class Sequence:
         nowhere.
 
         Where q(1..stop) cannot all be computed, it refuses at once with
-        the error that an ascent meets first, as exact would."""
+        the error that an ascent meets first, as a fill would."""
         if stop > self._reach():
             raise self._refusal(self._reach() + 1)
         return _in_exact_context(islice(self._tail(1, Decimal), stop))
@@ -193,15 +181,15 @@ class Sequence:
 
 
 class LinearRecurrence(Sequence):
-    """q(n) = head(n) for n <= order = len(coeffs), then
+    """q(n) = head(n) for n <= order, the number of coeffs, then
     q(n) = coeffs[0]*q(n-1) + ... + coeffs[order-1]*q(n-order) + constant.
 
     head is called only for the n being computed, so a family with a large
     order computes none of its seed values before they are asked for. It
     returns an int, converted to the number type being computed. coeffs is
-    any iterable, read into a tuple, or the zigzag families' lazy view,
-    kept as given; its entries are read once, on the first step past the
-    head, and otherwise only the order is used.
+    any iterable, read into a tuple, or the theorem families' lazy view,
+    kept as given, with its order; its entries are read once, on the first
+    step past the head, and otherwise only the order is used.
 
     eval(n) has two routes. A jump makes about order**2 * log2(n)
     multiplications where a fill makes order additions per value, and
@@ -223,9 +211,11 @@ class LinearRecurrence(Sequence):
                  constant: int):
         super().__init__(seq_id, guarantee)
         self.head = head
-        self.coeffs = (coeffs if isinstance(coeffs, _ZigzagCoeffs)
-                       else tuple(coeffs))
-        self.order = len(self.coeffs)
+        if isinstance(coeffs, _FamilyCoeffs):
+            self.coeffs, self.order = coeffs, coeffs.order
+        else:
+            self.coeffs = tuple(coeffs)
+            self.order = len(self.coeffs)
         self.constant = constant
         self._terms = _Terms(self.coeffs, constant)
         # the farthest n jumped to, and the reckoned cost, in values filled,
@@ -235,14 +225,15 @@ class LinearRecurrence(Sequence):
 
     def _tail(self, start: int, num: type):
         # a value reads only the order values before it, so a sliding window
-        # of them stands in for the cache. The cache is filled to start - 1
-        # first, by _fill: eval may jump and cache nothing
-        cache = self._values if num is int else self._exact
-        if len(cache) < start - 1:
+        # of them, in num, stands in for the cache (empty for a Decimal
+        # tail, which starts at 1). The cache is filled to start - 1 first,
+        # by _fill: eval may jump and cache nothing
+        if len(self._values) < start - 1:
             with self._lock:
-                self._fill(cache, start - 1, num)
+                self._fill(start - 1)
         order = self.order
-        window = cache[max(start - 1 - order, 0):start - 1]
+        lo = max(start - 1 - order, 0)
+        window = list(map(num, self._values[lo:start - 1]))
         for n in range(start, order + 1):
             value = num(self.head(n))
             window.append(value)
@@ -305,36 +296,35 @@ class _Terms(dict):
         return entry
 
 
-class _ZigzagCoeffs:
-    """The coefficients of the order-(2j-1) recurrence shared by the
-    theorem5 families, 2*min(i, 2j-i) - 1 for lags i = 1..2j-1 (so 2i-1 up
-    to lag j, then 4j-2i-1), computed when read: a family of order 2*10**6
-    costs nothing to build."""
+class _FamilyCoeffs:
+    """The coefficients of a theorem family's recurrence, computed when
+    read, so a family of any order costs nothing to build: j ones for
+    theorem4, and for the theorem5 families 2*min(i, 2j-i) - 1 for lags
+    i = 1..2j-1 (so 2i-1 up to lag j, then 4j-2i-1; 2j is order + 1). It
+    has no len(), which fails past sys.maxsize: the order is an attribute."""
 
-    __slots__ = ("j",)
+    __slots__ = ("order", "zigzag")
 
-    def __init__(self, j: int):
-        self.j = j
-
-    def __len__(self):
-        return 2 * self.j - 1
+    def __init__(self, j: int, zigzag: bool):
+        self.order = 2 * j - 1 if zigzag else j
+        self.zigzag = zigzag
 
     def __getitem__(self, index: int) -> int:
-        i = range(1, 2 * self.j)[index]  # the lag; IndexError past the end
-        return 2 * min(i, 2 * self.j - i) - 1
+        i = range(1, self.order + 1)[index]  # the lag; IndexError past the end
+        return 2 * min(i, self.order + 1 - i) - 1 if self.zigzag else 1
 
 
 class TableSequence(Sequence):
-    """Values loaded from an external table, given once per number type as
-    the filled caches; evaluation past the end is an error, never an
-    extrapolation."""
+    """Values loaded from an external table, given once per number type: the
+    ints as the filled cache, the Decimals for the Decimal tail. Evaluation
+    past the end is an error, never an extrapolation."""
 
     _scale = 0  # a table fills nothing, so the fill cap does not bound it
 
     def __init__(self, values, decimals, source: str = "<table>"):
         super().__init__(f"table({source})")
-        self._values, self._exact = list(values), list(decimals)
-        self._length = len(self._exact)
+        self._values, self._decimals = list(values), list(decimals)
+        self._length = len(self._decimals)
 
     def _reach(self) -> int:
         return self._length
@@ -345,8 +335,8 @@ class TableSequence(Sequence):
 
     def _tail(self, start: int, num: type):
         # by index: islice would step over the first start - 1 values
-        cache = self._values if num is int else self._exact
-        return map(cache.__getitem__, range(start - 1, self._length))
+        values = self._values if num is int else self._decimals
+        return map(values.__getitem__, range(start - 1, self._length))
 
 
 class LinearCombinationSequence(Sequence):
@@ -446,7 +436,7 @@ def make_theorem4(j: int, k: int, m: int) -> Sequence:
     with unlimited_int_digits():  # k and m may have any number of digits
         seq_id = f"theorem4(j={j},k={k},m={m})"
     return LinearRecurrence(seq_id, guarantee, lambda n: m * (2**n - 1) + k,
-                            (1,) * j, -(j - 1) * k)
+                            _FamilyCoeffs(j, zigzag=False), -(j - 1) * k)
 
 
 def make_theorem5_phi(j: int) -> Sequence:
@@ -463,7 +453,7 @@ def make_theorem5_phi(j: int) -> Sequence:
         return 3**n - 2 - 4 * n * 3 ** (n - j - 1)
 
     return LinearRecurrence(f"theorem5phi(j={j})", MAP_DERIVED_PHI, head,
-                            _ZigzagCoeffs(j), 0)
+                            _FamilyCoeffs(j, zigzag=True), 0)
 
 
 def make_theorem5_psi(j: int) -> Sequence:
@@ -481,7 +471,7 @@ def make_theorem5_psi(j: int) -> Sequence:
         return 3**n - 4 * n * 3 ** (n - j - 1)
 
     return LinearRecurrence(f"theorem5psi(j={j})", ODD_MAP_DERIVED_PSI, head,
-                            _ZigzagCoeffs(j), 0)
+                            _FamilyCoeffs(j, zigzag=True), 0)
 
 
 def constant(value: int) -> Sequence:
@@ -506,7 +496,9 @@ def dilate(seq: Sequence, k: int) -> Sequence:
 
 def dilate_odd(seq: Sequence, k: int) -> Sequence:
     """n -> seq(k*n) for odd k >= 1; keeps the odd-map-derived-psi flag when
-    present (even k would break the symmetric-orbit structure)."""
+    present: where seq(n) counts the x with g^n(x) = -x for an odd map g,
+    seq(k*n) counts them for g^k, which is odd too. g^k is odd for even k
+    as well; whether even k may keep the flag is ROADMAP.md item 2."""
     if k < 1 or k % 2 == 0:
         raise ValueError(f"dilate_odd requires odd k >= 1, got {k}")
     guarantee = (ODD_MAP_DERIVED_PSI if seq.guarantee == ODD_MAP_DERIVED_PSI

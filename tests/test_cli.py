@@ -33,6 +33,7 @@ from divseq.sequences import (
     MAP_DERIVED_PHI,
     ODD_MAP_DERIVED_PSI,
     PHI1_CLOSURE,
+    unlimited_int_digits,
 )
 
 
@@ -364,23 +365,26 @@ REPORT_EXPRS = st.recursive(REPORT_LEAVES, lambda sub: st.one_of(
 
 def rows_from_a_full_cache(seq, mode: str, n_max: int):
     """The report rows built as they were before streaming: an ascent of
-    seq.exact(n) for every n, a row per n read from that cache, the first
-    error other than a table's end raised."""
+    seq(n) for every n, a row per n read from the int cache and printed
+    from ints, the first error other than a table's end raised. So the
+    rows printed from the Decimal stream are checked against the int
+    path."""
     transform, factor = cli._MODES[mode]
     rows = []
     for n in range(1, n_max + 1):
         try:
-            q = seq.exact(n)
+            q = seq(n)
         except sequences.TableRangeError as exc:
             rows.append({"n": n, "q": None, "phi": None,
                          "modulus": factor * n, "remainder": None,
                          "pass": False, "error": str(exc)})
             continue
-        phi = transform(seq.exact, n)
+        phi = transform(seq, n)
         ok, remainder = divisibility_check(phi, factor * n)
-        rows.append({"n": n, "q": str(q), "phi": str(phi),
-                     "modulus": factor * n, "remainder": str(remainder),
-                     "pass": ok})
+        with unlimited_int_digits():
+            rows.append({"n": n, "q": str(q), "phi": str(phi),
+                         "modulus": factor * n, "remainder": str(remainder),
+                         "pass": ok})
     return rows
 
 
@@ -392,11 +396,11 @@ def outcome(report, *args):
 
 
 def assert_caches_within(seq, bound: int):
-    """No exact cache below seq holds more than bound values, times the
-    dilation factors on the way to it; tables hold what they loaded."""
+    """No cache below seq holds more than bound values, times the dilation
+    factors on the way to it; tables hold what they loaded."""
     if isinstance(seq, sequences.TableSequence):
         return
-    assert len(seq._exact) <= bound, (seq.id, len(seq._exact), bound)
+    assert len(seq._values) <= bound, (seq.id, len(seq._values), bound)
     if isinstance(seq, sequences.DilationSequence):
         assert_caches_within(seq.base, seq.k * bound)
     for part in seq._parts:
@@ -456,6 +460,24 @@ def test_verify_nested_150_deep_still_evaluates():
     expr = "dilate(" * 150 + "const(1)" + ",1)" * 150
     proc = run_proc("verify", expr, "--mode", "phi1-mod-n", "--n-max", "3")
     assert (proc.returncode, proc.stderr) == (0, b"")
+
+
+@pytest.mark.parametrize("expr, values", [
+    ("theorem5phi(1000000000000000000000)", (1, 7, 25)),
+    ("theorem5psi(1000000000000000000000)", (3, 9, 27)),
+    ("theorem4(1000000000000000000000,0,1)", (1, 3, 7)),
+    ("theorem4(100000000,0,1)", (1, 3, 7)),
+])
+def test_verify_huge_recurrence_orders_exit_zero(expr, values):
+    # the coefficients are computed when read and the order is not a len(),
+    # so an order past sys.maxsize, or one of 10**8, builds nothing
+    proc = run_proc("verify", expr, "--mode", "phi1-mod-n", "--n-max", "3",
+                    timeout=60)
+    assert (proc.returncode, proc.stderr) == (0, b"")
+    q1, q2, q3 = values
+    assert proc.stdout.decode().splitlines()[1:] == [
+        f"1,{q1},{q1},1,0,true", f"2,{q2},{q2 - q1},2,0,true",
+        f"3,{q3},{q3 - q1},3,0,true"]
 
 
 def test_verify_nested_dilations_past_the_fill_cap_exit_three():
@@ -858,11 +880,62 @@ def test_failure_past_the_first_row_writes_nothing(capsys, monkeypatch, args,
 
 
 def test_check_reach_names_the_first_failing_n():
-    # exact(5) fails on a 2-value table; the ascent before it meets n=3
+    # a fill to 5 fails on a 2-value table; the ascent before it meets n=3
     table = sequences.parse_table("1\n2\n")
     with pytest.raises(sequences.TableRangeError, match="n=3 is out"):
         cli._check_reach(table, 5)
     cli._check_reach(table, 5, sequences.TableRangeError)  # left to the rows
+
+
+def walked_reach(seq, n_max: int, per_row):
+    """What cli._check_reach raises, found by a plain walk n = reach + 1,
+    ..., n_max: the first refusal not of a per_row type, or None."""
+    for n in range(seq._reach() + 1, n_max + 1):
+        error = seq._refusal(n)
+        if not isinstance(error, per_row):
+            return error
+    return None
+
+
+@settings(max_examples=200, deadline=None)
+@example(expr="lin(1,table(DIR/short.txt),1,const(0))", cap=30, n_max=400)
+@example(expr="dilate(lin(1,table(DIR/mixed.txt),2,dilate(table(DIR/short.txt)"
+              ",3)),2)", cap=50, n_max=60)
+@example(expr="prod(dilate(table(DIR/mixed.txt),3),theorem5phi(2))", cap=97,
+         n_max=99)
+@example(expr="table(DIR/mixed.txt)", cap=30, n_max=41)  # reach > FILL_CAP
+@given(expr=REPORT_EXPRS, cap=st.sampled_from([30, 50, 97]),
+       n_max=st.integers(1, 400))
+def test_check_reach_raises_what_a_walk_meets_first(table_dir, expr, cap,
+                                                     n_max):
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(sequences, "FILL_CAP", cap)
+        seq = parse_expression(expr.replace("DIR", str(table_dir)))
+        for per_row in ((), sequences.TableRangeError):
+            want = walked_reach(seq, n_max, per_row)
+            try:
+                cli._check_reach(seq, n_max, per_row)
+            except (sequences.TableRangeError,
+                    sequences.FillCapExceededError) as exc:
+                got = exc
+            else:
+                got = None
+            assert (type(got), str(got)) == (type(want), str(want)), per_row
+
+
+def test_check_reach_asks_few_refusals(table_dir):
+    # one check per report: a bisection, not a refusal per row past a table
+    seq = parse_expression(f"lin(1,table({table_dir}/short.txt),1,const(0))")
+    refusal, asked = seq._refusal, []
+    seq._refusal = lambda n: asked.append(n) or refusal(n)
+    cli._check_reach(seq, 300000, sequences.TableRangeError)
+    assert 0 < len(asked) <= 20
+    # past sys.maxsize: a combination meets the fill cap at FILL_CAP + 1,
+    # and a table leaves every row to report
+    with pytest.raises(sequences.FillCapExceededError, match="n=10000001 "):
+        cli._check_reach(seq, 10**30, sequences.TableRangeError)
+    table = parse_expression(f"table({table_dir}/short.txt)")
+    cli._check_reach(table, 10**30, sequences.TableRangeError)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "tsv", "json"])

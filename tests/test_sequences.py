@@ -45,6 +45,10 @@ def values(seq, n_max):
     return [seq(n) for n in range(1, n_max + 1)]
 
 
+def decimals(seq, n_max):
+    return list(seq._stream(n_max))
+
+
 # -- theorem4 family --------------------------------------------------------
 
 def test_theorem4_basic_family():
@@ -97,8 +101,14 @@ def test_theorem5_rejects_small_j():
 
 
 def test_eval_rejects_nonpositive_n():
+    for n in (0, -1):
+        with pytest.raises(ValueError, match="n >= 1"):
+            make_theorem5_phi(2)(n)
+    # also once the cache holds values
+    seq = make_theorem5_phi(2)
+    seq(5)
     with pytest.raises(ValueError):
-        make_theorem5_phi(2)(0)
+        seq(0)
 
 
 def test_values_grow_past_machine_words():
@@ -171,10 +181,13 @@ def test_seed_values_are_computed_only_when_filled():
 def test_zigzag_coefficients_are_computed_when_read():
     assert tuple(make_theorem5_phi(4).coeffs) == (1, 3, 5, 7, 5, 3, 1)
     assert tuple(make_theorem5_psi(2).coeffs) == (1, 3, 1)
+    assert tuple(make_theorem4(4, 0, 1).coeffs) == (1, 1, 1, 1)
     # an order-(2*10**6 - 1) family holds no coefficient tuple: building it
     # and filling its head allocates well under the 16 MB of such a tuple
+    # (8 MB for theorem4 of order 10**6)
     tracemalloc.start()
     try:
+        assert values(make_theorem4(10**6, 0, 1), 3) == [1, 3, 7]
         seq = make_theorem5_phi(10**6)
         assert values(seq, 3) == [1, 7, 25]
         peak = tracemalloc.get_traced_memory()[1]
@@ -182,7 +195,7 @@ def test_zigzag_coefficients_are_computed_when_read():
         tracemalloc.stop()
     assert peak < 10**6
     coeffs = seq.coeffs
-    assert len(coeffs) == seq.order == 2 * 10**6 - 1
+    assert coeffs.order == seq.order == 2 * 10**6 - 1
     assert (coeffs[0], coeffs[10**6 - 1], coeffs[-1]) == (1, 2 * 10**6 - 1, 1)
     with pytest.raises(IndexError):
         coeffs[2 * 10**6 - 1]
@@ -205,7 +218,7 @@ def multiplications_per_value(seq, n_max):
     head, with seq's own head, coefficients and constant."""
     counted = LinearRecurrence("counted", NO_GUARANTEE, seq.head,
                                map(MulCountingInt, seq.coeffs), seq.constant)
-    order = len(seq.coeffs)
+    order = seq.order
     assert values(counted, order) == values(seq, order)
     MulCountingInt.muls = 0
     assert values(counted, n_max) == values(seq, n_max)
@@ -224,17 +237,17 @@ def test_unit_coefficients_are_added_without_multiplying():
 
 def test_recurrence_terms_are_built_on_the_first_fill_past_the_head():
     seq = make_theorem5_phi(3)  # order 5
-    assert values(seq, 5) == [seq.exact(n) for n in range(1, 6)]
+    assert values(seq, 5) == decimals(seq, 5)
     assert dict(seq._terms) == {}
     assert seq(9) == 1 * seq(8) + 3 * seq(7) + 5 * seq(6) + 3 * seq(5) + seq(4)
     assert list(seq._terms) == [int]
-    seq.exact(5)
+    decimals(seq, 5)
     assert list(seq._terms) == [int]
-    assert seq.exact(6) == seq(6)
+    assert decimals(seq, 6)[-1] == seq(6)
     assert list(seq._terms) == [int, Decimal]
     # a head-only fill of an order-10**5 family builds neither table
     big = make_theorem5_phi(10**5)
-    assert [big.exact(n) for n in (1, 2, 3)] == values(big, 3) == [1, 7, 25]
+    assert decimals(big, 3) == values(big, 3) == [1, 7, 25]
     assert dict(big._terms) == {}
 
 
@@ -242,10 +255,10 @@ def test_ids_of_parameters_past_the_int_digit_limit():
     big, digits = 10**5000, "1" + "0" * 5000
     limit = _digit_limit()
     assert constant(big).id == f"const({digits})"
-    assert constant(-big).exact(2) == -big
+    assert decimals(constant(-big), 2)[-1] == -big
     seq = make_theorem4(3, big, 1)
     assert seq.id == f"theorem4(j=3,k={digits},m=1)"
-    assert (seq(4), seq.exact(4)) == (11 + big, 11 + big)
+    assert (seq(4), decimals(seq, 4)[-1]) == (11 + big, 11 + big)
     assert make_theorem4(3, 0, -big).id == f"theorem4(j=3,k=0,m=-{digits})"
     combined = linear_combine(big, constant(1), -1, constant(2))
     assert combined.id == f"lin({digits},const(1),-1,const(2))"
@@ -289,7 +302,6 @@ def test_jump_equals_fill(terms, constant_, n):
     jumped = jumps(seq, n)
     assert seq(n) == filled(seq, n)
     assert (seq._values == []) == jumped
-    assert seq._exact == []
 
 
 @pytest.mark.parametrize("j", range(2, 9))
@@ -303,7 +315,7 @@ def test_jump_equals_fill_for_every_family(j):
             fresh = factory()
             assert jumps(fresh, n), (seq.id, n)
             assert fresh(n) == filled(seq, n), (seq.id, n)
-            assert fresh._values == fresh._exact == []
+            assert fresh._values == []
             assert dict(fresh._terms) == {}
 
 
@@ -356,7 +368,7 @@ def test_far_eval_past_the_cap_is_refused():
     with pytest.raises(FillCapExceededError, match=f"n={FILL_CAP + 1} .*"
                                                    f"fill cap of {FILL_CAP}"):
         seq(FILL_CAP + 1)
-    assert seq._values == seq._exact == []
+    assert seq._values == []
 
 
 def test_concurrent_far_eval_returns_identical_values():
@@ -380,24 +392,30 @@ def test_concurrent_far_eval_returns_identical_values():
     assert seq._values == []
 
 
-# -- exact values (Decimal) ----------------------------------------------------
+# -- exact values as Decimals, streamed ---------------------------------------
 
-def check_exact(seq, n):
-    """exact(n) and eval(n) agree, or both raise the same TableRangeError.
-    The Decimal has exponent 0 and is never a negative zero, so its str is
-    the int's."""
-    try:
+def check_stream(seq, n_max):
+    """The stream of q(1..k), k = min(n_max, seq._reach()), and eval agree:
+    each value is a Decimal with exponent 0, never a negative zero, equal
+    to the int, and its str is the int's. Past k, where a table ran out,
+    the stream to n_max and eval(k + 1) raise the same TableRangeError."""
+    k = min(n_max, seq._reach())
+    streamed = decimals(seq, k)
+    assert len(streamed) == k
+    for n, got in enumerate(streamed, 1):
         want = seq.eval(n)
-    except TableRangeError as exc:
+        assert type(want) is int and type(got) is Decimal
+        assert got == want
+        assert got.as_tuple().exponent == 0
+        assert not (got.is_zero() and got.is_signed())
+        with unlimited_int_digits():
+            assert str(got) == str(want)
+    if k < n_max:
+        with pytest.raises(TableRangeError) as exc:
+            seq.eval(k + 1)
         with pytest.raises(TableRangeError) as got:
-            seq.exact(n)
-        assert str(got.value) == str(exc)
-        return
-    got = seq.exact(n)
-    assert type(want) is int and type(got) is Decimal
-    assert got == want
-    assert got.as_tuple().exponent == 0
-    assert not (got.is_zero() and got.is_signed())
+            seq._stream(n_max)
+        assert str(got.value) == str(exc.value)
 
 
 BIG = "9" * 5001  # past Python's 4300-digit int<->str limit
@@ -440,36 +458,17 @@ EXAMPLES = [
 @example(seq=EXAMPLES[2], n_max=5)
 @example(seq=EXAMPLES[3], n_max=5)
 def test_exact_equals_eval(seq, n_max):
-    for n in range(1, n_max + 1):
-        check_exact(seq, n)
+    check_stream(seq, n_max)
     assert all(type(v) is int for v in seq._values)
 
 
 def test_exact_prints_as_eval_does():
     seq = EXAMPLES[0]
     with unlimited_int_digits():
-        assert [str(seq.exact(n)) for n in range(1, 6)] \
+        assert list(map(str, decimals(seq, 5))) \
             == [str(seq(n)) for n in range(1, 6)]
-    assert str(EXAMPLES[2].exact(1)) == "0"
-    assert str(EXAMPLES[3].exact(1)) == "0"
-
-
-def test_exact_rejects_nonpositive_n():
-    for n in (0, -1):
-        with pytest.raises(ValueError, match="n >= 1"):
-            make_theorem5_phi(2).exact(n)
-    # also once the cache holds values
-    seq = make_theorem5_phi(2)
-    seq.exact(5)
-    with pytest.raises(ValueError):
-        seq.exact(0)
-
-
-def test_exact_table_range_error_names_requested_n():
-    seq = parse_table("5\n10\n")
-    assert seq.exact(2) == 10
-    with pytest.raises(TableRangeError, match="n=9"):
-        seq.exact(9)
+    assert str(decimals(EXAMPLES[2], 1)[0]) == "0"
+    assert str(decimals(EXAMPLES[3], 1)[0]) == "0"
 
 
 # -- combinators -------------------------------------------------------------
@@ -523,14 +522,14 @@ def test_product_rejects_empty():
         product([])
 
 
-@pytest.mark.parametrize("at", [lambda s, n: s(n), lambda s, n: s.exact(n)],
-                         ids=["eval", "exact"])
+@pytest.mark.parametrize("at", [lambda s, n: s(n), lambda s, n: s._stream(n)],
+                         ids=["eval", "stream"])
 def test_fill_past_the_cap_is_refused(at):
     seq = constant(1)
     with pytest.raises(FillCapExceededError, match=f"n={FILL_CAP + 1} .*"
                                                    f"fill cap of {FILL_CAP}"):
         at(seq, FILL_CAP + 1)
-    assert seq._values == seq._exact == []
+    assert seq._values == []
 
 
 def test_nested_dilation_past_the_cap_fills_nothing():
@@ -540,8 +539,8 @@ def test_nested_dilation_past_the_cap_fills_nothing():
     for _ in range(30):
         levels.append(dilate(levels[-1], 2))
     with pytest.raises(FillCapExceededError, match="n=16777216 "):
-        levels[-1].exact(1)
-    assert all(s._values == s._exact == [] for s in levels)
+        levels[-1]._stream(1)
+    assert all(s._values == [] for s in levels)
     assert values(dilate(dilate(levels[0], 2), 3), 4) == [1] * 4
 
 
@@ -646,11 +645,11 @@ def reference(recipe):
 
 
 def caches_within(seq, bound: int) -> bool:
-    """No exact cache below seq holds more than bound values, times the
-    dilation factors on the way to it; tables hold what they loaded."""
+    """No cache below seq holds more than bound values, times the dilation
+    factors on the way to it; tables hold what they loaded."""
     if isinstance(seq, sequences.TableSequence):
         return True
-    if len(seq._exact) > bound:
+    if len(seq._values) > bound:
         return False
     if isinstance(seq, sequences.DilationSequence):
         return caches_within(seq.base, seq.k * bound)
@@ -665,8 +664,9 @@ def caches_within(seq, bound: int) -> bool:
                                      ("theorem5phi", 3)]), 3))
 @given(recipe=RECIPES)
 def test_reach_and_refusal_match_the_fill(recipe):
-    # eval, exact, _reach and _refusal against the reference fill. With a
-    # fill cap of 40, both errors occur, in any order along n
+    # eval, _reach and _refusal against the reference fill (the stream is
+    # checked against it below). With a fill cap of 40, both errors occur,
+    # in any order along n
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sequences, "FILL_CAP", 40)
         ascent, want = build(recipe), reference(recipe)
@@ -680,17 +680,15 @@ def test_reach_and_refusal_match_the_fill(recipe):
                 assert n > reach
                 refused = ascent._refusal(n)
                 assert (type(refused), str(refused)) == (type(exc), str(exc))
-                for at in (f for seq in seqs for f in (seq.eval, seq.exact)):
+                for seq in seqs:
                     with pytest.raises(type(exc)) as got:
-                        at(n)
+                        seq.eval(n)
                     assert str(got.value) == str(exc)
                 continue
             assert n <= reach
             for seq in seqs:
-                got = seq.eval(n), seq.exact(n)
-                assert list(map(type, got)) == [int, Decimal]
-                # str tells a negative zero apart
-                assert list(map(str, got)) == [str(value)] * 2
+                got = seq.eval(n)
+                assert type(got) is int and got == value
 
 
 @settings(max_examples=150, deadline=None)
@@ -719,7 +717,7 @@ def test_stream_yields_the_filled_values_and_caches_nothing(recipe, stop):
 def test_stream_values_are_computed_in_the_exact_context():
     # 40-digit values, which the default 28-digit context would round
     seq = linear_combine(1, make_theorem5_phi(2), 10**40, constant(1))
-    want = [seq.exact(n) for n in range(1, 21)]
+    want = list(map(Decimal, values(seq, 20)))
     with decimal.localcontext() as caller:
         caller.prec = 5
         streamed = list(linear_combine(1, make_theorem5_phi(2), 10**40,
@@ -800,7 +798,7 @@ def test_concurrent_exact_returns_identical_values():
 
     def worker():
         barrier.wait()
-        results.append([seq.exact(n) for n in range(1, 301)])
+        results.append([seq(n) for n in range(1, 301)])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
@@ -815,7 +813,10 @@ def test_concurrent_exact_returns_identical_values():
     assert not any(t.is_alive() for t in threads)
     assert len(results) == workers
     assert all(r == results[0] for r in results)
-    assert results[0] == values(seq, 300)
+    fresh = linear_combine(3, dilate_odd(make_theorem5_psi(4), 3), -2,
+                           product([make_theorem5_phi(2),
+                                    make_theorem4(3, 1, 2)]))
+    assert results[0] == values(fresh, 300)
 
 
 # -- external tables ---------------------------------------------------------
