@@ -7,9 +7,10 @@ from __future__ import annotations
 class Record:
     """A record whose fields are its class's __match_args__, slots set
     once by __init__ (in that order) and never again; a class may add
-    private slots after them. == holds between records of the same class
-    with equal fields, hash is the hash of the field tuple and repr names
-    the fields, as for a frozen dataclass."""
+    private slots after them, and read a field from one of those through
+    a property, which its own __init__ then sets. == holds between records
+    of the same class with equal fields, hash is the hash of the field
+    tuple and repr names the fields, as for a frozen dataclass."""
 
     __slots__ = ()
 
@@ -27,11 +28,7 @@ class Record:
         return tuple(getattr(self, name) for name in self.__match_args__)
 
     def __reduce__(self):
-        # copy and pickle rebuild through __init__, as __setattr__ refuses.
-        # The fields are read before the class, since reading one may
-        # change it (see symbolic._DeferredTensor)
-        values = self._values()
-        return type(self), values
+        return type(self), self._values()
 
     def __eq__(self, other):
         if other.__class__ is not self.__class__:

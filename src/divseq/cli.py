@@ -298,6 +298,15 @@ def run_divisibility(seq: Sequence, mode: str, n_max: int) -> list[dict]:
     return list(_divisibility_rows(seq, mode, n_max))
 
 
+def _capped_gj(j: int, piece_cap: int):
+    """build_gj(j), refused first where its 2j - 1 pieces pass the cap, so a
+    huge j exits 3 before its 2j nodes are built."""
+    if 2 * j - 1 > piece_cap:
+        raise PieceCapExceededError(
+            f"g_{j} has {2 * j - 1} pieces; cap is {piece_cap}")
+    return build_gj(j)
+
+
 def run_crosscheck(j: int, n_max: int,
                    piece_cap: int = DEFAULT_PIECE_CAP) -> tuple[list, bool]:
     """Compare recurrence, oracle, and edge-engine counts.
@@ -307,7 +316,7 @@ def run_crosscheck(j: int, n_max: int,
     rows as "error:piece-cap" rather than aborting the report; such a row
     does not agree.
     """
-    g = build_gj(j)
+    g = _capped_gj(j, piece_cap)
     phi_seq, psi_seq = make_theorem5_phi(j), make_theorem5_psi(j)
     tensor = initial_tensor(j)
     powers = iterates(g, n_max, piece_cap)
@@ -479,7 +488,7 @@ def cmd_verify(args) -> int:
 
 def cmd_oracle(args) -> int:
     if args.j is not None:
-        gmap = build_gj(args.j)
+        gmap = _capped_gj(args.j, args.piece_cap)
         source = {"j": args.j}
     else:
         gmap = load_map_file(args.map_file)

@@ -188,8 +188,11 @@ class LinearRecurrence(Sequence):
     order computes none of its seed values before they are asked for. It
     returns an int, converted to the number type being computed. coeffs is
     any iterable, read into a tuple, or the theorem families' lazy view,
-    kept as given, with its order; its entries are read once, on the first
-    step past the head, and otherwise only the order is used.
+    kept as given, with its order. Its entries are read once, into the int
+    terms _terms, on the first step past the head of any tail (a Decimal
+    tail converts those terms and the constant when it gets there); a fill
+    or stream that stays in the head reads none. Otherwise only the order
+    is used.
 
     eval(n) has two routes. A jump makes about order**2 * log2(n)
     multiplications where a fill makes order additions per value, and
@@ -217,7 +220,9 @@ class LinearRecurrence(Sequence):
             self.coeffs = tuple(coeffs)
             self.order = len(self.coeffs)
         self.constant = constant
-        self._terms = _Terms(self.coeffs, constant)
+        # (unit lags, other lags, their factors) as ints, built by _tail on
+        # the first step past the head
+        self._terms = None
         # the farthest n jumped to, and the reckoned cost, in values filled,
         # of the jumps that went past every one before them; an update that
         # concurrent jumps lose only moves a fill
@@ -239,8 +244,18 @@ class LinearRecurrence(Sequence):
             window.append(value)
             yield value
         # from here on the window holds order values, so each new one
-        # pushes out the oldest
-        units, lags, factors, constant = self._terms[num]
+        # pushes out the oldest. q(n-i) is window[-i]: terms with
+        # coefficient 1 are added without a multiplication, and terms with
+        # coefficient 0 are dropped
+        if self._terms is None:
+            terms = [(-i, c) for i, c in enumerate(self.coeffs, 1) if c]
+            self._terms = (tuple(i for i, c in terms if c == 1),
+                           tuple(i for i, c in terms if c != 1),
+                           tuple(c for _, c in terms if c != 1))
+        units, lags, factors = self._terms
+        constant = self.constant
+        if num is not int:
+            factors, constant = tuple(map(num, factors)), num(constant)
         at = window.__getitem__
         while True:
             value = sum(map(mul, factors, map(at, lags)),
@@ -267,33 +282,6 @@ class LinearRecurrence(Sequence):
             seed.append(sum(map(mul, coeffs, reversed(seed)), self.constant))
             coeffs = [a - b for a, b in zip(coeffs + [0], [-1] + coeffs)]
         return sum(map(mul, _x_power_mod(n - 1, coeffs), seed))
-
-
-class _Terms(dict):
-    """Number type -> a recurrence's terms in that type, built on the first
-    step past the head: (unit lags, other lags, their factors, constant).
-
-    q(n-i) is window[-i], as the window of _tail ends at q(n-1) when q(n)
-    is computed. Terms with coefficient 1 are added without a multiplication,
-    and terms with coefficient 0 are dropped. The coefficients are read
-    once, for the int terms; another type converts those. A dict, so a
-    filled entry is read at the cost of a plain lookup."""
-
-    def __init__(self, coeffs, constant: int):
-        super().__init__()
-        self.coeffs, self.constant = coeffs, constant
-
-    def __missing__(self, num: type):
-        if num is int:
-            terms = [(-i, c) for i, c in enumerate(self.coeffs, 1) if c]
-            entry = (tuple(i for i, c in terms if c == 1),
-                     tuple(i for i, c in terms if c != 1),
-                     tuple(c for _, c in terms if c != 1), self.constant)
-        else:
-            units, lags, factors, constant = self[int]
-            entry = units, lags, tuple(map(num, factors)), num(constant)
-        self[num] = entry
-        return entry
 
 
 class _FamilyCoeffs:

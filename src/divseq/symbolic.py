@@ -25,9 +25,9 @@ lies in the bucket of its n=1 ancestor. Validation runs on every tensor
 built from outside; `step` adds nonnegative counts of a valid tensor, so
 its results skip it.
 
-`step` itself computes nothing: it returns a deferred tensor, whose counts
-are computed when first read, from the nearest earlier tensor whose counts
-were known. A short distance d is stepped d times; a long one is jumped:
+`step` itself computes nothing: it returns an EdgeTensor whose counts are
+computed when first read, from the nearest earlier tensor whose counts were
+known. A short distance d is stepped d times; a long one is jumped:
 each row is a row vector v and one step is v*M_j, where row i of M_j is the
 step of unit row i, so v*M_j**d is the sum of r[i]*v*M_j**i over i < 2j-1
 for r = x**d modulo M_j's characteristic polynomial (Cayley-Hamilton).
@@ -236,11 +236,16 @@ class EdgeTensor(Record):
     shifted by j-1. Immutable; building one checks j, n, the grid's shape
     and that no count is negative.
 
-    A tensor that `step` returns is deferred (see _DeferredTensor): its
-    counts are computed when first read, and later reads are slot reads."""
+    counts is read from _counts, empty until the first read fills it for a
+    tensor that `step` returned: until then _anchor holds the counts and n
+    of the nearest earlier tensor whose counts were known, and the read
+    computes them from it (see _advanced), stores them, then drops the
+    anchor, in that order, so a concurrent read that finds no anchor finds
+    the counts, and a tensor that has been read keeps no earlier one
+    alive."""
 
     __match_args__ = ("j", "n", "counts")
-    __slots__ = (*__match_args__, "_anchor", "__weakref__")
+    __slots__ = ("j", "n", "_counts", "_anchor", "__weakref__")
 
     def __init__(self, j: int, n: int, counts: tuple[tuple[int, ...], ...]):
         _check_j(j)
@@ -251,7 +256,20 @@ class EdgeTensor(Record):
             raise ValueError(f"counts grid must be {size}x{size}")
         if min(map(min, counts)) < 0:
             raise ValueError("edge counts must be nonnegative")
-        super().__init__(j, n, counts)
+        _set(self, "j", j)
+        _set(self, "n", n)
+        _set(self, "_counts", counts)
+        _set(self, "_anchor", None)
+
+    @property
+    def counts(self) -> tuple[tuple[int, ...], ...]:
+        anchor = self._anchor
+        if anchor is None:
+            return self._counts
+        counts = _advanced(self.j, *anchor, self.n)
+        _set(self, "_counts", counts)
+        _set(self, "_anchor", None)
+        return counts
 
     def entry(self, k: int, i: int) -> int:
         w = self.j - 1
@@ -263,41 +281,6 @@ class EdgeTensor(Record):
         return sum(sum(row) for row in self.counts)
 
 
-_COUNTS = EdgeTensor.counts  # the slot, under _DeferredTensor's property
-
-
-class _DeferredTensor(EdgeTensor):
-    """An EdgeTensor whose counts slot is still unset. _anchor holds the
-    counts and n of the nearest earlier tensor whose counts were known, and
-    the first read of counts computes them (see _advanced), sets the slot,
-    turns the tensor into a plain EdgeTensor and drops the anchor. So a
-    tensor that has been read keeps no earlier one alive, and later reads
-    are slot reads of an EdgeTensor, as fast as on a tensor built whole
-    (a __getattr__ fallback on EdgeTensor would slow down every attribute
-    read of every tensor). The counts are set before the anchor is dropped,
-    so a concurrent first read that finds no anchor finds the counts."""
-
-    __slots__ = ()
-
-    @property
-    def counts(self):
-        anchor = self._anchor
-        if anchor is None:
-            return _COUNTS.__get__(self)
-        counts = _advanced(self.j, *anchor, self.n)
-        _COUNTS.__set__(self, counts)
-        _set(self, "__class__", EdgeTensor)
-        _set(self, "_anchor", None)
-        return counts
-
-    def __eq__(self, other):
-        # Record's == holds only within one class: compare as an EdgeTensor
-        self.counts
-        return self == other
-
-    __hash__ = EdgeTensor.__hash__
-
-
 def initial_tensor(j: int) -> EdgeTensor:
     """The n=1 tensor: one edge per bucket, read off the seed word."""
     _check_j(j)
@@ -305,9 +288,9 @@ def initial_tensor(j: int) -> EdgeTensor:
 
 
 def step(t: EdgeTensor) -> EdgeTensor:
-    """Advance the tensor one iterate, in constant time: the result is
-    deferred, anchored where t is (or at t, if t's counts are known), and
-    its counts are computed when first read.
+    """Advance the tensor one iterate, in constant time: the result is an
+    EdgeTensor anchored where t is (or at t, if t's counts are known), whose
+    counts are computed when first read.
 
     Rows (fixed bucket k) evolve independently. New entry i is the sum of
     the old entries whose laps split into a label-i lap, summed most-used
@@ -319,11 +302,10 @@ def step(t: EdgeTensor) -> EdgeTensor:
     is that partner's new row reversed; any other row is computed. So a
     tensor of g_j costs j rows of additions a step, and any other tensor
     gets the same counts as stepping every row."""
-    new = object.__new__(_DeferredTensor)
+    new = object.__new__(EdgeTensor)
     _set(new, "j", t.j)
     _set(new, "n", t.n + 1)
-    # only a tensor that step made has its anchor slot set (to None once read)
-    _set(new, "_anchor", getattr(t, "_anchor", None) or (t.counts, t.n))
+    _set(new, "_anchor", t._anchor or (t.counts, t.n))
     return new
 
 

@@ -29,6 +29,7 @@ from divseq.cli import (
     parse_expression,
     run_divisibility,
 )
+from divseq.interval_map import DEFAULT_PIECE_CAP
 from divseq.sequences import (
     MAP_DERIVED_PHI,
     ODD_MAP_DERIVED_PSI,
@@ -592,6 +593,20 @@ def test_oracle_piece_cap_exits_three(capsys):
     assert "oracle stopped at n=" in err
 
 
+@pytest.mark.parametrize("command", ["oracle", "crosscheck"])
+@pytest.mark.parametrize("j, cap", [(10**21, None), (3, 4)])
+def test_g_j_with_more_pieces_than_the_cap_is_refused_first(capsys, command,
+                                                            j, cap):
+    # decided from j, before g_j's 2j nodes are built: no OverflowError at
+    # j = 10**21 under the default cap, and no row at n = 1
+    flags = [] if cap is None else ["--piece-cap", str(cap)]
+    code, out, err = run_main(capsys, command, "--j", str(j), "--n-max", "1",
+                              *flags)
+    assert (code, out) == (3, "")
+    assert err == (f"divseq: g_{j} has {2 * j - 1} pieces; "
+                   f"cap is {cap or DEFAULT_PIECE_CAP}\n")
+
+
 @pytest.mark.parametrize("equation", ["fixed", "antifixed"])
 def test_oracle_segment_on_the_line_is_usage_error(capsys, tmp_path, equation):
     # y = x on [-1, 0] and y = -x on [0, 1]: infinitely many solutions
@@ -711,6 +726,8 @@ def test_n_max_zero_rejected(capsys):
     (("conjecture", "--j", "2"), 2),
     (("oracle", "--j", "2"), 0),      # g_2 has 3 pieces
     (("crosscheck", "--j", "2"), 0),
+    (("oracle", "--j", "3"), 0),      # g_3 has 5 pieces, as many as the cap
+    (("crosscheck", "--j", "3"), 0),
 ])
 def test_piece_cap_only_on_oracle_and_crosscheck(capsys, args, code):
     try:

@@ -238,17 +238,21 @@ def test_unit_coefficients_are_added_without_multiplying():
 def test_recurrence_terms_are_built_on_the_first_fill_past_the_head():
     seq = make_theorem5_phi(3)  # order 5
     assert values(seq, 5) == decimals(seq, 5)
-    assert dict(seq._terms) == {}
+    assert seq._terms is None
     assert seq(9) == 1 * seq(8) + 3 * seq(7) + 5 * seq(6) + 3 * seq(5) + seq(4)
-    assert list(seq._terms) == [int]
-    decimals(seq, 5)
-    assert list(seq._terms) == [int]
+    # coefficients 1, 3, 5, 3, 1: lags 1 and 5 add, lags 2..4 multiply
+    terms = ((-1, -5), (-2, -3, -4), (3, 5, 3))
+    assert seq._terms == terms
     assert decimals(seq, 6)[-1] == seq(6)
-    assert list(seq._terms) == [int, Decimal]
-    # a head-only fill of an order-10**5 family builds neither table
+    assert seq._terms == terms
+    # a Decimal tail past the head builds the int terms too
+    fresh = make_theorem5_phi(3)
+    assert decimals(fresh, 6)[-1] == seq(6)
+    assert fresh._terms == terms and fresh._values == []
+    # a head-only fill of an order-10**5 family builds no terms
     big = make_theorem5_phi(10**5)
     assert decimals(big, 3) == values(big, 3) == [1, 7, 25]
-    assert dict(big._terms) == {}
+    assert big._terms is None
 
 
 def test_ids_of_parameters_past_the_int_digit_limit():
@@ -316,7 +320,7 @@ def test_jump_equals_fill_for_every_family(j):
             assert jumps(fresh, n), (seq.id, n)
             assert fresh(n) == filled(seq, n), (seq.id, n)
             assert fresh._values == []
-            assert dict(fresh._terms) == {}
+            assert fresh._terms is None
 
 
 def test_ascending_eval_fills_and_never_jumps(monkeypatch):

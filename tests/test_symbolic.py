@@ -358,8 +358,8 @@ def test_step_validates_its_output():
     bad = object.__new__(EdgeTensor)
     counts = [[0] * 5 for _ in range(5)]
     counts[2][2] = -5
-    for name, value in (("j", 3), ("n", 1),
-                        ("counts", tuple(tuple(r) for r in counts))):
+    for name, value in (("j", 3), ("n", 1), ("_anchor", None),
+                        ("_counts", tuple(tuple(r) for r in counts))):
         object.__setattr__(bad, name, value)
     with pytest.raises(ValueError, match="nonnegative"):
         step(bad)
@@ -688,15 +688,27 @@ def test_a_deferred_tensor_is_the_same_record():
               lambda u: hash(u) == hash(whole), lambda u: repr(u) == repr(whole))
     for check in checks:
         u = lazy_step(lazy_step(t))
-        assert type(u) is not EdgeTensor and isinstance(u, EdgeTensor)
+        assert u._anchor is not None
         assert check(u)
-        assert type(u) is EdgeTensor
+        assert u._anchor is None
     u = lazy_step(t)
     with pytest.raises(AttributeError):
         u.counts = whole.counts
     with pytest.raises(AttributeError):
         u.n = 5
     assert (u.j, u.n) == (2, 2) and not hasattr(u, "__dict__")
+
+
+def test_step_returns_a_plain_tensor_that_matches_unread():
+    t = initial_tensor(3)
+    u = lazy_step(lazy_step(t))
+    assert type(u) is EdgeTensor and u._anchor is not None
+    match u:
+        case EdgeTensor(j, n, counts):
+            assert (j, n, counts) == (3, 3, eager(t, 2))
+        case _:
+            pytest.fail("an unread tensor does not match EdgeTensor(j, n, counts)")
+    assert u._anchor is None
 
 
 @pytest.mark.parametrize("make", [
@@ -709,8 +721,7 @@ def test_a_deferred_tensor_is_the_same_record():
 def test_records_copy_and_pickle(make, clone):
     record = make()
     got = clone(record)
-    # a deferred tensor is read on the way, so it and its clone are plain
-    assert type(got) is type(record) is not divseq.symbolic._DeferredTensor
+    assert type(got) is type(record)
     assert got == record == make()
 
 
@@ -736,7 +747,7 @@ def test_six_threads_reading_one_deferred_tensor_get_identical_counts():
                 thread.join(timeout=60)
             assert not any(thread.is_alive() for thread in threads)
             assert results == [want] * 6
-            assert type(t) is EdgeTensor and t._anchor is None
+            assert t._anchor is None
     finally:
         sys.setswitchinterval(interval)
 
