@@ -25,7 +25,6 @@ from __future__ import annotations
 import argparse
 import os
 import sys
-from bisect import bisect_left
 
 from . import __version__
 from .arith import PrimeTable, divisibility_check, phi1, phi2
@@ -39,11 +38,9 @@ from .interval_map import (
     iterates,
     load_map_file,
 )
-from . import sequences
 from .sequences import (
     FillCapExceededError,
     Sequence,
-    TableRangeError,
     constant,
     dilate,
     dilate_odd,
@@ -223,29 +220,9 @@ _MODES = {
 _LEAST_DIVISOR = {"phi1-mod-n": 2, "phi2-mod-2n": 3}
 
 
-def _check_reach(seq: Sequence, n_max: int, per_row=()):
-    """Check that q(1..n_max) can be computed. Errors of the types in
-    per_row are left for the rows to report; the first other one is raised
-    here, before any value is computed.
-
-    The check reads the expression, not values: q(1..seq._reach()) can be
-    computed, and each n past that meets seq._refusal(n), the error an
-    ascent n = 1, 2, ... meets first, so a fill-cap refusal costs no fill.
-    Whether that error is of a per_row type changes at most once as n
-    grows, from yes to no: a table refuses every n alike, a combination up
-    to FILL_CAP as its first short part does at one n, a dilation as its
-    base at k*n, and past FILL_CAP all but a table meet the fill cap. So
-    the first other one is found by bisection of the first FILL_CAP + 1."""
-    past = range(seq._reach() + 1, n_max + 1)[:sequences.FILL_CAP + 1]
-    i = bisect_left(past, True,
-                    key=lambda n: not isinstance(seq._refusal(n), per_row))
-    if i < len(past):
-        raise seq._refusal(past[i])
-
-
 def _divisibility_rows(seq: Sequence, mode: str, n_max: int):
-    """Check seq (see _check_reach), then return an iterator of the rows of
-    run_divisibility, one at a time.
+    """Check seq (see Sequence._check_reach), then return an iterator of
+    the rows of run_divisibility, one at a time.
 
     Row n reads q(n) and q(n / d) for the squarefree divisors d > 1 of n
     that its transform ranges over, all at or below keep = n_max // 2
@@ -257,7 +234,7 @@ def _divisibility_rows(seq: Sequence, mode: str, n_max: int):
     would raise."""
     transform, mod_factor = _MODES[mode]
     keep = n_max // _LEAST_DIVISOR[mode]
-    _check_reach(seq, n_max, TableRangeError)
+    seq._check_reach(n_max)
     stop = min(n_max, seq._reach())
     stream = seq._stream(stop)
     primes = PrimeTable(stop).primes
@@ -314,10 +291,12 @@ def run_crosscheck(j: int, n_max: int,
     Returns the row dicts of the table and whether the oracle hit the piece
     cap. A piece-cap overflow on the oracle path is recorded in the affected
     rows as "error:piece-cap" rather than aborting the report; such a row
-    does not agree.
+    does not agree. A g_j past the piece cap and an n_max past the fill cap
+    are refused first, before any map is composed.
     """
     g = _capped_gj(j, piece_cap)
     phi_seq, psi_seq = make_theorem5_phi(j), make_theorem5_psi(j)
+    phi_seq._check_reach(n_max)
     tensor = initial_tensor(j)
     powers = iterates(g, n_max, piece_cap)
     capped = False

@@ -113,6 +113,10 @@ class PLMap:
     def __setattr__(self, name, value):
         raise AttributeError("PLMap is immutable")
 
+    def __reduce__(self):
+        # copies and pickles go through __init__, which refinds _straight
+        return PLMap, (self.xs, self.ys)
+
     @property
     def xs(self) -> tuple[Fraction, ...]:
         return tuple(Fraction(x, self.den) for x in self.xnum)

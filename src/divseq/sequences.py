@@ -24,9 +24,9 @@ polynomial, and caches nothing.
 
 from __future__ import annotations
 
-import math
 import sys
 import threading
+from bisect import bisect_left
 from contextlib import contextmanager
 from decimal import Decimal
 from functools import partial, reduce
@@ -93,17 +93,13 @@ class Sequence:
     guarded by a lock; concurrent eval() calls return identical values.
     Decimal values come only from _stream, which caches nothing.
 
-    A subclass whose values read other sequences at the same n lists them in
-    _parts, in the order _refusal asks them, sets _scale and _length from
-    theirs (_reach reads both) and combines their values in _combine.
+    A subclass computes its values in _tail. One that reaches less far than
+    FILL_CAP, or refuses otherwise than at the cap, says so in _reach and
+    _refusal; one whose values read other sequences at the same n lists
+    them in _parts.
     """
 
     _parts = ()
-    # the largest product of dilation factors on the way from this sequence
-    # to one that fills (so FILL_CAP // _scale bounds the n it can serve),
-    # and the fewest values the tables below allow, in units of n
-    _scale = 1
-    _length = math.inf
 
     def __init__(self, seq_id: str, guarantee: str = NO_GUARANTEE):
         self.id = seq_id
@@ -144,19 +140,31 @@ class Sequence:
 
     def _reach(self) -> int:
         """The largest N for which q(1), ..., q(N) can all be computed,
-        decided without filling: the fill cap bounds each sequence that
-        fills at its dilation multiple of n, and each table its length."""
-        return min(FILL_CAP // self._scale, self._length)
+        decided without filling: for a recurrence, FILL_CAP, read when
+        called."""
+        return FILL_CAP
 
     def _refusal(self, n: int) -> Exception:
-        """The error a fill to n raises past _reach(): the one an ascent
-        n = 1, 2, ... meets first, found from the expression."""
-        if n > FILL_CAP:
-            return _past_the_cap(n)
-        # the ascent stops at the first value it cannot compute, and asks
-        # the parts in order
-        m = self._reach() + 1
-        return next(s._refusal(m) for s in self._parts if s._reach() < m)
+        """The error a fill to n > _reach() raises, found from the
+        expression: for a recurrence, the fill cap, naming n."""
+        return _past_the_cap(n)
+
+    def _check_reach(self, n_max: int):
+        """Raise the first error that q(1..n_max) meets past _reach() and
+        that is not a TableRangeError, before any value is computed; a
+        report leaves those to the rows they name.
+
+        Whether _refusal(n) is a TableRangeError changes at most once as n
+        grows, from yes to no: a table refuses every n alike, a pointwise
+        sequence up to FILL_CAP as its first short part does at one n, a
+        dilation as its base at k*n, and past FILL_CAP all but a table meet
+        the fill cap. So the first other error is found by bisection of the
+        first FILL_CAP + 1 n past the reach."""
+        past = range(self._reach() + 1, n_max + 1)[:FILL_CAP + 1]
+        i = bisect_left(past, True, key=lambda n: not isinstance(
+            self._refusal(n), TableRangeError))
+        if i < len(past):
+            raise self._refusal(past[i])
 
     def _stream(self, stop: int):
         """An iterator of q(1), ..., q(stop) as integral Decimals, each
@@ -164,17 +172,10 @@ class Sequence:
         nowhere.
 
         Where q(1..stop) cannot all be computed, it refuses at once with
-        the error that an ascent meets first, as a fill would."""
+        the error at _reach() + 1, the first n an ascent cannot compute."""
         if stop > self._reach():
             raise self._refusal(self._reach() + 1)
         return _in_exact_context(islice(self._tail(1, Decimal), stop))
-
-    def _tail(self, start: int, num: type):
-        """q(start), q(start+1), ... in number type num, without end: the
-        one place a value is computed. This one combines the tails of the
-        parts. A Decimal tail is advanced inside exact_context()."""
-        return map(partial(self._combine, num),
-                   *[s._tail(start, num) for s in self._parts])
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.id}>"
@@ -305,61 +306,70 @@ class _FamilyCoeffs:
 class TableSequence(Sequence):
     """Values loaded from an external table, given once per number type: the
     ints as the filled cache, the Decimals for the Decimal tail. Evaluation
-    past the end is an error, never an extrapolation."""
-
-    _scale = 0  # a table fills nothing, so the fill cap does not bound it
+    past the end is an error, never an extrapolation. It fills nothing, so
+    it reaches its length, and a refusal names the n it was asked for."""
 
     def __init__(self, values, decimals, source: str = "<table>"):
         super().__init__(f"table({source})")
         self._values, self._decimals = list(values), list(decimals)
-        self._length = len(self._decimals)
 
     def _reach(self) -> int:
-        return self._length
+        return len(self._decimals)
 
     def _refusal(self, n: int) -> Exception:
-        return TableRangeError(f"{self.id} holds {self._length} values; "
-                               f"n={n} is out of range")
+        return TableRangeError(f"{self.id} holds {len(self._decimals)} "
+                               f"values; n={n} is out of range")
 
     def _tail(self, start: int, num: type):
         # by index: islice would step over the first start - 1 values
         values = self._values if num is int else self._decimals
-        return map(values.__getitem__, range(start - 1, self._length))
+        return map(values.__getitem__, range(start - 1, len(values)))
 
 
-class LinearCombinationSequence(Sequence):
-    def __init__(self, k: int, a: Sequence, m: int, b: Sequence):
-        # phi1 is linear, so phi1 divisibility survives any integer
-        # combination; phi2 is not linear (its power-of-two branch subtracts
-        # 1), so no psi guarantee ever propagates here.
-        ok = a.guarantee in _PHI1_SAFE and b.guarantee in _PHI1_SAFE
-        with unlimited_int_digits():
-            seq_id = f"lin({k},{a.id},{m},{b.id})"
-        super().__init__(seq_id, PHI1_CLOSURE if ok else NO_GUARANTEE)
-        self._parts = a, b
-        self._scale = max(a._scale, b._scale, 1)
-        self._length = min(a._length, b._length)
-        self._weights = {int: (k, m), Decimal: (Decimal(k), Decimal(m))}
+class PointwiseSequence(Sequence):
+    """n -> combine(num, a(n), b(n), ...) of its parts' values in number
+    type num. It reaches as far as its shortest part, up to FILL_CAP. Past
+    FILL_CAP it refuses at the cap; below it, any n gets the error that
+    the first part short of _reach() + 1 gives there, where an ascent
+    stops."""
 
-    def _combine(self, num: type, a, b):
-        k, m = self._weights[num]
-        # `or num()` turns Decimal('-0'), the product of 0 and a negative
-        # number, into 0, which prints as the int 0 does
-        return k * a + m * b or num()
+    def __init__(self, seq_id: str, guarantee: str, parts, combine):
+        super().__init__(seq_id, guarantee)
+        self._parts = tuple(parts)
+        self._combine = combine
+        # once: a reach found anew on each call walks the whole expression
+        self._reach_n = min(FILL_CAP, *(s._reach() for s in self._parts))
+
+    def _reach(self) -> int:
+        return self._reach_n
+
+    def _refusal(self, n: int) -> Exception:
+        if n > FILL_CAP:
+            return _past_the_cap(n)
+        m = self._reach_n + 1
+        return next(s._refusal(m) for s in self._parts if s._reach() < m)
+
+    def _tail(self, start: int, num: type):
+        return map(partial(self._combine, num),
+                   *[s._tail(start, num) for s in self._parts])
 
 
 class DilationSequence(Sequence):
     """n -> seq(k*n). Divisibility transfers only from map-derived input:
     sampling a map's count sequence at multiples of k is the count sequence
-    of the k-th iterate of the same map (an odd map when k is odd)."""
+    of the k-th iterate of the same map (an odd map when k is odd). It
+    reaches its base's reach // k, up to FILL_CAP. Past FILL_CAP it
+    refuses at the cap; below it, n gets the base's error at k*n."""
 
     def __init__(self, seq: Sequence, k: int, seq_id: str, guarantee: str):
         super().__init__(seq_id, guarantee)
         self.base = seq
         self.k = k
-        self._scale = max(k * seq._scale, 1)
-        # inf // k is nan, not inf
-        self._length = seq._length // k if seq._length < math.inf else math.inf
+        # once, as a PointwiseSequence finds its reach
+        self._reach_n = min(FILL_CAP, seq._reach() // k)
+
+    def _reach(self) -> int:
+        return self._reach_n
 
     def _refusal(self, n: int) -> Exception:
         if n > FILL_CAP:
@@ -371,30 +381,6 @@ class DilationSequence(Sequence):
         k = self.k
         return islice(self.base._tail(k * (start - 1) + 1, num), k - 1, None,
                       k)
-
-
-class ProductSequence(Sequence):
-    def __init__(self, seqs):
-        seqs = tuple(seqs)
-        if not seqs:
-            raise ValueError("product requires at least one sequence")
-        if len(seqs) == 1:
-            guarantee = seqs[0].guarantee
-        elif all(s.guarantee == MAP_DERIVED_PHI for s in seqs):
-            # counts multiply: the product map on the product space has this
-            # many n-periodic points
-            guarantee = MAP_DERIVED_PHI
-        elif all(s.guarantee == ODD_MAP_DERIVED_PSI for s in seqs):
-            guarantee = ODD_MAP_DERIVED_PSI
-        else:
-            guarantee = NO_GUARANTEE
-        super().__init__("prod(%s)" % ",".join(s.id for s in seqs), guarantee)
-        self._parts = seqs
-        self._scale = max(1, *(s._scale for s in seqs))
-        self._length = min(s._length for s in seqs)
-
-    def _combine(self, num: type, *values):
-        return reduce(mul, values) or num()  # Decimal('-0') made 0
 
 
 def _past_the_cap(n: int) -> FillCapExceededError:
@@ -470,8 +456,23 @@ def constant(value: int) -> Sequence:
 
 
 def linear_combine(k: int, seq1: Sequence, m: int, seq2: Sequence) -> Sequence:
-    """Pointwise k*seq1(n) + m*seq2(n)."""
-    return LinearCombinationSequence(k, seq1, m, seq2)
+    """Pointwise k*seq1(n) + m*seq2(n). phi1 is linear, so phi1
+    divisibility survives any integer combination; phi2 is not linear (its
+    power-of-two branch subtracts 1), so no psi guarantee ever propagates
+    here."""
+    ok = seq1.guarantee in _PHI1_SAFE and seq2.guarantee in _PHI1_SAFE
+    with unlimited_int_digits():
+        seq_id = f"lin({k},{seq1.id},{m},{seq2.id})"
+    weights = {int: (k, m), Decimal: (Decimal(k), Decimal(m))}
+
+    def combine(num: type, a, b):
+        k, m = weights[num]
+        # `or num()` turns Decimal('-0'), the product of 0 and a negative
+        # number, into 0, which prints as the int 0 does
+        return k * a + m * b or num()
+
+    return PointwiseSequence(seq_id, PHI1_CLOSURE if ok else NO_GUARANTEE,
+                             (seq1, seq2), combine)
 
 
 def dilate(seq: Sequence, k: int) -> Sequence:
@@ -496,7 +497,19 @@ def dilate_odd(seq: Sequence, k: int) -> Sequence:
 
 def product(seqs) -> Sequence:
     """Pointwise product of a nonempty list of sequences."""
-    return ProductSequence(seqs)
+    seqs = tuple(seqs)
+    if not seqs:
+        raise ValueError("product requires at least one sequence")
+    # counts multiply: the product map on the product space has this many
+    # n-periodic points, so a map-derived flag that every factor has stays
+    flags = {s.guarantee for s in seqs}
+    if len(seqs) > 1 and flags not in ({MAP_DERIVED_PHI},
+                                       {ODD_MAP_DERIVED_PSI}):
+        flags = {NO_GUARANTEE}
+    # `or num()` turns Decimal('-0') into 0, as in linear_combine
+    return PointwiseSequence(
+        "prod(%s)" % ",".join(s.id for s in seqs), flags.pop(), seqs,
+        lambda num, *values: reduce(mul, values) or num())
 
 
 @contextmanager

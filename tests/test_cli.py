@@ -516,9 +516,11 @@ def test_nesting_limit_is_decided_by_the_parser(wrap):
     ("verify", "theorem5phi(3)", "--mode", "phi1-mod-n"),
     ("conjecture", "--j", "3"),
     ("seq", "theorem5-phi", "--j", "3"),
-], ids=["verify", "conjecture", "seq"])
+    ("crosscheck", "--j", "3"),
+], ids=["verify", "conjecture", "seq", "crosscheck"])
 def test_fill_cap_refusal_fills_nothing_first(args):
-    # the ascent would fill 10**7 values before it met n = 10**7 + 1
+    # the ascent would fill 10**7 values before it met n = 10**7 + 1, and
+    # crosscheck would compose g_3's iterates up to the piece cap first
     proc = run_proc(*args, "--n-max", str(sequences.FILL_CAP + 1), timeout=5)
     assert (proc.returncode, proc.stdout) == (3, b"")
     assert proc.stderr == b"divseq: n=10000001 is past the fill cap of " \
@@ -896,20 +898,26 @@ def test_failure_past_the_first_row_writes_nothing(capsys, monkeypatch, args,
     assert run_main(capsys, *args) == (3, "", err)
 
 
-def test_check_reach_names_the_first_failing_n():
-    # a fill to 5 fails on a 2-value table; the ascent before it meets n=3
+def test_check_reach_names_the_first_failing_n(monkeypatch):
+    # a table's end is left to the rows; a combination with the table meets
+    # the fill cap at FILL_CAP + 1, and a dilation of a recurrence at the
+    # first n whose k*n passes it, named as the base meets it
+    monkeypatch.setattr(sequences, "FILL_CAP", 10)
     table = sequences.parse_table("1\n2\n")
-    with pytest.raises(sequences.TableRangeError, match="n=3 is out"):
-        cli._check_reach(table, 5)
-    cli._check_reach(table, 5, sequences.TableRangeError)  # left to the rows
+    table._check_reach(20)
+    combined = sequences.linear_combine(1, table, 1, sequences.constant(0))
+    with pytest.raises(sequences.FillCapExceededError, match="n=11 "):
+        combined._check_reach(20)
+    with pytest.raises(sequences.FillCapExceededError, match="n=12 "):
+        sequences.dilate(sequences.constant(0), 4)._check_reach(5)
 
 
-def walked_reach(seq, n_max: int, per_row):
-    """What cli._check_reach raises, found by a plain walk n = reach + 1,
-    ..., n_max: the first refusal not of a per_row type, or None."""
+def walked_reach(seq, n_max: int):
+    """What Sequence._check_reach raises, found by a plain walk n = reach +
+    1, ..., n_max: the first refusal that is not a table's end, or None."""
     for n in range(seq._reach() + 1, n_max + 1):
         error = seq._refusal(n)
-        if not isinstance(error, per_row):
+        if not isinstance(error, sequences.TableRangeError):
             return error
     return None
 
@@ -928,16 +936,15 @@ def test_check_reach_raises_what_a_walk_meets_first(table_dir, expr, cap,
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(sequences, "FILL_CAP", cap)
         seq = parse_expression(expr.replace("DIR", str(table_dir)))
-        for per_row in ((), sequences.TableRangeError):
-            want = walked_reach(seq, n_max, per_row)
-            try:
-                cli._check_reach(seq, n_max, per_row)
-            except (sequences.TableRangeError,
-                    sequences.FillCapExceededError) as exc:
-                got = exc
-            else:
-                got = None
-            assert (type(got), str(got)) == (type(want), str(want)), per_row
+        want = walked_reach(seq, n_max)
+        try:
+            seq._check_reach(n_max)
+        except (sequences.TableRangeError,
+                sequences.FillCapExceededError) as exc:
+            got = exc
+        else:
+            got = None
+        assert (type(got), str(got)) == (type(want), str(want))
 
 
 def test_check_reach_asks_few_refusals(table_dir):
@@ -945,14 +952,14 @@ def test_check_reach_asks_few_refusals(table_dir):
     seq = parse_expression(f"lin(1,table({table_dir}/short.txt),1,const(0))")
     refusal, asked = seq._refusal, []
     seq._refusal = lambda n: asked.append(n) or refusal(n)
-    cli._check_reach(seq, 300000, sequences.TableRangeError)
+    seq._check_reach(300000)
     assert 0 < len(asked) <= 20
     # past sys.maxsize: a combination meets the fill cap at FILL_CAP + 1,
     # and a table leaves every row to report
     with pytest.raises(sequences.FillCapExceededError, match="n=10000001 "):
-        cli._check_reach(seq, 10**30, sequences.TableRangeError)
+        seq._check_reach(10**30)
     table = parse_expression(f"table({table_dir}/short.txt)")
-    cli._check_reach(table, 10**30, sequences.TableRangeError)
+    table._check_reach(10**30)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "tsv", "json"])

@@ -695,6 +695,21 @@ def test_reach_and_refusal_match_the_fill(recipe):
                 assert type(got) is int and got == value
 
 
+def test_refusal_reads_each_reach_without_recursion():
+    # a combinator's reach is computed once, when it is built, so one
+    # refusal past a 100-deep chain asks the table's reach once, not once
+    # per level
+    table = parse_table("1\n2\n")
+    seq = table
+    for _ in range(100):
+        seq = linear_combine(1, seq, 1, constant(0))
+    reach, asked = table._reach, []
+    table._reach = lambda: asked.append(1) or reach()
+    error = seq._refusal(seq._reach() + 1)
+    assert str(error) == "table(<table>) holds 2 values; n=3 is out of range"
+    assert 0 < len(asked) <= 2
+
+
 @settings(max_examples=150, deadline=None)
 @example(recipe=("lin", -1, ("const", 0), -1, ("const", 0)), stop=3)
 @given(recipe=RECIPES, stop=st.integers(0, 60))
@@ -763,6 +778,9 @@ def test_product_flag_propagation():
     assert product([phi_a, phi_b]).guarantee == MAP_DERIVED_PHI
     assert product([psi_a, psi_b]).guarantee == ODD_MAP_DERIVED_PSI
     assert product([phi_a, psi_a]).guarantee == NO_GUARANTEE
+    # one factor keeps any flag; several keep only a map-derived one
+    assert product([constant(1)]).guarantee == PHI1_CLOSURE
+    assert product([constant(1), constant(2)]).guarantee == NO_GUARANTEE
 
 
 # -- memoization and concurrency ---------------------------------------------

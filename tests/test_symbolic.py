@@ -23,9 +23,11 @@ from divseq.arith import factorize
 from divseq.interval_map import (
     PLMap,
     build_gj,
+    compose,
     count_antifixed,
     count_fixed,
     iterates,
+    parse_map_file,
 )
 from divseq.sequences import make_theorem5_phi, make_theorem5_psi
 from divseq.symbolic import (
@@ -713,8 +715,14 @@ def test_step_returns_a_plain_tensor_that_matches_unread():
 
 @pytest.mark.parametrize("make", [
     lambda: factorize(12), lambda: initial_tensor(3),
-    lambda: lazy_step(lazy_step(initial_tensor(3)))],
-    ids=["factorization", "tensor", "unread-deferred-tensor"])
+    lambda: lazy_step(lazy_step(initial_tensor(3))),
+    # maps: g_5 has straight interior nodes (1, 2, 7, 8), the file map one
+    # at x = 1/3, and a composition none
+    lambda: build_gj(5),
+    lambda: parse_map_file("domain 0 1\n0 0\n1/3 1/2\n2/3 1\n1 0\n"),
+    lambda: compose(build_gj(3), build_gj(3))],
+    ids=["factorization", "tensor", "unread-deferred-tensor", "gj-map",
+         "file-map", "composed-map"])
 @pytest.mark.parametrize("clone", [
     copy.copy, copy.deepcopy, lambda r: pickle.loads(pickle.dumps(r))],
     ids=["copy", "deepcopy", "pickle"])
@@ -723,6 +731,10 @@ def test_records_copy_and_pickle(make, clone):
     got = clone(record)
     assert type(got) is type(record)
     assert got == record == make()
+    if isinstance(record, PLMap):
+        # compose prunes its cuts through the straight nodes
+        assert got._straight == record._straight
+        assert compose(got, record) == compose(record, record)
 
 
 def test_six_threads_reading_one_deferred_tensor_get_identical_counts():
