@@ -94,8 +94,8 @@ class Sequence:
     Decimal values come only from _stream, which caches nothing.
 
     A subclass computes its values in _tail. One that reaches less far than
-    FILL_CAP, or refuses otherwise than at the cap, says so in _reach and
-    _refusal; one whose values read other sequences at the same n lists
+    FILL_CAP says so in _reach, and names the error below the cap in
+    _shortfall; one whose values read other sequences at the same n lists
     them in _parts.
     """
 
@@ -146,8 +146,17 @@ class Sequence:
 
     def _refusal(self, n: int) -> Exception:
         """The error a fill to n > _reach() raises, found from the
-        expression: for a recurrence, the fill cap, naming n."""
-        return _past_the_cap(n)
+        expression: past FILL_CAP, for every sequence, the fill cap, naming
+        n; below it, _shortfall(n)."""
+        if n > FILL_CAP:
+            return FillCapExceededError(
+                f"n={n} is past the fill cap of {FILL_CAP} values")
+        return self._shortfall(n)
+
+    def _shortfall(self, n: int) -> Exception:
+        """The error a fill to n, _reach() < n <= FILL_CAP, raises; a
+        recurrence reaches FILL_CAP, so it has none."""
+        raise NotImplementedError
 
     def _check_reach(self, n_max: int):
         """Raise the first error that q(1..n_max) meets past _reach() and
@@ -155,11 +164,11 @@ class Sequence:
         report leaves those to the rows they name.
 
         Whether _refusal(n) is a TableRangeError changes at most once as n
-        grows, from yes to no: a table refuses every n alike, a pointwise
-        sequence up to FILL_CAP as its first short part does at one n, a
-        dilation as its base at k*n, and past FILL_CAP all but a table meet
-        the fill cap. So the first other error is found by bisection of the
-        first FILL_CAP + 1 n past the reach."""
+        grows, from yes to no: up to FILL_CAP a table refuses every n
+        alike, a pointwise sequence as its first short part does at one n
+        and a dilation as its base at k*n, and past FILL_CAP every sequence
+        meets the fill cap. So the first other error is found by bisection
+        of the first FILL_CAP + 1 n past the reach."""
         past = range(self._reach() + 1, n_max + 1)[:FILL_CAP + 1]
         i = bisect_left(past, True, key=lambda n: not isinstance(
             self._refusal(n), TableRangeError))
@@ -305,18 +314,20 @@ class _FamilyCoeffs:
 
 class TableSequence(Sequence):
     """Values loaded from an external table, given once per number type: the
-    ints as the filled cache, the Decimals for the Decimal tail. Evaluation
-    past the end is an error, never an extrapolation. It fills nothing, so
-    it reaches its length, and a refusal names the n it was asked for."""
+    ints up to FILL_CAP as the filled cache, the Decimals for the Decimal
+    tail. Evaluation past the end is an error, never an extrapolation. It
+    fills nothing, so it reaches its length, up to FILL_CAP, and a refusal
+    names the n it was asked for."""
 
     def __init__(self, values, decimals, source: str = "<table>"):
         super().__init__(f"table({source})")
-        self._values, self._decimals = list(values), list(decimals)
+        self._values = list(islice(values, FILL_CAP))
+        self._decimals = list(decimals)
 
     def _reach(self) -> int:
-        return len(self._decimals)
+        return min(FILL_CAP, len(self._decimals))
 
-    def _refusal(self, n: int) -> Exception:
+    def _shortfall(self, n: int) -> Exception:
         return TableRangeError(f"{self.id} holds {len(self._decimals)} "
                                f"values; n={n} is out of range")
 
@@ -328,24 +339,21 @@ class TableSequence(Sequence):
 
 class PointwiseSequence(Sequence):
     """n -> combine(num, a(n), b(n), ...) of its parts' values in number
-    type num. It reaches as far as its shortest part, up to FILL_CAP. Past
-    FILL_CAP it refuses at the cap; below it, any n gets the error that
-    the first part short of _reach() + 1 gives there, where an ascent
-    stops."""
+    type num. It reaches as far as its shortest part, so up to FILL_CAP as
+    its parts do; below the cap, any n gets the error that the first part
+    short of _reach() + 1 gives there, where an ascent stops."""
 
     def __init__(self, seq_id: str, guarantee: str, parts, combine):
         super().__init__(seq_id, guarantee)
         self._parts = tuple(parts)
         self._combine = combine
         # once: a reach found anew on each call walks the whole expression
-        self._reach_n = min(FILL_CAP, *(s._reach() for s in self._parts))
+        self._reach_n = min(s._reach() for s in self._parts)
 
     def _reach(self) -> int:
         return self._reach_n
 
-    def _refusal(self, n: int) -> Exception:
-        if n > FILL_CAP:
-            return _past_the_cap(n)
+    def _shortfall(self, n: int) -> Exception:
         m = self._reach_n + 1
         return next(s._refusal(m) for s in self._parts if s._reach() < m)
 
@@ -358,22 +366,20 @@ class DilationSequence(Sequence):
     """n -> seq(k*n). Divisibility transfers only from map-derived input:
     sampling a map's count sequence at multiples of k is the count sequence
     of the k-th iterate of the same map (an odd map when k is odd). It
-    reaches its base's reach // k, up to FILL_CAP. Past FILL_CAP it
-    refuses at the cap; below it, n gets the base's error at k*n."""
+    reaches its base's reach // k, so up to FILL_CAP as its base does;
+    below the cap, n gets the base's error at k*n."""
 
     def __init__(self, seq: Sequence, k: int, seq_id: str, guarantee: str):
         super().__init__(seq_id, guarantee)
         self.base = seq
         self.k = k
         # once, as a PointwiseSequence finds its reach
-        self._reach_n = min(FILL_CAP, seq._reach() // k)
+        self._reach_n = seq._reach() // k
 
     def _reach(self) -> int:
         return self._reach_n
 
-    def _refusal(self, n: int) -> Exception:
-        if n > FILL_CAP:
-            return _past_the_cap(n)
+    def _shortfall(self, n: int) -> Exception:
         return self.base._refusal(self.k * n)
 
     def _tail(self, start: int, num: type):
@@ -383,20 +389,17 @@ class DilationSequence(Sequence):
                       k)
 
 
-def _past_the_cap(n: int) -> FillCapExceededError:
-    return FillCapExceededError(
-        f"n={n} is past the fill cap of {FILL_CAP} values")
-
-
 def _in_exact_context(values):
     """Yield the items of the iterator values, each computed inside
-    exact_context() and handed out in the caller's context."""
+    exact_context() and handed out in the caller's context, a negative zero
+    (0 times a negative number, or -0 in a table) as 0, which prints as the
+    int 0 does."""
     while True:
         with exact_context():
             value = next(values, None)
         if value is None:
             return
-        yield value
+        yield value or Decimal()
 
 
 def make_theorem4(j: int, k: int, m: int) -> Sequence:
@@ -467,9 +470,7 @@ def linear_combine(k: int, seq1: Sequence, m: int, seq2: Sequence) -> Sequence:
 
     def combine(num: type, a, b):
         k, m = weights[num]
-        # `or num()` turns Decimal('-0'), the product of 0 and a negative
-        # number, into 0, which prints as the int 0 does
-        return k * a + m * b or num()
+        return k * a + m * b
 
     return PointwiseSequence(seq_id, PHI1_CLOSURE if ok else NO_GUARANTEE,
                              (seq1, seq2), combine)
@@ -506,10 +507,9 @@ def product(seqs) -> Sequence:
     if len(seqs) > 1 and flags not in ({MAP_DERIVED_PHI},
                                        {ODD_MAP_DERIVED_PSI}):
         flags = {NO_GUARANTEE}
-    # `or num()` turns Decimal('-0') into 0, as in linear_combine
     return PointwiseSequence(
         "prod(%s)" % ",".join(s.id for s in seqs), flags.pop(), seqs,
-        lambda num, *values: reduce(mul, values) or num())
+        lambda num, *values: reduce(mul, values))
 
 
 @contextmanager
@@ -546,9 +546,8 @@ def parse_table(text: str, source: str = "<table>") -> Sequence:
                 raise ValueError(
                     f"{source}:{lineno}: not a decimal integer: {shown}")
             # int() accepted it, so it has no point, exponent or NaN, and
-            # Decimal(str) reads it exactly in linear time; `or` turns -0
-            # into 0, which prints as the int 0 does
-            decimals.append(Decimal(line) or Decimal(0))
+            # Decimal(str) reads it exactly in linear time
+            decimals.append(Decimal(line))
     return TableSequence(values, decimals, source)
 
 

@@ -514,13 +514,17 @@ def test_nesting_limit_is_decided_by_the_parser(wrap):
 
 @pytest.mark.parametrize("args", [
     ("verify", "theorem5phi(3)", "--mode", "phi1-mod-n"),
+    ("verify", "table(DIR/four.txt)", "--mode", "phi1-mod-n"),
     ("conjecture", "--j", "3"),
     ("seq", "theorem5-phi", "--j", "3"),
     ("crosscheck", "--j", "3"),
-], ids=["verify", "conjecture", "seq", "crosscheck"])
-def test_fill_cap_refusal_fills_nothing_first(args):
-    # the ascent would fill 10**7 values before it met n = 10**7 + 1, and
+], ids=["verify", "verify-table", "conjecture", "seq", "crosscheck"])
+def test_fill_cap_refusal_fills_nothing_first(tmp_path, args):
+    # the ascent would fill 10**7 values before it met n = 10**7 + 1, a
+    # table report would write an error row for each n past its end, and
     # crosscheck would compose g_3's iterates up to the piece cap first
+    (tmp_path / "four.txt").write_text("1\n3\n4\n7\n")
+    args = [arg.replace("DIR", str(tmp_path)) for arg in args]
     proc = run_proc(*args, "--n-max", str(sequences.FILL_CAP + 1), timeout=5)
     assert (proc.returncode, proc.stdout) == (3, b"")
     assert proc.stderr == b"divseq: n=10000001 is past the fill cap of " \
@@ -887,24 +891,33 @@ def test_closed_stdout_pipe_with_output_that_fits_the_buffer(monkeypatch,
 @pytest.mark.parametrize("args, err", [
     (("verify", "dilate(theorem5phi(2),4)", "--mode", "phi1-mod-n",
       "--n-max", "5"), "divseq: n=12 is past the fill cap of 10 values\n"),
+    # rows 3..5 ask the table for n = 6, 8, 10, past its end; row 6 asks
+    # it for n = 12, past the cap
+    (("verify", "dilate(table(DIR/four.txt),2)", "--mode", "phi1-mod-n",
+      "--n-max", "6"), "divseq: n=12 is past the fill cap of 10 values\n"),
     (("seq", "theorem5-phi", "--j", "2", "--n-max", "12", "--format", "json"),
      "divseq: n=11 is past the fill cap of 10 values\n"),
-], ids=["verify", "seq-json"])
-def test_failure_past_the_first_row_writes_nothing(capsys, monkeypatch, args,
-                                                   err):
+], ids=["verify", "verify-table", "seq-json"])
+def test_failure_past_the_first_row_writes_nothing(capsys, monkeypatch,
+                                                   tmp_path, args, err):
     # rows 1 and 2 (verify) or 1..10 (seq) could be written before the
     # fill fails
     monkeypatch.setattr(sequences, "FILL_CAP", 10)
+    (tmp_path / "four.txt").write_text("1\n3\n4\n7\n")
+    args = [arg.replace("DIR", str(tmp_path)) for arg in args]
     assert run_main(capsys, *args) == (3, "", err)
 
 
 def test_check_reach_names_the_first_failing_n(monkeypatch):
-    # a table's end is left to the rows; a combination with the table meets
-    # the fill cap at FILL_CAP + 1, and a dilation of a recurrence at the
-    # first n whose k*n passes it, named as the base meets it
+    # a table's end is left to the rows up to the fill cap, which it meets
+    # at FILL_CAP + 1, as a combination with the table does; a dilation of
+    # a recurrence meets it at the first n whose k*n passes it, named as
+    # the base meets it
     monkeypatch.setattr(sequences, "FILL_CAP", 10)
     table = sequences.parse_table("1\n2\n")
-    table._check_reach(20)
+    table._check_reach(10)
+    with pytest.raises(sequences.FillCapExceededError, match="n=11 "):
+        table._check_reach(20)
     combined = sequences.linear_combine(1, table, 1, sequences.constant(0))
     with pytest.raises(sequences.FillCapExceededError, match="n=11 "):
         combined._check_reach(20)
@@ -928,7 +941,7 @@ def walked_reach(seq, n_max: int):
               ",3)),2)", cap=50, n_max=60)
 @example(expr="prod(dilate(table(DIR/mixed.txt),3),theorem5phi(2))", cap=97,
          n_max=99)
-@example(expr="table(DIR/mixed.txt)", cap=30, n_max=41)  # reach > FILL_CAP
+@example(expr="table(DIR/mixed.txt)", cap=30, n_max=41)  # 40 values > cap
 @given(expr=REPORT_EXPRS, cap=st.sampled_from([30, 50, 97]),
        n_max=st.integers(1, 400))
 def test_check_reach_raises_what_a_walk_meets_first(table_dir, expr, cap,
@@ -954,12 +967,13 @@ def test_check_reach_asks_few_refusals(table_dir):
     seq._refusal = lambda n: asked.append(n) or refusal(n)
     seq._check_reach(300000)
     assert 0 < len(asked) <= 20
-    # past sys.maxsize: a combination meets the fill cap at FILL_CAP + 1,
-    # and a table leaves every row to report
+    # past sys.maxsize: a combination, and a table too, meet the fill cap
+    # at FILL_CAP + 1
     with pytest.raises(sequences.FillCapExceededError, match="n=10000001 "):
         seq._check_reach(10**30)
     table = parse_expression(f"table({table_dir}/short.txt)")
-    table._check_reach(10**30)
+    with pytest.raises(sequences.FillCapExceededError, match="n=10000001 "):
+        table._check_reach(10**30)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "tsv", "json"])

@@ -582,18 +582,25 @@ def build(recipe):
             "const": constant}[kind](*args)
 
 
+def past_the_cap(n: int):
+    if n > sequences.FILL_CAP:
+        raise FillCapExceededError(f"n={n} is past the fill cap of "
+                                   f"{sequences.FILL_CAP} values")
+
+
 def reference(recipe):
     """q of a recipe as a plain-int function of n, written from the
-    definitions and sharing no code with divseq.sequences. A table returns
-    its value or raises TableRangeError. Anything else refuses an n past
-    the fill cap, and a dilation then asks its base for k*n; then it fills
-    a list of its own ascending n = 1, 2, ..., each value read from the
-    parts at once, and raises the first error it meets."""
+    definitions and sharing no code with divseq.sequences. Every recipe
+    refuses an n past the fill cap. Below it a table returns its value or
+    raises TableRangeError; anything else, a dilation after asking its base
+    for k*n, fills a list of its own ascending n = 1, 2, ..., each value
+    read from the parts at once, and raises the first error it meets."""
     kind, *args = recipe
     if kind == "table":
         table = args[0]
 
         def q(n):
+            past_the_cap(n)
             if n > len(table):
                 raise TableRangeError(f"table(<table>) holds {len(table)} "
                                       f"values; n={n} is out of range")
@@ -637,9 +644,7 @@ def reference(recipe):
     done = []
 
     def q(n):
-        if n > sequences.FILL_CAP:
-            raise FillCapExceededError(f"n={n} is past the fill cap of "
-                                       f"{sequences.FILL_CAP} values")
+        past_the_cap(n)
         if kind == "dilate":
             base(factor * n)
         while len(done) < n:
@@ -663,6 +668,8 @@ def caches_within(seq, bound: int) -> bool:
 @settings(max_examples=150, deadline=None)
 @example(recipe=("dilate", ("lin", 1, ("table", [1] * 30), 1, ("const", 1)),
                  4))
+@example(recipe=("table", list(range(45))))  # longer than the fill cap
+@example(recipe=("dilate", ("table", list(range(45))), 2))
 @example(recipe=("lin", 1, ("table", [1, 2]), 1, ("dilate", ("const", 1), 4)))
 @example(recipe=("dilate", ("prod", [("theorem4", 2, 1, -1),
                                      ("theorem5phi", 3)]), 3))
