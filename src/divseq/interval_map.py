@@ -26,6 +26,9 @@ from itertools import compress, count, repeat
 from math import gcd, lcm
 from operator import add, and_, eq, floordiv, mul, not_, or_, sub
 
+from ._quote import quoted
+from ._record import Record
+
 __all__ = [
     "PLMap",
     "PieceCapExceededError",
@@ -62,13 +65,14 @@ class InfiniteSolutionsError(ArithmeticError):
     solution set is a whole interval rather than a finite set of points."""
 
 
-class PLMap:
+class PLMap(Record):
     """Continuous piecewise-linear self-map of [xs[0], xs[-1]].
 
     Given as parallel sequences of breakpoints xs (strictly increasing, at
     least two) and values ys, with linear interpolation in between. Every
     value must lie inside the domain, so any PLMap is a self-map and
-    iteration is always defined. Instances are immutable.
+    iteration is always defined. Instances are immutable records (see
+    divseq._record) of the fields den, xnum and ynum.
 
     The nodes are stored as integer numerators `xnum`, `ynum` over one
     positive common denominator `den`, the lcm of the node denominators.
@@ -79,6 +83,7 @@ class PLMap:
     results keep only the nodes where the slope changes.
     """
 
+    __match_args__ = ("den", "xnum", "ynum")
     __slots__ = ("den", "xnum", "ynum", "_straight")
 
     def __init__(self, xs, ys):
@@ -95,23 +100,18 @@ class PLMap:
         xnum = tuple(v.numerator * (den // v.denominator) for v in xs)
         ynum = tuple(v.numerator * (den // v.denominator) for v in ys)
         _check_self_map(den, xnum, ynum)
+        super().__init__(den, xnum, ynum)
         straight = _collinear(xnum, ynum, range(1, len(xnum) - 1))
-        self._init(den, xnum, ynum, tuple(straight))
+        object.__setattr__(self, "_straight", tuple(straight))
 
     @classmethod
     def _trusted(cls, den: int, xnum: tuple, ynum: tuple) -> PLMap:
         """A map from numerators already known to be valid, self-mapping and
         canonical, with no straight interior node; nothing is checked."""
         self = object.__new__(cls)
-        self._init(den, xnum, ynum, ())
+        Record.__init__(self, den, xnum, ynum)
+        object.__setattr__(self, "_straight", ())
         return self
-
-    def _init(self, den, xnum, ynum, straight):
-        for name, value in zip(PLMap.__slots__, (den, xnum, ynum, straight)):
-            object.__setattr__(self, name, value)
-
-    def __setattr__(self, name, value):
-        raise AttributeError("PLMap is immutable")
 
     def __reduce__(self):
         # copies and pickles go through __init__, which refinds _straight
@@ -152,15 +152,6 @@ class PLMap:
         x1, y0, y1 = xnum[i + 1], self.ynum[i], self.ynum[i + 1]
         return Fraction(y0 * q * (x1 - x0) + (y1 - y0) * (t - x0 * q),
                         den * q * (x1 - x0))
-
-    def __eq__(self, other):
-        if not isinstance(other, PLMap):
-            return NotImplemented
-        return (self.den == other.den and self.xnum == other.xnum
-                and self.ynum == other.ynum)
-
-    def __hash__(self):
-        return hash((self.den, self.xnum, self.ynum))
 
     def __repr__(self):
         lo, hi = self.domain
@@ -453,7 +444,7 @@ def parse_map_file(text: str, source: str = "<map>") -> PLMap:
                 return Fraction(token)
             except (ValueError, ZeroDivisionError):
                 pass
-        raise ValueError(f"{source}:{lineno}: bad rational {token!r}")
+        raise ValueError(f"{source}:{lineno}: bad rational {quoted(token)}")
 
     headno, header = lines[0]
     parts = header.split()
@@ -465,7 +456,8 @@ def parse_map_file(text: str, source: str = "<map>") -> PLMap:
     for lineno, line in lines[1:]:
         parts = line.split()
         if len(parts) != 2:
-            raise ValueError(f"{source}:{lineno}: expected 'x y', got {line!r}")
+            raise ValueError(
+                f"{source}:{lineno}: expected 'x y', got {quoted(line)}")
         xs.append(rational(parts[0], lineno))
         ys.append(rational(parts[1], lineno))
     if not xs or xs[0] != lo or xs[-1] != hi:

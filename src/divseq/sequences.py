@@ -13,13 +13,13 @@ is quadratic, so the command line prints values from a stream.
 
 A sequence computes values in one place only, its `_tail(start, num)`: an
 iterator of q(start), q(start+1), ... in number type num, read from the
-tails of the sequences a value reads. The cache, when short of n, is
-extended from it, and a stream reads it from q(1) on. Whether q(1..n) can
-be computed at all, and which error it meets, `_reach()` and `_refusal(n)`
-decide from the expression alone, before any value is computed. The one
-other route is a LinearRecurrence's `eval` of a far n (see its
-docstring): it jumps, computing x**(n-1) modulo the characteristic
-polynomial, and caches nothing.
+tails of the sequences a value reads, or from the Decimals a table parsed.
+The cache, when short of n, is extended from it, and a stream reads it from
+q(1) on. Whether q(1..n) can be computed at all, and which error it meets,
+`_reach()` and `_refusal(n)` decide from the expression alone, before any
+value is computed. The one other route is a LinearRecurrence's `eval` of a
+far n (see its docstring): it jumps, computing x**(n-1) modulo the
+characteristic polynomial, and caches nothing.
 """
 
 from __future__ import annotations
@@ -34,6 +34,7 @@ from itertools import islice
 from operator import mul
 
 from ._charpoly import _x_power_mod
+from ._quote import quoted
 from .arith import exact_context
 
 __all__ = [
@@ -57,9 +58,6 @@ __all__ = [
     "PHI1_CLOSURE",
     "NO_GUARANTEE",
 ]
-
-# longest bad table token quoted in full in an error message
-_QUOTE_CAP = 40
 
 # largest n a sequence fills its cache to
 FILL_CAP = 10**7
@@ -313,15 +311,15 @@ class _FamilyCoeffs:
 
 
 class TableSequence(Sequence):
-    """Values loaded from an external table, given once per number type: the
-    ints up to FILL_CAP as the filled cache, the Decimals for the Decimal
-    tail. Evaluation past the end is an error, never an extrapolation. It
-    fills nothing, so it reaches its length, up to FILL_CAP, and a refusal
+    """Values loaded from an external table, held once, as integral
+    Decimals: the Decimal tail yields them as they are and the int tail
+    converts them, so the int cache starts empty and _fill extends it as
+    for any sequence. Evaluation past the end is an error, never an
+    extrapolation. It reaches its length, up to FILL_CAP, and a refusal
     names the n it was asked for."""
 
-    def __init__(self, values, decimals, source: str = "<table>"):
+    def __init__(self, decimals, source: str = "<table>"):
         super().__init__(f"table({source})")
-        self._values = list(islice(values, FILL_CAP))
         self._decimals = list(decimals)
 
     def _reach(self) -> int:
@@ -333,8 +331,9 @@ class TableSequence(Sequence):
 
     def _tail(self, start: int, num: type):
         # by index: islice would step over the first start - 1 values
-        values = self._values if num is int else self._decimals
-        return map(values.__getitem__, range(start - 1, len(values)))
+        values = map(self._decimals.__getitem__,
+                     range(start - 1, len(self._decimals)))
+        return values if num is Decimal else map(int, values)
 
 
 class PointwiseSequence(Sequence):
@@ -531,24 +530,22 @@ def unlimited_int_digits():
 def parse_table(text: str, source: str = "<table>") -> Sequence:
     """Parse an external table: one decimal signed integer per line, line i
     holding the value at n = i; blank lines and # comments are ignored.
-    Values may have any number of digits."""
-    values, decimals = [], []
-    with unlimited_int_digits():
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            line = raw.split("#", 1)[0].strip()
-            if not line:
-                continue
-            try:
-                values.append(int(line))
-            except ValueError:
-                shown = repr(line) if len(line) <= _QUOTE_CAP else (
-                    f"{line[:_QUOTE_CAP]!r}... ({len(line)} characters)")
-                raise ValueError(
-                    f"{source}:{lineno}: not a decimal integer: {shown}")
-            # int() accepted it, so it has no point, exponent or NaN, and
-            # Decimal(str) reads it exactly in linear time
-            decimals.append(Decimal(line))
-    return TableSequence(values, decimals, source)
+    A value is what int() reads: an optional sign, then runs of decimal
+    digits (any Unicode Nd digit) joined by single underscores. Values may
+    have any number of digits; each is read once, into a Decimal."""
+    decimals = []
+    for lineno, raw in enumerate(text.splitlines(), start=1):
+        line = raw.split("#", 1)[0].strip()
+        if not line:
+            continue
+        # Decimal() alone would also read points, exponents, NaN and stray
+        # underscores; "".isdecimal() is False, so "", "+" and "1__2" fail
+        digits = line[1:] if line[0] in "+-" else line
+        if not all(map(str.isdecimal, digits.split("_"))):
+            raise ValueError(
+                f"{source}:{lineno}: not a decimal integer: {quoted(line)}")
+        decimals.append(Decimal(line))
+    return TableSequence(decimals, source)
 
 
 def load_table(path) -> Sequence:

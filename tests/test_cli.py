@@ -398,9 +398,7 @@ def outcome(report, *args):
 
 def assert_caches_within(seq, bound: int):
     """No cache below seq holds more than bound values, times the dilation
-    factors on the way to it; tables hold what they loaded."""
-    if isinstance(seq, sequences.TableSequence):
-        return
+    factors on the way to it."""
     assert len(seq._values) <= bound, (seq.id, len(seq._values), bound)
     if isinstance(seq, sequences.DilationSequence):
         assert_caches_within(seq.base, seq.k * bound)
@@ -425,6 +423,69 @@ def test_streamed_rows_equal_rows_from_a_full_cache(table_dir, expr, n_max):
         assert got == want, mode
         # the rows keep the values they read again in a list of their own
         assert_caches_within(seq, 0)
+
+
+def first_zeta_failure(q, n_max: int):
+    """The least N <= n_max at which a_N is not an integer, or None, where
+    exp(sum q(n) t**n / n) = sum a_N t**N, so that
+    N*a_N = sum_{k <= N} q(k)*a_(N-k) with a_0 = 1. The series is the Euler
+    product prod (1 - t**n)**(-phi1(q, n)/n), so this N is the first n with
+    n not dividing phi1(q, n), found with no Mobius sum and no factoring."""
+    a = [1]
+    for big_n in range(1, n_max + 1):
+        a_n = Fraction(sum(q[k - 1] * a[big_n - k]
+                           for k in range(1, big_n + 1)), big_n)
+        if a_n.denominator != 1:
+            return big_n
+        a.append(a_n.numerator)
+    return None
+
+
+def dold_table(orbits, at: int, delta: int):
+    """q(n) = sum_{d | n} d*orbits[d-1], which passes phi1-mod-n at every
+    n, with delta added at n = at (so that the first failure, if any, can
+    come at any n)."""
+    n_max = len(orbits)
+    q = [sum(d * orbits[d - 1] for d in range(1, n + 1) if n % d == 0)
+         for n in range(1, n_max + 1)]
+    if at <= n_max:
+        q[at - 1] += delta
+    return sequences.parse_table("\n".join(map(str, q)))
+
+
+@settings(max_examples=60, deadline=None)
+@example(orbits=[1] * 60, at=60, delta=30, n_max=60)
+@example(orbits=[0, 1], at=1, delta=1, n_max=60)
+@given(orbits=st.lists(st.integers(-10**6, 10**6), min_size=1, max_size=60),
+       at=st.integers(1, 61), delta=st.integers(-12, 12),
+       n_max=st.integers(1, 60))
+def test_first_failing_row_is_where_the_zeta_route_fails_for_tables(
+        orbits, at, delta, n_max):
+    seq = dold_table(orbits, at, delta)
+    n_max = min(n_max, seq._reach())
+    rows = run_divisibility(seq, "phi1-mod-n", n_max)
+    # the report reads the table's one list and caches nothing
+    assert seq._values == []
+    q = [seq(n) for n in range(1, n_max + 1)]
+    assert len(seq._values) == n_max  # seq(n) fills exactly q(1..n)
+    failed = next((row["n"] for row in rows if not row["pass"]), None)
+    assert failed == first_zeta_failure(q, n_max)
+
+
+@settings(max_examples=60, deadline=None)
+@example(expr="lin(1,table(DIR/mixed.txt),1,const(1))", n_max=60)
+@example(expr="prod(table(DIR/short.txt),theorem5phi(2))", n_max=60)
+@given(expr=REPORT_EXPRS, n_max=st.integers(1, 60))
+def test_first_failing_row_is_where_the_zeta_route_fails(table_dir, expr,
+                                                         n_max):
+    seq = parse_expression(expr.replace("DIR", str(table_dir)))
+    # up to the reach: past a table's end a row fails that the zeta route
+    # cannot read
+    n_max = min(n_max, seq._reach())
+    rows = run_divisibility(seq, "phi1-mod-n", n_max)
+    failed = next((row["n"] for row in rows if not row["pass"]), None)
+    q = [seq(n) for n in range(1, n_max + 1)]
+    assert failed == first_zeta_failure(q, n_max)
 
 
 def test_report_rows_leave_the_decimal_context_at_each_row():

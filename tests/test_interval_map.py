@@ -75,6 +75,23 @@ def test_plmap_is_immutable():
         g.xs = (0, 1)
 
 
+def test_plmap_is_an_immutable_record():
+    g = build_gj(3)
+    assert g.__match_args__ == ("den", "xnum", "ynum")
+    with pytest.raises(AttributeError):
+        del g.den
+    with pytest.raises(AttributeError):
+        g.xnum = ()
+    assert g.den == 1 and g.pieces == 5 and not hasattr(g, "__dict__")
+    # == and hash compare the canonical numerators, as they always did
+    assert g == build_gj(3) and g != build_gj(2) and g != "g_3"
+    assert hash(g) == hash((g.den, g.xnum, g.ynum)) == hash(build_gj(3))
+    # a composition, built unchecked, equals the same map built checked
+    gg = compose(g, g)
+    assert gg == PLMap(gg.xs, gg.ys) and hash(gg) == hash(PLMap(gg.xs, gg.ys))
+    assert repr(g) == "<PLMap [-3, 3] with 5 pieces>"
+
+
 def test_eval_interpolates_exactly():
     t = tent()
     assert t(Fraction(1, 4)) == Fraction(1, 2)
@@ -303,6 +320,24 @@ def test_parse_map_file_errors():
         parse_map_file("domain 0 1\n0 0\n1 5\n")
     with pytest.raises(ValueError, match="empty"):
         parse_map_file("   \n# only comments\n")
+
+
+@pytest.mark.parametrize("size", [40, 41, 100_000])
+def test_parse_map_file_quotes_a_bounded_prefix_of_a_long_token(size):
+    # a token of 40 characters or fewer is quoted in full
+    token = "9" * (size - 1) + "x"
+    shown = (repr(token) if size <= 40
+             else f"{token[:40]!r}... ({size} characters)")
+    with pytest.raises(ValueError) as exc:
+        parse_map_file(f"domain 0 1\n0 0\n1/2 {token}\n1 0\n", "big.map")
+    assert str(exc.value) == f"big.map:3: bad rational {shown}"
+    line = "1/2 1 " + token[6:]
+    shown = (repr(line) if size <= 40
+             else f"{line[:40]!r}... ({size} characters)")
+    with pytest.raises(ValueError) as exc:
+        parse_map_file(f"domain 0 1\n0 0\n{line}\n1 0\n", "big.map")
+    assert str(exc.value) == f"big.map:3: expected 'x y', got {shown}"
+    assert len(str(exc.value)) < 120
 
 
 def test_load_map_file(tmp_path):

@@ -655,9 +655,7 @@ def reference(recipe):
 
 def caches_within(seq, bound: int) -> bool:
     """No cache below seq holds more than bound values, times the dilation
-    factors on the way to it; tables hold what they loaded."""
-    if isinstance(seq, sequences.TableSequence):
-        return True
+    factors on the way to it."""
     if len(seq._values) > bound:
         return False
     if isinstance(seq, sequences.DilationSequence):
@@ -886,6 +884,67 @@ def test_parse_table_quotes_a_bounded_prefix_of_a_bad_token():
     assert "(5001 characters)" in message
     assert len(message) < 120
     assert _digit_limit() == limit
+
+
+# signs, underscores, what a float or a Decimal would also read, spaces, and
+# ASCII and Arabic-Indic decimal digits
+TOKEN_CHARS = "+-_.e " + "0123456789" + "\u0660\u0661\u0662\u0663\u0669"
+
+
+@settings(max_examples=300, deadline=None)
+@example(token="1__0")
+@example(token="_1")
+@example(token="1_")
+@example(token="+_1")
+@example(token="+")
+@example(token="- 1")
+@example(token=" -\u0663_\u06610 ")
+@example(token="1e5")
+@example(token="-0")
+@given(token=st.text(TOKEN_CHARS, max_size=8))
+def test_parse_table_reads_a_token_exactly_when_int_does(token):
+    try:
+        want = int(token)
+    except ValueError:
+        want = None
+    if not token.strip():  # a blank line, which a table skips
+        assert want is None and parse_table(token)._reach() == 0
+        return
+    try:
+        seq = parse_table(token)
+    except ValueError as exc:
+        assert want is None, token
+        assert str(exc) == (f"<table>:1: not a decimal integer: "
+                            f"{token.strip()!r}")
+        return
+    assert want is not None, token
+    assert seq(1) == want and type(seq(1)) is int
+    assert [str(v) for v in seq._stream(1)] == [str(want)]
+
+
+def test_a_table_holds_one_list_and_fills_its_cache_as_any_sequence():
+    seq = parse_table("3\n-0\n1_000\n\u0664\u0662\n")
+    assert seq._values == []
+    assert [str(v) for v in seq._stream(4)] == ["3", "0", "1000", "42"]
+    assert seq._values == []
+    # seq(n) fills exactly q(1..n), from the one list of Decimals
+    assert seq(2) == 0 and seq._values == [3, 0]
+    assert seq(4) == 42 and seq._values == [3, 0, 1000, 42]
+    assert all(type(v) is int for v in seq._values)
+
+
+def test_parse_table_converts_no_value_to_int(monkeypatch):
+    # values past the int<->str digit limit (where Python has one), parsed
+    # with the limit in place and int() out of reach
+    def no_int(*args):
+        raise AssertionError("parse_table called int()")
+
+    monkeypatch.setattr(sequences, "int", no_int, raising=False)
+    monkeypatch.setattr(sequences, "unlimited_int_digits", None)
+    big = "1" + "0" * 5000
+    seq = parse_table(f"{big}\n-{big}\n")
+    assert [str(v) for v in seq._stream(2)] == [big, "-" + big]
+    assert seq._values == []
 
 
 def test_table_range_error_names_requested_n():
