@@ -11,15 +11,17 @@ reads the sequence's one cache, or integral `decimal.Decimal`s, from
 nowhere. `str` of a Decimal is linear in its length, where `str` of an int
 is quadratic, so the command line prints values from a stream.
 
-A sequence computes values in one place only, its `_tail(start, num)`: an
-iterator of q(start), q(start+1), ... in number type num, read from the
-tails of the sequences a value reads, or from the Decimals a table parsed.
-The cache, when short of n, is extended from it, and a stream reads it from
-q(1) on. Whether q(1..n) can be computed at all, and which error it meets,
-`_reach()` and `_refusal(n)` decide from the expression alone, before any
-value is computed. The one other route is a LinearRecurrence's `eval` of a
-far n (see its docstring): it jumps, computing x**(n-1) modulo the
-characteristic polynomial, and caches nothing.
+A sequence computes values in one place only, its `_tail(num)`: an
+iterator of q(1), q(2), ... in number type num, read from fresh tails of
+the sequences a value reads, or from the Decimals a table parsed. The
+cache, when short of n, is extended from the one int tail the sequence
+keeps between fills, so a combinator fills no cache of its parts; a stream
+reads a tail of its own. Whether q(1..n) can be computed at all, and which
+error it meets, `_reach()` and `_refusal(n)` decide from the expression
+alone, before any value is computed. The one other route is a
+LinearRecurrence's `eval` of a far n (see its docstring): it jumps,
+computing x**(n-1) modulo the characteristic polynomial, and caches
+nothing.
 """
 
 from __future__ import annotations
@@ -85,16 +87,17 @@ class FillCapExceededError(RuntimeError):
 
 class Sequence:
     """Integer-valued function on n >= 1 with one memoized, append-only int
-    cache, _values, extended from _tail bottom-up (never by recursion on
-    n), so a fill is linear in n and safe at any depth; eval() may instead
-    jump to a far n without filling (see LinearRecurrence). The cache is
-    guarded by a lock; concurrent eval() calls return identical values.
-    Decimal values come only from _stream, which caches nothing.
+    cache, _values, extended bottom-up (never by recursion on n) from one
+    int tail, _ints, which a fill leaves where it stopped, so an ascending
+    scan is linear in n and safe at any depth; eval() may instead jump to a
+    far n without filling (see LinearRecurrence). The cache is guarded by
+    a lock; concurrent eval() calls return identical values. Decimal values
+    come only from _stream, which caches nothing.
 
-    A subclass computes its values in _tail. One that reaches less far than
-    FILL_CAP says so in _reach, and names the error below the cap in
-    _shortfall; one whose values read other sequences at the same n lists
-    them in _parts.
+    A subclass computes its values in _tail(num), from q(1) on. One that
+    reaches less far than FILL_CAP says so in _reach, and names the error
+    below the cap in _shortfall; one whose values read other sequences at
+    the same n lists them in _parts.
     """
 
     _parts = ()
@@ -104,6 +107,8 @@ class Sequence:
         self.guarantee = guarantee
         self._lock = threading.Lock()
         self._values: list[int] = []
+        # the int tail that _fill extends _values from, at q(len + 1)
+        self._ints = None
 
     def eval(self, n: int) -> int:
         """The value at n as an int: read from the cache, jumped to (see
@@ -125,16 +130,21 @@ class Sequence:
         return None
 
     def _fill(self, n: int):
-        """Extend _values to q(1..n) from _tail; past _reach() refuse,
-        before any value is computed."""
+        """Extend _values to q(1..n) from the int tail kept in _ints; past
+        _reach() refuse, before any value is computed."""
         if n < 1:
             raise ValueError(f"sequence domain is n >= 1, got {n}")
         if n > self._reach():
             raise self._refusal(n)
         # a fill that waited for the lock may find values already past n
-        start = len(self._values) + 1
-        if start <= n:
-            self._values.extend(islice(self._tail(start, int), n - start + 1))
+        if n > len(self._values):
+            # off the sequence while it runs: a tail that an exception ended
+            # is dropped, and the next fill starts anew past the cached values
+            tail, self._ints = self._ints, None
+            if tail is None:
+                tail = islice(self._tail(int), len(self._values), None)
+            self._values.extend(islice(tail, n - len(self._values)))
+            self._ints = tail
 
     def _reach(self) -> int:
         """The largest N for which q(1), ..., q(N) can all be computed,
@@ -182,7 +192,7 @@ class Sequence:
         the error at _reach() + 1, the first n an ascent cannot compute."""
         if stop > self._reach():
             raise self._refusal(self._reach() + 1)
-        return _in_exact_context(islice(self._tail(1, Decimal), stop))
+        return _in_exact_context(islice(self._tail(Decimal), stop))
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.id}>"
@@ -196,11 +206,9 @@ class LinearRecurrence(Sequence):
     order computes none of its seed values before they are asked for. It
     returns an int, converted to the number type being computed. coeffs is
     any iterable, read into a tuple, or the theorem families' lazy view,
-    kept as given, with its order. Its entries are read once, into the int
-    terms _terms, on the first step past the head of any tail (a Decimal
-    tail converts those terms and the constant when it gets there); a fill
-    or stream that stays in the head reads none. Otherwise only the order
-    is used.
+    kept as given, with its order. A tail reads each entry once, on its
+    first step past the head (a Decimal tail converts them and the
+    constant), so a fill or stream that stays in the head reads none.
 
     eval(n) has two routes. A jump makes about order**2 * log2(n)
     multiplications where a fill makes order additions per value, and
@@ -228,26 +236,16 @@ class LinearRecurrence(Sequence):
             self.coeffs = tuple(coeffs)
             self.order = len(self.coeffs)
         self.constant = constant
-        # (unit lags, other lags, their factors) as ints, built by _tail on
-        # the first step past the head
-        self._terms = None
         # the farthest n jumped to, and the reckoned cost, in values filled,
         # of the jumps that went past every one before them; an update that
         # concurrent jumps lose only moves a fill
         self._farthest = self._jumped = 0
 
-    def _tail(self, start: int, num: type):
+    def _tail(self, num: type):
         # a value reads only the order values before it, so a sliding window
-        # of them, in num, stands in for the cache (empty for a Decimal
-        # tail, which starts at 1). The cache is filled to start - 1 first,
-        # by _fill: eval may jump and cache nothing
-        if len(self._values) < start - 1:
-            with self._lock:
-                self._fill(start - 1)
-        order = self.order
-        lo = max(start - 1 - order, 0)
-        window = list(map(num, self._values[lo:start - 1]))
-        for n in range(start, order + 1):
+        # of them, in num, stands in for the cache
+        window = []
+        for n in range(1, self.order + 1):
             value = num(self.head(n))
             window.append(value)
             yield value
@@ -255,12 +253,10 @@ class LinearRecurrence(Sequence):
         # pushes out the oldest. q(n-i) is window[-i]: terms with
         # coefficient 1 are added without a multiplication, and terms with
         # coefficient 0 are dropped
-        if self._terms is None:
-            terms = [(-i, c) for i, c in enumerate(self.coeffs, 1) if c]
-            self._terms = (tuple(i for i, c in terms if c == 1),
-                           tuple(i for i, c in terms if c != 1),
-                           tuple(c for _, c in terms if c != 1))
-        units, lags, factors = self._terms
+        terms = [(-i, c) for i, c in enumerate(self.coeffs, 1) if c]
+        units = tuple(i for i, c in terms if c == 1)
+        lags = tuple(i for i, c in terms if c != 1)
+        factors = tuple(c for _, c in terms if c != 1)
         constant = self.constant
         if num is not int:
             factors, constant = tuple(map(num, factors)), num(constant)
@@ -329,11 +325,9 @@ class TableSequence(Sequence):
         return TableRangeError(f"{self.id} holds {len(self._decimals)} "
                                f"values; n={n} is out of range")
 
-    def _tail(self, start: int, num: type):
-        # by index: islice would step over the first start - 1 values
-        values = map(self._decimals.__getitem__,
-                     range(start - 1, len(self._decimals)))
-        return values if num is Decimal else map(int, values)
+    def _tail(self, num: type):
+        # Decimal() of a Decimal is the value itself
+        return map(num, self._decimals)
 
 
 class PointwiseSequence(Sequence):
@@ -356,9 +350,9 @@ class PointwiseSequence(Sequence):
         m = self._reach_n + 1
         return next(s._refusal(m) for s in self._parts if s._reach() < m)
 
-    def _tail(self, start: int, num: type):
+    def _tail(self, num: type):
         return map(partial(self._combine, num),
-                   *[s._tail(start, num) for s in self._parts])
+                   *[s._tail(num) for s in self._parts])
 
 
 class DilationSequence(Sequence):
@@ -381,11 +375,9 @@ class DilationSequence(Sequence):
     def _shortfall(self, n: int) -> Exception:
         return self.base._refusal(self.k * n)
 
-    def _tail(self, start: int, num: type):
-        # every k-th value of the base, from k*start on
-        k = self.k
-        return islice(self.base._tail(k * (start - 1) + 1, num), k - 1, None,
-                      k)
+    def _tail(self, num: type):
+        # every k-th value of the base
+        return islice(self.base._tail(num), self.k - 1, None, self.k)
 
 
 def _in_exact_context(values):
@@ -401,6 +393,24 @@ def _in_exact_context(values):
         yield value or Decimal()
 
 
+@contextmanager
+def unlimited_int_digits():
+    """Lift Python's limit on int<->str conversion (4300 digits by default,
+    Python >= 3.11) inside the block and restore it afterwards; values gain
+    digits linearly in n and soon pass it. The factories below run inside
+    it, since their ids print parameters of any size."""
+    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
+    if limit is None:
+        yield
+        return
+    sys.set_int_max_str_digits(0)
+    try:
+        yield
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
+@unlimited_int_digits()
 def make_theorem4(j: int, k: int, m: int) -> Sequence:
     """Sequence with base values m*(2**n - 1) + k for n <= j and recurrence
     sum of the previous j values minus (j-1)*k afterwards. j >= 2."""
@@ -409,12 +419,12 @@ def make_theorem4(j: int, k: int, m: int) -> Sequence:
     # k=0, m=1 is the plain 2**n - 1 family, which counts fixed points of
     # an interval map; any other offset is a linear-combination closure.
     guarantee = MAP_DERIVED_PHI if (k == 0 and m == 1) else PHI1_CLOSURE
-    with unlimited_int_digits():  # k and m may have any number of digits
-        seq_id = f"theorem4(j={j},k={k},m={m})"
-    return LinearRecurrence(seq_id, guarantee, lambda n: m * (2**n - 1) + k,
+    return LinearRecurrence(f"theorem4(j={j},k={k},m={m})", guarantee,
+                            lambda n: m * (2**n - 1) + k,
                             _FamilyCoeffs(j, zigzag=False), -(j - 1) * k)
 
 
+@unlimited_int_digits()
 def make_theorem5_phi(j: int) -> Sequence:
     """The theorem5-phi family for j >= 2: 3**n - 2 up to n = j, a middle band
     3**n - 2 - 4n*3**(n-j-1), then the order-(2j-1) recurrence. It counts
@@ -432,6 +442,7 @@ def make_theorem5_phi(j: int) -> Sequence:
                             _FamilyCoeffs(j, zigzag=True), 0)
 
 
+@unlimited_int_digits()
 def make_theorem5_psi(j: int) -> Sequence:
     """The theorem5-psi family for j >= 2: 3**n up to n = j-1, 3**j - 2j at
     n = j, a middle band 3**n - 4n*3**(n-j-1), then the shared recurrence.
@@ -450,21 +461,20 @@ def make_theorem5_psi(j: int) -> Sequence:
                             _FamilyCoeffs(j, zigzag=True), 0)
 
 
+@unlimited_int_digits()
 def constant(value: int) -> Sequence:
     """The order-0 recurrence q(n) = value."""
-    with unlimited_int_digits():
-        seq_id = f"const({value})"
-    return LinearRecurrence(seq_id, PHI1_CLOSURE, None, (), value)
+    return LinearRecurrence(f"const({value})", PHI1_CLOSURE, None, (), value)
 
 
+@unlimited_int_digits()
 def linear_combine(k: int, seq1: Sequence, m: int, seq2: Sequence) -> Sequence:
     """Pointwise k*seq1(n) + m*seq2(n). phi1 is linear, so phi1
     divisibility survives any integer combination; phi2 is not linear (its
     power-of-two branch subtracts 1), so no psi guarantee ever propagates
     here."""
     ok = seq1.guarantee in _PHI1_SAFE and seq2.guarantee in _PHI1_SAFE
-    with unlimited_int_digits():
-        seq_id = f"lin({k},{seq1.id},{m},{seq2.id})"
+    seq_id = f"lin({k},{seq1.id},{m},{seq2.id})"
     weights = {int: (k, m), Decimal: (Decimal(k), Decimal(m))}
 
     def combine(num: type, a, b):
@@ -475,6 +485,7 @@ def linear_combine(k: int, seq1: Sequence, m: int, seq2: Sequence) -> Sequence:
                              (seq1, seq2), combine)
 
 
+@unlimited_int_digits()
 def dilate(seq: Sequence, k: int) -> Sequence:
     """n -> seq(k*n) for k >= 1; keeps the map-derived-phi flag when present."""
     if k < 1:
@@ -483,6 +494,7 @@ def dilate(seq: Sequence, k: int) -> Sequence:
     return DilationSequence(seq, k, f"dilate({seq.id},{k})", guarantee)
 
 
+@unlimited_int_digits()
 def dilate_odd(seq: Sequence, k: int) -> Sequence:
     """n -> seq(k*n) for odd k >= 1; keeps the odd-map-derived-psi flag when
     present: where seq(n) counts the x with g^n(x) = -x for an odd map g,
@@ -509,22 +521,6 @@ def product(seqs) -> Sequence:
     return PointwiseSequence(
         "prod(%s)" % ",".join(s.id for s in seqs), flags.pop(), seqs,
         lambda num, *values: reduce(mul, values))
-
-
-@contextmanager
-def unlimited_int_digits():
-    """Lift Python's limit on int<->str conversion (4300 digits by default,
-    Python >= 3.11) inside the block and restore it afterwards; values gain
-    digits linearly in n and soon pass it."""
-    limit = getattr(sys, "get_int_max_str_digits", lambda: None)()
-    if limit is None:
-        yield
-        return
-    sys.set_int_max_str_digits(0)
-    try:
-        yield
-    finally:
-        sys.set_int_max_str_digits(limit)
 
 
 def parse_table(text: str, source: str = "<table>") -> Sequence:

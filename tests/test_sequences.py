@@ -235,24 +235,32 @@ def test_unit_coefficients_are_added_without_multiplying():
     assert multiplications_per_value(make_theorem5_phi(6), 60) == 9
 
 
-def test_recurrence_terms_are_built_on_the_first_fill_past_the_head():
-    seq = make_theorem5_phi(3)  # order 5
-    assert values(seq, 5) == decimals(seq, 5)
-    assert seq._terms is None
-    assert seq(9) == 1 * seq(8) + 3 * seq(7) + 5 * seq(6) + 3 * seq(5) + seq(4)
-    # coefficients 1, 3, 5, 3, 1: lags 1 and 5 add, lags 2..4 multiply
-    terms = ((-1, -5), (-2, -3, -4), (3, 5, 3))
-    assert seq._terms == terms
-    assert decimals(seq, 6)[-1] == seq(6)
-    assert seq._terms == terms
-    # a Decimal tail past the head builds the int terms too
-    fresh = make_theorem5_phi(3)
-    assert decimals(fresh, 6)[-1] == seq(6)
-    assert fresh._terms == terms and fresh._values == []
-    # a head-only fill of an order-10**5 family builds no terms
+def test_recurrence_terms_are_built_on_the_first_fill_past_the_head(
+        monkeypatch):
+    reads = []
+    read = sequences._FamilyCoeffs.__getitem__
+
+    def counted(coeffs, index):
+        value = read(coeffs, index)  # IndexError past the end, not counted
+        reads.append(index)
+        return value
+
+    monkeypatch.setattr(sequences._FamilyCoeffs, "__getitem__", counted)
+    # a head-only fill or stream of an order-(2*10**5 - 1) family reads none
     big = make_theorem5_phi(10**5)
     assert decimals(big, 3) == values(big, 3) == [1, 7, 25]
-    assert big._terms is None
+    assert reads == []
+    seq = make_theorem5_phi(3)  # order 5
+    assert values(seq, 5) == decimals(seq, 5)
+    assert reads == []
+    # the fill past the head reads each coefficient once, and the fills
+    # after it continue the same tail
+    assert seq(9) == 1 * seq(8) + 3 * seq(7) + 5 * seq(6) + 3 * seq(5) + seq(4)
+    values(seq, 40)
+    assert reads == [0, 1, 2, 3, 4]
+    # a stream past the head reads them once more, in a tail of its own
+    assert decimals(seq, 6)[-1] == seq(6)
+    assert reads == [0, 1, 2, 3, 4] * 2
 
 
 def test_ids_of_parameters_past_the_int_digit_limit():
@@ -266,6 +274,11 @@ def test_ids_of_parameters_past_the_int_digit_limit():
     assert make_theorem4(3, 0, -big).id == f"theorem4(j=3,k=0,m=-{digits})"
     combined = linear_combine(big, constant(1), -1, constant(2))
     assert combined.id == f"lin({digits},const(1),-1,const(2))"
+    assert make_theorem5_phi(big).id == f"theorem5phi(j={digits})"
+    assert make_theorem5_psi(big).id == f"theorem5psi(j={digits})"
+    assert dilate(constant(1), big).id == f"dilate(const(1),{digits})"
+    assert dilate_odd(constant(1), big + 1).id \
+        == f"dilateodd(const(1),{digits[:-1]}1)"
     assert _digit_limit() == limit  # restored after each id
 
 
@@ -320,7 +333,6 @@ def test_jump_equals_fill_for_every_family(j):
             assert jumps(fresh, n), (seq.id, n)
             assert fresh(n) == filled(seq, n), (seq.id, n)
             assert fresh._values == []
-            assert fresh._terms is None
 
 
 def test_ascending_eval_fills_and_never_jumps(monkeypatch):
@@ -736,6 +748,99 @@ def test_stream_yields_the_filled_values_and_caches_nothing(recipe, stop):
             # str tells a negative zero apart
             assert list(map(str, streamed)) == list(map(str, values))
         assert caches_within(seq, 0)
+
+
+def below(seq):
+    """Every sequence that seq reads, at any depth."""
+    if isinstance(seq, sequences.DilationSequence):
+        parts = (seq.base,)
+    else:
+        parts = seq._parts
+    for part in parts:
+        yield part
+        yield from below(part)
+
+
+# -- one int tail per sequence: a fill fills no cache of its parts ------------
+
+@settings(max_examples=100, deadline=None)
+@example(recipe=("dilate", ("theorem5phi", 2), 4), far=200)
+@example(recipe=("lin", 3, ("theorem5phi", 2), -2, ("theorem4", 3, 0, 1)),
+         far=200)
+@example(recipe=("prod", [("theorem5phi", 2), ("dilate", ("const", 2), 3)]),
+         far=200)
+@given(recipe=RECIPES, far=st.integers(1, 200))
+def test_a_fill_leaves_the_caches_of_its_parts_empty(recipe, far):
+    ascent, far_off, want = build(recipe), build(recipe), reference(recipe)
+    n_max = min(far, ascent._reach())
+    assert values(ascent, n_max) == [want(n) for n in range(1, n_max + 1)]
+    if n_max:
+        assert far_off(n_max) == want(n_max)
+    for seq in (ascent, far_off):
+        assert all(part._values == [] for part in below(seq))
+
+
+def test_no_combinator_fills_the_cache_of_a_part():
+    combinators = [
+        lambda: linear_combine(3, make_theorem5_phi(2), -2,
+                               make_theorem4(3, 0, 1)),
+        lambda: product([make_theorem5_phi(2), make_theorem5_psi(3)]),
+        lambda: dilate(make_theorem5_phi(2), 16),
+        lambda: dilate_odd(make_theorem5_psi(3), 3),
+        lambda: linear_combine(1, dilate(product([make_theorem5_phi(2),
+                                                  constant(-3)]), 2),
+                               1, dilate_odd(make_theorem5_psi(2), 5)),
+    ]
+    for factory in combinators:
+        ascent, far_off = factory(), factory()
+        scanned = values(ascent, 300)
+        assert far_off(300) == scanned[-1]
+        assert far_off(150) == scanned[149]  # read from its own cache
+        for seq in (ascent, far_off):
+            assert all(part._values == [] for part in below(seq)), seq.id
+
+
+@pytest.mark.parametrize("recipe", [
+    ("theorem5phi", 3),
+    ("lin", 2, ("theorem5phi", 3), -1, ("dilate", ("theorem4", 2, 1, 1), 2)),
+    ("dilate", ("prod", [("theorem5phi", 3), ("const", -2)]), 3),
+], ids=["recurrence", "lin", "dilate-prod"])
+def test_a_fill_that_raised_is_followed_by_correct_values(recipe):
+    # the head of the one theorem5phi(3) (order 5) raises once, at n = 4,
+    # in the middle of a fill that started where an earlier fill stopped
+    seq, want = build(recipe), reference(recipe)
+    family = next(s for s in [seq, *below(seq)] if s.id == "theorem5phi(j=3)")
+    head, raised = family.head, []
+
+    def flaky(n):
+        if n == 4 and not raised:
+            raised.append(n)
+            raise RuntimeError("flaky head")
+        return head(n)
+
+    family.head = flaky
+    assert seq(1) == want(1)
+    with pytest.raises(RuntimeError, match="flaky head"):
+        seq(10)
+    assert raised == [4]
+    assert values(seq, 60) == [want(n) for n in range(1, 61)]
+
+
+def test_an_ascending_scan_builds_one_int_tail():
+    seq = linear_combine(1, dilate(make_theorem5_phi(2), 3), -1,
+                         product([make_theorem4(3, 1, 2), parse_table(
+                             "\n".join(map(str, range(200))))]))
+    tails = {}
+    for s in [seq, *below(seq)]:
+        def counted(*args, s=s, tail=s._tail):
+            if args[-1] is int:  # the number type comes last
+                tails[s.id] = tails.get(s.id, 0) + 1
+            return tail(*args)
+        s._tail = counted
+    scanned = values(seq, 200)
+    assert tails == {s.id: 1 for s in [seq, *below(seq)]}
+    assert decimals(seq, 200) == scanned
+    assert tails == {s.id: 1 for s in [seq, *below(seq)]}
 
 
 def test_stream_values_are_computed_in_the_exact_context():
