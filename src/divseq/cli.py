@@ -17,7 +17,8 @@ rows read, q(1..n_max // 2) (n_max // 3 for phi2); `seq` keeps none.
 Exit codes: 0 success/agreement, 1 verification failure or disagreement,
 2 usage error (including a map with a whole segment on y = x or y = -x,
 whose solution count is infinite, and a sequence expression nested more
-than 150 deep), 3 a resource cap: the piece cap or the fill cap.
+than 150 deep), 3 a resource cap: the piece cap (for `crosscheck`, also
+on the (2j - 1)**2 cells of the edge tensor) or the fill cap.
 """
 
 from __future__ import annotations
@@ -291,10 +292,15 @@ def run_crosscheck(j: int, n_max: int,
     Returns the row dicts of the table and whether the oracle hit the piece
     cap. A piece-cap overflow on the oracle path is recorded in the affected
     rows as "error:piece-cap" rather than aborting the report; such a row
-    does not agree. A g_j past the piece cap and an n_max past the fill cap
-    are refused first, before any map is composed.
+    does not agree. A g_j past the piece cap, an edge tensor of more cells,
+    (2j - 1)**2, than the default piece cap and an n_max past the fill cap
+    are refused first, before any map is composed or tensor built.
     """
     g = _capped_gj(j, piece_cap)
+    cells = (2 * j - 1) ** 2
+    if cells > DEFAULT_PIECE_CAP:
+        raise PieceCapExceededError(f"the edge tensor of g_{j} has {cells} "
+                                    f"cells; cap is {DEFAULT_PIECE_CAP}")
     phi_seq, psi_seq = make_theorem5_phi(j), make_theorem5_psi(j)
     phi_seq._check_reach(n_max)
     tensor = initial_tensor(j)

@@ -13,11 +13,11 @@ All of them read one substitution rule, derived once per j from
 nodes from u to v (a Markov partition). The closure of g_j's own laps under
 it is the alphabet, numbered as in `label_pair`, and a label counts one
 solution in a bucket when its levels cover the bucket (its mirror image for
-h^n(x) = -x). `step` sums each new entry from the old entries that split
+h^n(x) = -x). One step sums each new entry from the old entries that split
 into it, most-used first, computing every shared prefix sum once: 2j-1
 big-int additions per computed row, in one straight-line function compiled
 from that plan. g_j is odd, so reversing a row mirrors it and commutes with
-the step (checked when the rule is derived); `step` computes the rows up to
+the step (checked when the rule is derived); a read computes the rows up to
 the middle one and reverses each mirrored partner's new row for the rest, j
 of the 2j-1 rows for g_j's own tensors. `expand_word` needs no
 x-coordinates: the laps a lap splits into tile its extent, so every lap
@@ -25,9 +25,10 @@ lies in the bucket of its n=1 ancestor. Validation runs on every tensor
 built from outside; `step` adds nonnegative counts of a valid tensor, so
 its results skip it.
 
-`step` itself computes nothing: it returns an EdgeTensor whose counts are
-computed when first read, from the nearest earlier tensor whose counts were
-known. A short distance d is stepped d times; a long one is jumped:
+`step` itself computes nothing: it returns an EdgeTensor that shares its
+parent's one anchor, the counts and n of the nearest tensor whose counts
+are known, and its counts are computed from that anchor when first read.
+A short distance d is stepped d times; a long one is jumped:
 each row is a row vector v and one step is v*M_j, where row i of M_j is the
 step of unit row i, so v*M_j**d is the sum of r[i]*v*M_j**i over i < 2j-1
 for r = x**d modulo M_j's characteristic polynomial (Cayley-Hamilton).
@@ -202,9 +203,7 @@ def _advanced(j: int, rows, start: int, n: int) -> tuple:
     partner's result reversed (mirroring commutes with the step), any other
     row is computed."""
     d, advance = n - start, _rule(j).advance
-    if d == 1:
-        row_at = advance
-    elif d <= 16 * (2 * j - 1):
+    if d <= 16 * (2 * j - 1):
         def row_at(row):
             for _ in range(d):
                 row = advance(row)
@@ -233,24 +232,25 @@ class EdgeTensor(Record):
     """Edge counts a(k, i) at one time step: entry (k, i) is the number of
     label-i edges whose x-extent lies in bucket k. Both indices run over
     [-(j-1), j-1]; counts is the raw (2j-1) x (2j-1) grid with both indices
-    shifted by j-1. Immutable; building one checks j, n, the grid's shape
-    and that no count is negative.
+    shifted by j-1, held as a tuple of tuples. Immutable; building one
+    checks j, n, the grid's shape and that no count is negative.
 
-    counts is read from _counts, empty until the first read fills it for a
-    tensor that `step` returned: until then _anchor holds the counts and n
-    of the nearest earlier tensor whose counts were known, and the read
-    computes them from it (see _advanced), stores them, then drops the
-    anchor, in that order, so a concurrent read that finds no anchor finds
-    the counts, and a tensor that has been read keeps no earlier one
-    alive."""
+    _anchor holds (counts, start): the counts and n of the nearest tensor
+    at or before this one whose counts are known, so start == n once they
+    are. A tensor that `step` returned starts anchored where its parent is;
+    its first read computes its counts from the anchor (see _advanced) and
+    replaces the anchor with (counts, n) in one store, so a concurrent read
+    finds one anchor or the other, and a tensor that has been read keeps
+    no earlier one alive."""
 
     __match_args__ = ("j", "n", "counts")
-    __slots__ = ("j", "n", "_counts", "_anchor", "__weakref__")
+    __slots__ = ("j", "n", "_anchor", "__weakref__")
 
     def __init__(self, j: int, n: int, counts: tuple[tuple[int, ...], ...]):
         _check_j(j)
         if n < 1:
             raise ValueError(f"n must be >= 1, got {n}")
+        counts = tuple(map(tuple, counts))
         size = 2 * j - 1
         if len(counts) != size or set(map(len, counts)) != {size}:
             raise ValueError(f"counts grid must be {size}x{size}")
@@ -258,17 +258,14 @@ class EdgeTensor(Record):
             raise ValueError("edge counts must be nonnegative")
         _set(self, "j", j)
         _set(self, "n", n)
-        _set(self, "_counts", counts)
-        _set(self, "_anchor", None)
+        _set(self, "_anchor", (counts, n))
 
     @property
     def counts(self) -> tuple[tuple[int, ...], ...]:
-        anchor = self._anchor
-        if anchor is None:
-            return self._counts
-        counts = _advanced(self.j, *anchor, self.n)
-        _set(self, "_counts", counts)
-        _set(self, "_anchor", None)
+        counts, start = self._anchor
+        if start != self.n:
+            counts = _advanced(self.j, counts, start, self.n)
+            _set(self, "_anchor", (counts, self.n))
         return counts
 
     def entry(self, k: int, i: int) -> int:
@@ -289,23 +286,12 @@ def initial_tensor(j: int) -> EdgeTensor:
 
 def step(t: EdgeTensor) -> EdgeTensor:
     """Advance the tensor one iterate, in constant time: the result is an
-    EdgeTensor anchored where t is (or at t, if t's counts are known), whose
-    counts are computed when first read.
-
-    Rows (fixed bucket k) evolve independently. New entry i is the sum of
-    the old entries whose laps split into a label-i lap, summed most-used
-    first along shared prefix sums: with w = j-1, every entry is
-    s = a(0) + a(-w) or u = a(0) + a(w) plus at most one more entry, 2j-1
-    additions per computed row. Rows up to the middle one are always
-    computed. A later row that is its mirror partner's reverse (row 2j-2-r
-    of the grid is row r reversed, as in every tensor of g_j, which is odd)
-    is that partner's new row reversed; any other row is computed. So a
-    tensor of g_j costs j rows of additions a step, and any other tensor
-    gets the same counts as stepping every row."""
+    EdgeTensor with t's anchor, whose counts are computed when first read
+    (see _advanced). It reads no counts of t."""
     new = object.__new__(EdgeTensor)
     _set(new, "j", t.j)
     _set(new, "n", t.n + 1)
-    _set(new, "_anchor", t._anchor or (t.counts, t.n))
+    _set(new, "_anchor", t._anchor)
     return new
 
 

@@ -674,6 +674,24 @@ def test_g_j_with_more_pieces_than_the_cap_is_refused_first(capsys, command,
                    f"cap is {cap or DEFAULT_PIECE_CAP}\n")
 
 
+@pytest.mark.parametrize("j, err", [
+    (1582, f"the edge tensor of g_1582 has {3163 ** 2} cells; "
+           f"cap is {DEFAULT_PIECE_CAP}"),
+    (10**21, f"g_{10**21} has {2 * 10**21 - 1} pieces; "
+             f"cap is {DEFAULT_PIECE_CAP}")])
+def test_crosscheck_refuses_an_edge_tensor_past_the_cap_first(
+        capsys, monkeypatch, j, err):
+    # (2j - 1)**2 cells past the default piece cap, whatever --piece-cap
+    # says: exit 3 before the grid is built; j = 1581 has 9 991 921 cells
+    def no_tensor(j):
+        raise AssertionError("initial_tensor was called")
+
+    monkeypatch.setattr(cli, "initial_tensor", no_tensor)
+    code, out, got = run_main(capsys, "crosscheck", "--j", str(j),
+                              "--n-max", "1")
+    assert (code, out, got) == (3, "", f"divseq: {err}\n")
+
+
 @pytest.mark.parametrize("equation", ["fixed", "antifixed"])
 def test_oracle_segment_on_the_line_is_usage_error(capsys, tmp_path, equation):
     # y = x on [-1, 0] and y = -x on [0, 1]: infinitely many solutions

@@ -114,6 +114,18 @@ def test_edge_tensor_is_an_immutable_record():
     assert not hasattr(t, "__dict__")
 
 
+def test_a_tensor_owns_its_grid():
+    rows = [[0, 0, 1], [0, 1, 0], [1, 0, 0]]
+    t = EdgeTensor(2, 1, rows)
+    assert t == initial_tensor(2) and hash(t) == hash(initial_tensor(2))
+    rows[0][0] = -5
+    assert t.counts == initial_tensor(2).counts
+    assert step(t).counts == step(initial_tensor(2)).counts
+    # a tuple row is kept as it is
+    grid = initial_tensor(3).counts
+    assert all(a is b for a, b in zip(EdgeTensor(3, 1, grid).counts, grid))
+
+
 # -- the step ----------------------------------------------------------------
 
 def test_step_j3_center_row():
@@ -360,8 +372,8 @@ def test_step_validates_its_output():
     bad = object.__new__(EdgeTensor)
     counts = [[0] * 5 for _ in range(5)]
     counts[2][2] = -5
-    for name, value in (("j", 3), ("n", 1), ("_anchor", None),
-                        ("_counts", tuple(tuple(r) for r in counts))):
+    grid = tuple(map(tuple, counts))
+    for name, value in (("j", 3), ("n", 1), ("_anchor", (grid, 1))):
         object.__setattr__(bad, name, value)
     with pytest.raises(ValueError, match="nonnegative"):
         step(bad)
@@ -688,11 +700,12 @@ def test_a_deferred_tensor_is_the_same_record():
     checks = (lambda u: u == whole, lambda u: whole == u,
               lambda u: not u != whole, lambda u: u == lazy_step(lazy_step(t)),
               lambda u: hash(u) == hash(whole), lambda u: repr(u) == repr(whole))
+    assert whole._anchor == (whole.counts, whole.n)
     for check in checks:
         u = lazy_step(lazy_step(t))
-        assert u._anchor is not None
+        assert u._anchor[1] != u.n
         assert check(u)
-        assert u._anchor is None
+        assert u._anchor == (whole.counts, u.n)
     u = lazy_step(t)
     with pytest.raises(AttributeError):
         u.counts = whole.counts
@@ -704,13 +717,23 @@ def test_a_deferred_tensor_is_the_same_record():
 def test_step_returns_a_plain_tensor_that_matches_unread():
     t = initial_tensor(3)
     u = lazy_step(lazy_step(t))
-    assert type(u) is EdgeTensor and u._anchor is not None
+    assert type(u) is EdgeTensor and u._anchor[1] != u.n
     match u:
         case EdgeTensor(j, n, counts):
             assert (j, n, counts) == (3, 3, eager(t, 2))
         case _:
             pytest.fail("an unread tensor does not match EdgeTensor(j, n, counts)")
-    assert u._anchor is None
+    assert u._anchor[1] == u.n
+
+
+def test_step_shares_its_parents_anchor_and_reads_no_counts():
+    read = initial_tensor(3)
+    unread = lazy_step(lazy_step(read))
+    for t in (read, unread):
+        anchor = t._anchor
+        assert lazy_step(t)._anchor is anchor
+        assert t._anchor is anchor
+    assert unread._anchor[1] == 1
 
 
 @pytest.mark.parametrize("make", [
@@ -759,7 +782,7 @@ def test_six_threads_reading_one_deferred_tensor_get_identical_counts():
                 thread.join(timeout=60)
             assert not any(thread.is_alive() for thread in threads)
             assert results == [want] * 6
-            assert t._anchor is None
+            assert t._anchor == (want, t.n)
     finally:
         sys.setswitchinterval(interval)
 
@@ -774,4 +797,4 @@ def test_unread_steps_keep_no_earlier_tensor_alive():
             refs.append(weakref.ref(t))
     assert [ref() for ref in refs] == [None] * 4
     assert c_count(t) == make_theorem5_phi(3)(10**4)
-    assert t._anchor is None  # the n = 1 counts are dropped once read
+    assert t._anchor[1] == t.n  # the n = 1 counts are dropped once read
