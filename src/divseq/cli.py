@@ -17,8 +17,9 @@ rows read, q(1..n_max // 2) (n_max // 3 for phi2); `seq` keeps none.
 Exit codes: 0 success/agreement, 1 verification failure or disagreement,
 2 usage error (including a map with a whole segment on y = x or y = -x,
 whose solution count is infinite, and a sequence expression nested more
-than 150 deep), 3 a resource cap: the piece cap (for `crosscheck`, also
-on the (2j - 1)**2 cells of the edge tensor) or the fill cap.
+than 150 deep), 3 a resource cap: the piece cap (the default one too on
+g_j's 2j - 1 pieces, and for `crosscheck` on the (2j - 1)**2 cells of the
+edge tensor) or the fill cap.
 """
 
 from __future__ import annotations
@@ -278,10 +279,12 @@ def run_divisibility(seq: Sequence, mode: str, n_max: int) -> list[dict]:
 
 def _capped_gj(j: int, piece_cap: int):
     """build_gj(j), refused first where its 2j - 1 pieces pass the cap, so a
-    huge j exits 3 before its 2j nodes are built."""
-    if 2 * j - 1 > piece_cap:
+    huge j exits 3 before its 2j nodes are built. The bound is at most
+    DEFAULT_PIECE_CAP, whatever piece_cap says."""
+    cap = min(piece_cap, DEFAULT_PIECE_CAP)
+    if 2 * j - 1 > cap:
         raise PieceCapExceededError(
-            f"g_{j} has {2 * j - 1} pieces; cap is {piece_cap}")
+            f"g_{j} has {2 * j - 1} pieces; cap is {cap}")
     return build_gj(j)
 
 
@@ -292,8 +295,8 @@ def run_crosscheck(j: int, n_max: int,
     Returns the row dicts of the table and whether the oracle hit the piece
     cap. A piece-cap overflow on the oracle path is recorded in the affected
     rows as "error:piece-cap" rather than aborting the report; such a row
-    does not agree. A g_j past the piece cap, an edge tensor of more cells,
-    (2j - 1)**2, than the default piece cap and an n_max past the fill cap
+    does not agree. A g_j past either piece cap, an edge tensor of more
+    cells, (2j - 1)**2, than the default one and an n_max past the fill cap
     are refused first, before any map is composed or tensor built.
     """
     g = _capped_gj(j, piece_cap)

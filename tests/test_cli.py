@@ -661,17 +661,23 @@ def test_oracle_piece_cap_exits_three(capsys):
 
 
 @pytest.mark.parametrize("command", ["oracle", "crosscheck"])
-@pytest.mark.parametrize("j, cap", [(10**21, None), (3, 4)])
-def test_g_j_with_more_pieces_than_the_cap_is_refused_first(capsys, command,
-                                                            j, cap):
+@pytest.mark.parametrize("j, cap", [(10**21, None), (3, 4), (10**21, 10**25),
+                                    (10**8, 10**9)])
+def test_g_j_with_more_pieces_than_the_cap_is_refused_first(
+        capsys, monkeypatch, command, j, cap):
     # decided from j, before g_j's 2j nodes are built: no OverflowError at
-    # j = 10**21 under the default cap, and no row at n = 1
+    # j = 10**21, and no row at n = 1; a --piece-cap past the default does
+    # not lift the bound past the default (10**8 would build 2*10**8 nodes)
+    def no_map(j):
+        raise AssertionError("build_gj was called")
+
+    monkeypatch.setattr(cli, "build_gj", no_map)
     flags = [] if cap is None else ["--piece-cap", str(cap)]
     code, out, err = run_main(capsys, command, "--j", str(j), "--n-max", "1",
                               *flags)
     assert (code, out) == (3, "")
-    assert err == (f"divseq: g_{j} has {2 * j - 1} pieces; "
-                   f"cap is {cap or DEFAULT_PIECE_CAP}\n")
+    bound = min(cap or DEFAULT_PIECE_CAP, DEFAULT_PIECE_CAP)
+    assert err == f"divseq: g_{j} has {2 * j - 1} pieces; cap is {bound}\n"
 
 
 @pytest.mark.parametrize("j, err", [

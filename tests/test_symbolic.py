@@ -694,6 +694,38 @@ def test_a_far_read_jumps_once(monkeypatch):
     assert calls == [2999]
 
 
+@pytest.mark.parametrize("j", [2, 3, 8])
+def test_reads_step_to_three_orders_from_the_anchor_and_jump_past(
+        monkeypatch, j):
+    # the step/jump crossover is 3 * (2j - 1) steps from the anchor
+    calls = []
+
+    def counted(m, coeffs):
+        calls.append(m)
+        return x_power_mod(m, coeffs)
+
+    x_power_mod = divseq.symbolic._x_power_mod
+    monkeypatch.setattr(divseq.symbolic, "_x_power_mod", counted)
+    limit = 3 * (2 * j - 1)
+    want = [initial_tensor(j).counts]
+    for _ in range(limit + 1):
+        want.append(interpreted_step(j, want[-1]))
+    for d, jumps in ((limit, []), (limit + 1, [limit + 1])):
+        t = initial_tensor(j)
+        for _ in range(d):
+            t = lazy_step(t)
+        calls.clear()
+        assert t.counts == want[d]
+        assert calls == jumps
+
+
+@pytest.mark.parametrize("j", range(2, 13))
+def test_the_step_is_plain_code_in_this_module(j):
+    # the prefix-sum plan is data that one closure walks, not generated
+    # source
+    assert _rule(j).advance.__code__.co_filename == divseq.symbolic.__file__
+
+
 def test_a_deferred_tensor_is_the_same_record():
     t = initial_tensor(2)
     whole = EdgeTensor(2, 3, eager(t, 2))
