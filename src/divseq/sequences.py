@@ -356,14 +356,19 @@ class PointwiseSequence(Sequence):
 
 
 class DilationSequence(Sequence):
-    """n -> seq(k*n). Divisibility transfers only from map-derived input:
-    sampling a map's count sequence at multiples of k is the count sequence
-    of the k-th iterate of the same map (an odd map when k is odd). It
-    reaches its base's reach // k, so up to FILL_CAP as its base does;
-    below the cap, n gets the base's error at k*n."""
+    """n -> seq(k*n), with its base's label for every k >= 1. (g^k)^n =
+    g^(kn), so seq(k*n) counts for g^k what seq(n) counts for g: fixed
+    points of any map, antifixed points of an odd map, and g^k is odd when
+    g is (g^k(-x) = -g^k(x) by induction on k). A phi1-closure sequence is
+    an integer combination of such counts (theorem4 is m*T + k*1, const(v)
+    is v*1, where 1 counts the fixed point of a one-point map, and lin
+    combines them), and dilation maps each term to the count for the
+    iterate; no-guarantee stays no-guarantee. It reaches its base's
+    reach // k, so up to FILL_CAP as its base does; below the cap, n gets
+    the base's error at k*n."""
 
-    def __init__(self, seq: Sequence, k: int, seq_id: str, guarantee: str):
-        super().__init__(seq_id, guarantee)
+    def __init__(self, seq: Sequence, k: int, seq_id: str):
+        super().__init__(seq_id, seq.guarantee)
         self.base = seq
         self.k = k
         # once, as a PointwiseSequence finds its reach
@@ -487,24 +492,18 @@ def linear_combine(k: int, seq1: Sequence, m: int, seq2: Sequence) -> Sequence:
 
 @unlimited_int_digits()
 def dilate(seq: Sequence, k: int) -> Sequence:
-    """n -> seq(k*n) for k >= 1; keeps the map-derived-phi flag when present."""
+    """n -> seq(k*n) for k >= 1, with seq's label (see DilationSequence)."""
     if k < 1:
         raise ValueError(f"dilate requires k >= 1, got {k}")
-    guarantee = MAP_DERIVED_PHI if seq.guarantee == MAP_DERIVED_PHI else NO_GUARANTEE
-    return DilationSequence(seq, k, f"dilate({seq.id},{k})", guarantee)
+    return DilationSequence(seq, k, f"dilate({seq.id},{k})")
 
 
 @unlimited_int_digits()
 def dilate_odd(seq: Sequence, k: int) -> Sequence:
-    """n -> seq(k*n) for odd k >= 1; keeps the odd-map-derived-psi flag when
-    present: where seq(n) counts the x with g^n(x) = -x for an odd map g,
-    seq(k*n) counts them for g^k, which is odd too. g^k is odd for even k
-    as well; whether even k may keep the flag is ROADMAP.md item 2."""
+    """dilate for odd k, under the name dilateodd."""
     if k < 1 or k % 2 == 0:
         raise ValueError(f"dilate_odd requires odd k >= 1, got {k}")
-    guarantee = (ODD_MAP_DERIVED_PSI if seq.guarantee == ODD_MAP_DERIVED_PSI
-                 else NO_GUARANTEE)
-    return DilationSequence(seq, k, f"dilateodd({seq.id},{k})", guarantee)
+    return DilationSequence(seq, k, f"dilateodd({seq.id},{k})")
 
 
 def product(seqs) -> Sequence:

@@ -233,6 +233,16 @@ def test_verify_dilate_odd_keeps_psi_guarantee(capsys):
     assert payload["summary"]["failures"] == 0
 
 
+def test_verify_even_dilation_keeps_psi_guarantee(capsys):
+    # g^2 is odd when g is, so an even dilation keeps the phi2 formula
+    code, out, _ = run_main(
+        capsys, "verify", "dilate(theorem5psi(3),2)", "--mode",
+        "phi2-mod-2n", "--format", "json", "--n-max", "50")
+    assert code == 0
+    assert '"guarantee": "odd-map-derived-psi"' in out
+    assert json.loads(out)["summary"]["failures"] == 0
+
+
 def test_verify_table_exhaustion_reported_per_row(capsys, tmp_path):
     path = tmp_path / "short.txt"
     path.write_text("1\n3\n7\n15\n")  # passes phi1 mod n while it lasts

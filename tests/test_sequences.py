@@ -16,7 +16,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divseq import sequences
-from divseq.arith import phi1
+from divseq.arith import phi1, phi2
 from divseq.sequences import (
     FILL_CAP,
     MAP_DERIVED_PHI,
@@ -437,22 +437,31 @@ def check_stream(seq, n_max):
 BIG = "9" * 5001  # past Python's 4300-digit int<->str limit
 table_tokens = st.one_of(st.integers(-10**6, 10**6).map(str),
                          st.sampled_from([BIG, "-" + BIG, "-0"]))
-leaves = st.one_of(
+table_free_leaves = st.one_of(
     st.builds(make_theorem4, st.integers(2, 4), st.integers(-5, 5),
               st.integers(-5, 5)),
     st.builds(make_theorem5_phi, st.integers(2, 4)),
     st.builds(make_theorem5_psi, st.integers(2, 4)),
     st.builds(constant, st.integers(-5, 5)),
+)
+leaves = st.one_of(
+    table_free_leaves,
     st.lists(table_tokens, min_size=1, max_size=40).map(
         lambda tokens: parse_table("\n".join(tokens))),
 )
-trees = st.recursive(leaves, lambda kids: st.one_of(
-    st.builds(linear_combine, st.integers(-5, 5), kids, st.integers(-5, 5),
-              kids),
-    st.builds(dilate, kids, st.integers(1, 3)),
-    st.builds(dilate_odd, kids, st.sampled_from([1, 3])),
-    st.lists(kids, min_size=1, max_size=3).map(product),
-), max_leaves=5)
+
+
+def trees_of(leaves):
+    return st.recursive(leaves, lambda kids: st.one_of(
+        st.builds(linear_combine, st.integers(-5, 5), kids,
+                  st.integers(-5, 5), kids),
+        st.builds(dilate, kids, st.integers(1, 3)),
+        st.builds(dilate_odd, kids, st.sampled_from([1, 3])),
+        st.lists(kids, min_size=1, max_size=3).map(product),
+    ), max_leaves=5)
+
+
+trees = trees_of(leaves)
 
 # forms a random draw can miss: negative table values of 5001 digits under
 # negative weights, nested odd dilations, products, and zeros made negative
@@ -874,12 +883,46 @@ def test_linear_combine_flag_propagation():
 
 
 def test_dilate_flag_propagation():
+    # a dilation keeps its base's label, for every k
     phi = make_theorem5_phi(2)
     psi = make_theorem5_psi(2)
     assert dilate(phi, 3).guarantee == MAP_DERIVED_PHI
-    assert dilate(constant(5), 3).guarantee == NO_GUARANTEE
+    assert dilate(constant(5), 3).guarantee == PHI1_CLOSURE
+    assert dilate(psi, 2).guarantee == ODD_MAP_DERIVED_PSI
+    assert dilate(parse_table("1\n3\n7\n15"), 2).guarantee == NO_GUARANTEE
     assert dilate_odd(psi, 5).guarantee == ODD_MAP_DERIVED_PSI
-    assert dilate_odd(constant(5), 3).guarantee == NO_GUARANTEE
+    assert dilate_odd(phi, 3).guarantee == MAP_DERIVED_PHI
+    assert dilate_odd(constant(5), 3).guarantee == PHI1_CLOSURE
+
+
+@settings(max_examples=60, deadline=None)
+@given(seq=trees, k=st.sampled_from([1, 3, 5]))
+def test_dilate_odd_is_dilate_for_odd_k(seq, k):
+    odd, plain = dilate_odd(seq, k), dilate(seq, k)
+    assert odd.id == f"dilateodd({seq.id},{k})"
+    assert plain.id == f"dilate({seq.id},{k})"
+    assert odd.guarantee == plain.guarantee == seq.guarantee
+    assert odd._reach() == plain._reach()
+    reach = odd._reach()
+    for n in (reach + 1, FILL_CAP + 1):
+        a, b = odd._refusal(n), plain._refusal(n)
+        assert (type(a), str(a)) == (type(b), str(b))
+    n_max = min(reach, 12)
+    assert values(odd, n_max) == values(plain, n_max)
+
+
+@settings(max_examples=60, deadline=None)
+@given(seq=trees_of(table_free_leaves))
+@example(seq=dilate(make_theorem5_psi(3), 2))
+@example(seq=dilate_odd(make_theorem5_phi(3), 3))
+@example(seq=linear_combine(1, make_theorem5_psi(2), 1, make_theorem5_psi(3)))
+def test_no_label_is_too_strong(seq):
+    # each label is a claim about every n; none may fail at any n <= 30
+    for n in range(1, 31):
+        if seq.guarantee in (MAP_DERIVED_PHI, PHI1_CLOSURE):
+            assert phi1(seq, n) % n == 0
+        elif seq.guarantee == ODD_MAP_DERIVED_PSI:
+            assert phi2(seq, n) % (2 * n) == 0
 
 
 def test_product_flag_propagation():
