@@ -50,7 +50,14 @@ _EXACT = Context(prec=MAX_PREC, Emax=MAX_EMAX, Emin=MIN_EMIN,
 def exact_context():
     """A decimal.localcontext (a copy of one shared exact context) in which
     +, -, * and % on integral Decimals are exact; the caller's own decimal
-    context is restored on exit."""
+    context is restored on exit.
+
+    phi1, phi2 and divisibility_check enter it on every call, and
+    Sequence._stream for every value. A report does not: it makes one copy
+    of _EXACT of its own, switches to it once per row (see
+    divseq.cli._divisibility_rows) and calls the context-free cores of
+    those functions, _alternating_sum, _odd_alternating_sum and
+    _remainder, inside that switch."""
     return localcontext(_EXACT)
 
 
@@ -150,17 +157,34 @@ class PrimeTable:
 
 
 def _alternating_sum(seq: IntSequence, n: int, primes) -> int:
-    """The signed sum of seq(n // d) over the squarefree divisors d of the
-    product of primes (distinct primes of n), with sign (-1)**(number of
-    primes in d). The quotients n // d of each sign are built by doubling:
-    each prime p adds m // p, of the other sign, for every quotient m so
-    far."""
+    """phi1 without its checks, in whatever decimal context is current: the
+    signed sum of seq(n // d) over the squarefree divisors d of the product
+    of primes (distinct primes of n), with sign (-1)**(number of primes in
+    d). The quotients n // d of each sign are built by doubling: each prime
+    p adds m // p, of the other sign, for every quotient m so far."""
     plus, minus = [n], []
     for p in primes:
         plus, minus = (plus + [m // p for m in minus],
                        minus + [m // p for m in plus])
-    with exact_context():
-        return sum(map(seq, plus)) - sum(map(seq, minus))
+    return sum(map(seq, plus)) - sum(map(seq, minus))
+
+
+def _odd_alternating_sum(seq: IntSequence, n: int, primes) -> int:
+    """phi2 without its checks, in whatever decimal context is current:
+    seq(n) - 1 where primes (distinct primes of n) holds no odd prime, else
+    _alternating_sum over the odd ones."""
+    odd_primes = [p for p in primes if p != 2]
+    if not odd_primes:
+        return seq(n) - 1
+    return _alternating_sum(seq, n, odd_primes)
+
+
+def _remainder(value, modulus: int) -> int:
+    """divisibility_check's remainder without its checks, in whatever
+    decimal context is current. Decimal % truncates toward zero, so its
+    remainder takes the sign of value; the int % afterwards moves it into
+    [0, modulus)."""
+    return int(value % modulus) % modulus
 
 
 def phi1(seq: IntSequence, n: int, primes=None) -> int:
@@ -171,14 +195,15 @@ def phi1(seq: IntSequence, n: int, primes=None) -> int:
     sign being (-1)**(number of primes in d).
 
     primes, when given, must be the distinct primes of n, as
-    factorize(n).primes or PrimeTable.primes(n) give them; a report passes
-    them from its PrimeTable. Without it, phi1 factorizes n.
+    factorize(n).primes or PrimeTable.primes(n) give them. Without it, phi1
+    factorizes n.
     """
     if n < 1:
         raise ValueError(f"phi1 requires n >= 1, got {n}")
     if primes is None:
         primes = factorize(n).primes
-    return _alternating_sum(seq, n, primes)
+    with exact_context():
+        return _alternating_sum(seq, n, primes)
 
 
 def phi2(seq: IntSequence, n: int, primes=None) -> int:
@@ -195,11 +220,8 @@ def phi2(seq: IntSequence, n: int, primes=None) -> int:
         raise ValueError(f"phi2 requires n >= 1, got {n}")
     if primes is None:
         primes = factorize(n).primes
-    odd_primes = [p for p in primes if p != 2]
-    if not odd_primes:
-        with exact_context():
-            return seq(n) - 1
-    return _alternating_sum(seq, n, odd_primes)
+    with exact_context():
+        return _odd_alternating_sum(seq, n, primes)
 
 
 def divisibility_check(value, modulus: int) -> tuple[bool, int]:
@@ -207,8 +229,6 @@ def divisibility_check(value, modulus: int) -> tuple[bool, int]:
     the remainder as an int normalized to [0, modulus)."""
     if modulus < 1:
         raise ValueError(f"modulus must be >= 1, got {modulus}")
-    # Decimal % truncates toward zero, so its remainder takes the sign of
-    # value; the int % afterwards moves it into [0, modulus)
     with exact_context():
-        r = int(value % modulus) % modulus
+        r = _remainder(value, modulus)
     return (r == 0, r)

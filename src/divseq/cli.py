@@ -12,7 +12,13 @@ Every command finishes all the work that can fail before the first byte
 goes out, so a command that fails writes nothing to stdout. The rows then
 stream, one at a time, in blocks of at least 64 KB. A report computes each
 value once, in order, for its own row, and keeps only the values that later
-rows read, q(1..n_max // 2) (n_max // 3 for phi2); `seq` keeps none.
+rows read, q(1..n_max // 2) (n_max // 3 for phi2); `seq` keeps none. A
+report row switches to exact decimal arithmetic once, for its value, its
+phi and its remainder together (see _divisibility_rows). `verify`,
+`conjecture` and `seq` import only the arith and sequences layers:
+interval_map and symbolic are imported inside `oracle` and `crosscheck`,
+and the piece cap and the oracle's errors, which every command may name,
+come from the small _errors module.
 
 Exit codes: 0 success/agreement, 1 verification failure or disagreement,
 2 usage error (including a map with a whole segment on y = x or y = -x,
@@ -25,20 +31,26 @@ edge tensor) or the fill cap.
 from __future__ import annotations
 
 import argparse
+import itertools
 import os
 import sys
+from decimal import getcontext, setcontext
+from importlib import import_module
 
 from . import __version__
-from .arith import PrimeTable, divisibility_check, phi1, phi2
-from .interval_map import (
+from ._errors import (
     DEFAULT_PIECE_CAP,
     InfiniteSolutionsError,
     PieceCapExceededError,
-    build_gj,
-    count_antifixed,
-    count_fixed,
-    iterates,
-    load_map_file,
+)
+from .arith import (
+    _EXACT,
+    PrimeTable,
+    _alternating_sum,
+    _odd_alternating_sum,
+    _remainder,
+    phi1,
+    phi2,
 )
 from .sequences import (
     FillCapExceededError,
@@ -54,7 +66,6 @@ from .sequences import (
     product,
     unlimited_int_digits,
 )
-from .symbolic import c_count, d_count, initial_tensor, step
 
 __all__ = [
     "main",
@@ -216,49 +227,90 @@ _MODES = {
 }
 
 
-# the least divisor d > 1 of n at which a mode's transform reads q(n / d):
-# phi2 ranges over odd divisors only. Kept apart from _MODES, whose entries
-# the benchmark's tracer unpacks as (transform, factor) pairs
-_LEAST_DIVISOR = {"phi1-mod-n": 2, "phi2-mod-2n": 3}
+# what a report row computes in each mode: the context-free core of its
+# transform (phi1 or phi2 without their checks or their own exact context)
+# and the least divisor d > 1 of n at which it reads q(n / d), since phi2
+# ranges over odd divisors only. Kept apart from _MODES, whose entries the
+# benchmark's tracer unpacks as (transform, factor) pairs
+_ROW_RULES = {"phi1-mod-n": (_alternating_sum, 2),
+              "phi2-mod-2n": (_odd_alternating_sum, 3)}
+
+_REPORT_HEADER = ("n", "q", "phi", "modulus", "remainder", "pass")
 
 
-def _divisibility_rows(seq: Sequence, mode: str, n_max: int):
+def _divisibility_rows(seq: Sequence, mode: str, n_max: int,
+                       summary: dict | None = None, sep: str | None = None):
     """Check seq (see Sequence._check_reach), then return an iterator of
-    the rows of run_divisibility, one at a time.
+    the rows of run_divisibility, one at a time, or with a separator sep,
+    of their csv/tsv lines, as _table_text writes them. When the last row
+    is out, summary, if given, holds the number of rows checked, the number
+    of failures and the first failing n (None if none failed).
 
     Row n reads q(n) and q(n / d) for the squarefree divisors d > 1 of n
     that its transform ranges over, all at or below keep = n_max // 2
-    (n_max // 3 for phi2). The values come from one seq._stream, each
-    computed once, in order, for its row; the rows keep q(1..keep) in a
-    list of their own and drop the later ones. Each row reads its primes
-    from one PrimeTable. Past the last n that can be computed, where a
-    table ran out, a row reports the TableRangeError that a fill to n
-    would raise."""
-    transform, mod_factor = _MODES[mode]
-    keep = n_max // _LEAST_DIVISOR[mode]
+    (n_max // 3 for phi2). The values come from one seq._bare_stream, each
+    computed once, in order, for its row; the rows keep q(1..keep) of
+    their own and drop the later ones. Each row reads its primes from one
+    PrimeTable.
+
+    The report makes one copy of the exact context (arith._EXACT) and
+    switches to it once per row, unconditionally: the row's value, phi and
+    remainder are all computed inside that one switch, by the context-free
+    cores of phi1/phi2 and divisibility_check, and the caller's context is
+    switched back before the row is yielded. The caller's settings are
+    never compared with the exact ones to skip the switch: a check of every
+    setting costs more than the switch, and a partial one lets a
+    ROUND_FLOOR caller turn an exact 0 into -0.
+
+    Past the last n that can be computed, where a table ran out, a row
+    reports the TableRangeError that a fill to n would raise."""
+    factor = _MODES[mode][1]
+    core, least_divisor = _ROW_RULES[mode]
+    keep = n_max // least_divisor
     seq._check_reach(n_max)
     stop = min(n_max, seq._reach())
-    stream = seq._stream(stop)
+    values = seq._bare_stream(stop)
     primes = PrimeTable(stop).primes
 
     def rows():
-        values = [None]  # q(n) at index n, for n <= keep
-        cached = values.__getitem__
-        for n, q in enumerate(stream, 1):
-            if n <= keep:
-                values.append(q)
-            at = (cached if n <= keep
-                  else lambda m: q if m == n else cached(m))
-            modulus = mod_factor * n
-            value = transform(at, n, primes(n))
-            ok, remainder = divisibility_check(value, modulus)
-            yield {"n": n, "q": str(q), "phi": str(value),
-                   "modulus": modulus, "remainder": str(remainder),
-                   "pass": ok}
+        exact = _EXACT.copy()
+        kept = {}  # q(m) for m <= keep, and q(n) while row n is computed
+        at = kept.__getitem__
+        failures, first = 0, None
+        for n in range(1, stop + 1):
+            modulus = factor * n
+            caller = getcontext()
+            setcontext(exact)
+            try:
+                q = kept[n] = next(values)
+                value = core(at, n, primes(n))
+                remainder = _remainder(value, modulus)
+            finally:
+                setcontext(caller)
+            if n > keep:
+                del kept[n]
+            if remainder:
+                failures += 1
+                first = first or n
+            if sep is None:
+                yield {"n": n, "q": str(q), "phi": str(value),
+                       "modulus": modulus, "remainder": str(remainder),
+                       "pass": not remainder}
+            else:
+                # no cell is None, and the bool is spelled as _cell
+                # spells it
+                yield (f"{n}{sep}{q!s}{sep}{value!s}{sep}{modulus}{sep}"
+                       f"{remainder}{sep}{'false' if remainder else 'true'}\n")
         for n in range(stop + 1, n_max + 1):
-            yield {"n": n, "q": None, "phi": None, "modulus": mod_factor * n,
+            failures += 1
+            first = first or n
+            row = {"n": n, "q": None, "phi": None, "modulus": factor * n,
                    "remainder": None, "pass": False,
                    "error": str(seq._refusal(n))}
+            yield row if sep is None else _line(sep, _REPORT_HEADER, row)
+        if summary is not None:
+            summary.update(checked=n_max, failures=failures,
+                           first_failure=first)
 
     return rows()
 
@@ -277,10 +329,38 @@ def run_divisibility(seq: Sequence, mode: str, n_max: int) -> list[dict]:
     return list(_divisibility_rows(seq, mode, n_max))
 
 
+# the names that oracle and crosscheck call from interval_map and symbolic,
+# which _load_oracle binds into this module on their first use, so that the
+# other commands import neither layer
+_ORACLE_NAMES = {
+    "interval_map": ("build_gj", "count_antifixed", "count_fixed", "iterates",
+                     "load_map_file"),
+    "symbolic": ("c_count", "d_count", "initial_tensor", "step"),
+}
+
+
+def _load_oracle():
+    """Import interval_map and symbolic and bind _ORACLE_NAMES here, each
+    name that is not bound already (a test may have replaced one)."""
+    bound = globals()
+    for layer, names in _ORACLE_NAMES.items():
+        module = import_module(f"{__package__}.{layer}")
+        for name in names:
+            bound.setdefault(name, getattr(module, name))
+
+
+def __getattr__(name: str):
+    if any(name in names for names in _ORACLE_NAMES.values()):
+        _load_oracle()
+        return globals()[name]
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
+
 def _capped_gj(j: int, piece_cap: int):
     """build_gj(j), refused first where its 2j - 1 pieces pass the cap, so a
     huge j exits 3 before its 2j nodes are built. The bound is at most
     DEFAULT_PIECE_CAP, whatever piece_cap says."""
+    _load_oracle()
     cap = min(piece_cap, DEFAULT_PIECE_CAP)
     if 2 * j - 1 > cap:
         raise PieceCapExceededError(
@@ -299,6 +379,7 @@ def run_crosscheck(j: int, n_max: int,
     cells, (2j - 1)**2, than the default one and an n_max past the fill cap
     are refused first, before any map is composed or tensor built.
     """
+    _load_oracle()
     g = _capped_gj(j, piece_cap)
     cells = (2 * j - 1) ** 2
     if cells > DEFAULT_PIECE_CAP:
@@ -348,16 +429,24 @@ def _cell(value) -> str:
 # write is a system call
 _BLOCK = 1 << 16
 
+_SEPARATORS = {"csv": ",", "tsv": "\t"}
+
 
 def _render(fmt: str, meta: dict, header, rows, summary: dict | None = None):
-    """Write one table in fmt to stdout from any iterable of row dicts,
-    joining its text into one write per _BLOCK characters or more.
+    """Write one table in fmt to stdout from any iterable of row dicts (see
+    _table_text and _write)."""
+    _write(_table_text(fmt, meta, header, rows, summary))
+
+
+def _write(pieces):
+    """Write an iterable of text to stdout, joined into one write per
+    _BLOCK characters or more.
 
     The caller has finished all the work that can fail, so a command that
-    fails writes nothing. The rows are read one at a time, so the table is
-    never held whole."""
+    fails writes nothing. The pieces are read one at a time, so the table
+    is never held whole."""
     block, size = [], 0
-    for text in _table_text(fmt, meta, header, rows, summary):
+    for text in pieces:
         block.append(text)
         size += len(text)
         if size >= _BLOCK:
@@ -365,6 +454,11 @@ def _render(fmt: str, meta: dict, header, rows, summary: dict | None = None):
             block, size = [], 0
     if block:
         sys.stdout.write("".join(block))
+
+
+def _line(sep: str, header, row: dict) -> str:
+    """One csv/tsv line: the header columns of row, by _cell."""
+    return sep.join(map(_cell, map(row.__getitem__, header))) + "\n"
 
 
 def _table_text(fmt: str, meta: dict, header, rows, summary: dict | None):
@@ -398,10 +492,10 @@ def _table_text(fmt: str, meta: dict, header, rows, summary: dict | None):
                    + json.dumps(summary, indent=2).replace("\n", "\n  "))
         yield "\n}\n"
         return
-    sep = "," if fmt == "csv" else "\t"
+    sep = _SEPARATORS[fmt]
     yield sep.join(header) + "\n"
     for row in rows:
-        yield sep.join(map(_cell, map(row.__getitem__, header))) + "\n"
+        yield _line(sep, header, row)
 
 
 def _report(fmt: str, meta: dict, seq: Sequence, mode: str,
@@ -410,24 +504,19 @@ def _report(fmt: str, meta: dict, seq: Sequence, mode: str,
     row's error to stderr after the table; returns the number of failed
     rows.
 
-    The rows with an error are those past the last n that can be computed,
-    so their lines are rebuilt from seq._refusal(n) after the table, not
-    held while it is written."""
-    rows = _divisibility_rows(seq, mode, n_max)
+    The rows fill in the summary themselves when the last one is out (see
+    _divisibility_rows), so no layer between them and the text counts
+    them. The rows with an error are those past the last n that can be
+    computed, so their lines are rebuilt from seq._refusal(n) after the
+    table, not held while it is written."""
     summary = {"checked": 0, "failures": 0, "first_failure": None}
-
-    def tallied():
-        for row in rows:
-            summary["checked"] += 1
-            if not row["pass"]:
-                summary["failures"] += 1
-                if summary["first_failure"] is None:
-                    summary["first_failure"] = row["n"]
-            yield row
-
-    _render(fmt, meta, ("n", "q", "phi", "modulus", "remainder", "pass"),
-            tallied(), summary)
-    if fmt != "json":
+    if fmt == "json":
+        _render(fmt, meta, _REPORT_HEADER,
+                _divisibility_rows(seq, mode, n_max, summary), summary)
+    else:
+        sep = _SEPARATORS[fmt]
+        lines = _divisibility_rows(seq, mode, n_max, summary, sep)
+        _write(itertools.chain([sep.join(_REPORT_HEADER) + "\n"], lines))
         for n in range(min(n_max, seq._reach()) + 1, n_max + 1):
             print(f"divseq: row n={n}: {seq._refusal(n)}", file=sys.stderr)
     return summary["failures"]
@@ -475,6 +564,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
+    _load_oracle()
     if args.j is not None:
         gmap = _capped_gj(args.j, args.piece_cap)
         source = {"j": args.j}

@@ -26,6 +26,11 @@ from itertools import compress, count, repeat
 from math import gcd, lcm
 from operator import add, and_, eq, floordiv, mul, not_, or_, sub
 
+from ._errors import (
+    DEFAULT_PIECE_CAP,
+    InfiniteSolutionsError,
+    PieceCapExceededError,
+)
 from ._quote import quoted
 from ._record import Record
 
@@ -45,24 +50,6 @@ __all__ = [
     "parse_map_file",
     "load_map_file",
 ]
-
-# Iterates of the zigzag maps grow like 3**n pieces; the cap turns runaway
-# composition into a clean error at roughly n = 14 instead of an OOM.
-DEFAULT_PIECE_CAP = 10_000_000
-
-
-class PieceCapExceededError(RuntimeError):
-    """Composition would produce more linear pieces than the configured cap.
-
-    When raised by `iterates`, `n` is the iterate that would exceed it.
-    """
-
-    n: int | None = None
-
-
-class InfiniteSolutionsError(ArithmeticError):
-    """A linear piece coincides with the line being solved against, so the
-    solution set is a whole interval rather than a finite set of points."""
 
 
 class PLMap(Record):

@@ -6,10 +6,14 @@ which divisibility guarantee (if any) it inherits. Verification code uses the
 flags purely as report labels; it never skips a check because of them.
 
 A sequence's values are exact ints, from `eval(n)` (and `seq(n)`), which
-reads the sequence's one cache, or integral `decimal.Decimal`s, from
-`_stream(stop)`, computed under `divseq.arith.exact_context()` and cached
-nowhere. `str` of a Decimal is linear in its length, where `str` of an int
-is quadratic, so the command line prints values from a stream.
+reads the sequence's one cache, or integral `decimal.Decimal`s, cached
+nowhere, from `_bare_stream(stop)`, which computes in whatever decimal
+context is current and so is advanced only inside exact arithmetic, or
+from `_stream(stop)`, which enters `divseq.arith.exact_context()` for each
+value itself. `str` of a Decimal is linear in its length, where `str` of
+an int is quadratic, so the command line prints values from these: `seq`
+from a stream, a report from a bare stream, advanced inside its one switch
+to exact arithmetic per row.
 
 A sequence computes values in one place only, its `_tail(num)`: an
 iterator of q(1), q(2), ... in number type num, read from fresh tails of
@@ -92,7 +96,8 @@ class Sequence:
     scan is linear in n and safe at any depth; eval() may instead jump to a
     far n without filling (see LinearRecurrence). The cache is guarded by
     a lock; concurrent eval() calls return identical values. Decimal values
-    come only from _stream, which caches nothing.
+    come only from _bare_stream (and _stream, which wraps it), which caches
+    nothing.
 
     A subclass computes its values in _tail(num), from q(1) on. One that
     reaches less far than FILL_CAP says so in _reach, and names the error
@@ -183,16 +188,26 @@ class Sequence:
         if i < len(past):
             raise self._refusal(past[i])
 
-    def _stream(self, stop: int):
+    def _bare_stream(self, stop: int):
         """An iterator of q(1), ..., q(stop) as integral Decimals, each
-        computed when it is asked for, inside exact_context(), and cached
-        nowhere.
+        computed when it is asked for and cached nowhere, a negative zero
+        (0 times a negative number, or -0 in a table) as 0, which prints as
+        the int 0 does. It computes in whatever decimal context is current
+        when it is advanced, so it is advanced only inside exact
+        arithmetic: _stream enters exact_context() for each value, and a
+        report switches to its own exact context once per row.
 
         Where q(1..stop) cannot all be computed, it refuses at once with
         the error at _reach() + 1, the first n an ascent cannot compute."""
         if stop > self._reach():
             raise self._refusal(self._reach() + 1)
-        return _in_exact_context(islice(self._tail(Decimal), stop))
+        return _unsigned_zeros(islice(self._tail(Decimal), stop))
+
+    def _stream(self, stop: int):
+        """_bare_stream(stop), each value computed inside exact_context() and
+        handed out in the caller's context, so that the caller's decimal
+        settings change no value."""
+        return _in_exact_context(self._bare_stream(stop))
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.id}>"
@@ -385,17 +400,22 @@ class DilationSequence(Sequence):
         return islice(self.base._tail(num), self.k - 1, None, self.k)
 
 
+def _unsigned_zeros(values):
+    """Yield the items of values, a negative zero as 0."""
+    zero = Decimal()
+    for value in values:
+        yield value or zero
+
+
 def _in_exact_context(values):
     """Yield the items of the iterator values, each computed inside
-    exact_context() and handed out in the caller's context, a negative zero
-    (0 times a negative number, or -0 in a table) as 0, which prints as the
-    int 0 does."""
+    exact_context() and handed out in the caller's context."""
     while True:
         with exact_context():
             value = next(values, None)
         if value is None:
             return
-        yield value or Decimal()
+        yield value
 
 
 @contextmanager

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import divseq
-from divseq import __version__, cli, sequences
+from divseq import __version__, arith, cli, sequences
 from divseq.arith import divisibility_check
 from divseq.cli import (
     ExpressionError,
@@ -510,6 +510,32 @@ def test_report_rows_leave_the_decimal_context_at_each_row():
     assert seen == {True}
 
 
+@pytest.mark.parametrize("mode", ["phi1-mod-n", "phi2-mod-2n"])
+def test_a_report_row_switches_to_exact_arithmetic_once(monkeypatch, mode):
+    # every way into exact arithmetic is counted: the report's own switch,
+    # a cli.setcontext to a context other than the caller's, and every
+    # exact_context() entry, which phi1, phi2, divisibility_check and
+    # Sequence._stream make through arith.localcontext
+    caller, switches = decimal.getcontext(), []
+
+    def setcontext(context):
+        if context is not caller:
+            switches.append(context)
+        decimal.setcontext(context)
+
+    def localcontext(*args, **kwargs):
+        switches.append(None)
+        return decimal.localcontext(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "setcontext", setcontext)
+    monkeypatch.setattr(arith, "localcontext", localcontext)
+    seq = parse_expression("theorem5phi(3)")
+    rows = list(cli._divisibility_rows(seq, mode, 300))
+    assert len(rows) == 300
+    assert decimal.getcontext() is caller
+    assert len(switches) <= 300 + 2
+
+
 def test_verify_bad_expression_is_usage_error(capsys):
     code, _, err = run_main(
         capsys, "verify", "nope(1)", "--mode", "phi1-mod-n")
@@ -908,6 +934,59 @@ def test_cli_import_leaves_heavy_modules_out():
         "checked": 12, "failures": 0, "first_failure": None}
 
 
+def run_python(code: str, *args: str) -> subprocess.CompletedProcess:
+    return subprocess.run([sys.executable, *args, "-c", code],
+                          env=child_env(), capture_output=True, text=True)
+
+
+def test_import_divseq_loads_no_layer():
+    proc = run_python("import sys, divseq; print(*sorted(sys.modules))")
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "divseq" in loaded
+    assert {name for name in loaded if name.startswith("divseq.")} == set()
+
+
+def test_verify_loads_neither_the_oracle_nor_the_edge_engine():
+    proc = subprocess.run(
+        [sys.executable, "-X", "importtime", "-m", "divseq", "verify",
+         "theorem5phi(2)", "--mode", "phi1-mod-n", "--n-max", "3"],
+        env=child_env(), capture_output=True, text=True)
+    assert proc.returncode == 0, proc.stderr
+    imported = {line.rsplit("|", 1)[-1].strip()
+                for line in proc.stderr.splitlines()}
+    assert {"divseq.cli", "divseq.arith", "divseq.sequences"} <= imported
+    assert imported.isdisjoint({"divseq.interval_map", "divseq.symbolic"})
+
+
+def test_star_import_binds_every_layer_name():
+    code = ("import divseq; from divseq import arith, sequences, "
+            "interval_map, symbolic; names = {}; "
+            "exec('from divseq import *', names); names.pop('__builtins__'); "
+            "layers = ['__version__', *arith.__all__, *sequences.__all__, "
+            "*interval_map.__all__, *symbolic.__all__]; "
+            "assert divseq.__all__ == layers, divseq.__all__; "
+            "assert sorted(names) == sorted(layers), sorted(names); "
+            "assert names['step'] is symbolic.step; "
+            "assert set(dir(divseq)) >= set(layers)")
+    proc = run_python(code)
+    assert (proc.returncode, proc.stderr) == (0, "")
+
+
+def test_a_fill_cap_exit_needs_no_oracle():
+    # main's except clauses name the oracle's errors, which come from a
+    # module of their own, so reaching them imports no oracle
+    code = ("import sys; from divseq.cli import main; "
+            "code = main(['verify', 'theorem5phi(3)', '--mode', "
+            "'phi1-mod-n', '--n-max', '10000001']); "
+            "assert 'divseq.interval_map' not in sys.modules; "
+            "sys.exit(code)")
+    proc = run_python(code)
+    assert (proc.returncode, proc.stdout) == (3, "")
+    assert proc.stderr == ("divseq: n=10000001 is past the fill cap of "
+                           "10000000 values\n")
+
+
 # -- writing: all the work that can fail is done before the first byte, then
 # the rows go out one at a time
 
@@ -1140,6 +1219,61 @@ def test_streamed_json_is_one_json_dumps(meta, rows, summary):
     with contextlib.redirect_stdout(out):
         _render("json", meta, (), iter(rows), summary)
     assert out.getvalue() == json.dumps(payload, indent=2) + "\n"
+
+
+def plain_lines(rows, sep: str) -> str:
+    """The csv/tsv text of a report from its row dicts, written out plainly:
+    None blank, True and False as true and false, each line ending in LF."""
+    header = ("n", "q", "phi", "modulus", "remainder", "pass")
+
+    def cell(value):
+        if value is None:
+            return ""
+        if value is True or value is False:
+            return "true" if value else "false"
+        return str(value)
+
+    return "".join(sep.join(map(cell, line)) + "\n" for line in [
+        header, *([row[name] for name in header] for row in rows)])
+
+
+# a short table of its own: negative values, zeros and -0 often, and rows
+# past its end, which fail with an error
+DRAWN_TABLES = st.lists(st.sampled_from(["0", "-0", "1", "-1", "7", "-12"])
+                        | st.integers(-10**30, 10**30).map(str),
+                        max_size=12)
+
+
+@settings(max_examples=80, deadline=None)
+@example(expr="lin(1,table(DIR/short.txt),-1,const(0))", table=[], n_max=7,
+         mode="phi1-mod-n", fmt="tsv")
+@example(expr="table(DRAWN)", table=["-0", "-5", "0", "3"], n_max=9,
+         mode="phi2-mod-2n", fmt="csv")
+@given(expr=REPORT_EXPRS | st.builds("lin({},{},1,table(DRAWN))".format,
+                                     st.integers(-3, 3), REPORT_EXPRS)
+       | st.just("table(DRAWN)"),
+       table=DRAWN_TABLES, n_max=st.integers(1, 60),
+       mode=st.sampled_from(["phi1-mod-n", "phi2-mod-2n"]),
+       fmt=st.sampled_from(["csv", "tsv"]))
+def test_csv_and_tsv_reports_are_the_plain_rendering_of_their_rows(
+        table_dir, tmp_path_factory, expr, table, n_max, mode, fmt):
+    drawn = tmp_path_factory.mktemp("drawn") / "t.txt"
+    drawn.write_text("".join(f"{value}\n" for value in table))
+    text = expr.replace("DIR", str(table_dir)).replace("DRAWN", str(drawn))
+    args = ["verify", text, "--mode", mode, "--format", fmt,
+            "--n-max", str(n_max)]
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        code = main(args)
+    rows = outcome(run_divisibility, parse_expression(text), mode, n_max)
+    if isinstance(rows, str):  # the fill cap, refused before any row
+        assert (code, out.getvalue()) == (3, "")
+        return
+    assert code == (1 if any(not row["pass"] for row in rows) else 0)
+    assert out.getvalue() == plain_lines(rows, "," if fmt == "csv" else "\t")
+    assert err.getvalue() == "".join(f"divseq: row n={row['n']}: "
+                                     f"{row['error']}\n"
+                                     for row in rows if "error" in row)
 
 
 # -- fuzzing: every expression and map file ends in a documented exit code ------
