@@ -187,39 +187,30 @@ def _remainder(value, modulus: int) -> int:
     return int(value % modulus) % modulus
 
 
-def phi1(seq: IntSequence, n: int, primes=None) -> int:
+def phi1(seq: IntSequence, n: int) -> int:
     """Alternating inclusion-exclusion of seq over the distinct primes of n.
 
     phi1(seq, 1) = seq(1); for n with distinct primes p1..pr it is the signed
     sum of seq(n / d) over all 2**r squarefree divisors d of p1*...*pr, the
     sign being (-1)**(number of primes in d).
-
-    primes, when given, must be the distinct primes of n, as
-    factorize(n).primes or PrimeTable.primes(n) give them. Without it, phi1
-    factorizes n.
     """
     if n < 1:
         raise ValueError(f"phi1 requires n >= 1, got {n}")
-    if primes is None:
-        primes = factorize(n).primes
+    primes = factorize(n).primes
     with exact_context():
         return _alternating_sum(seq, n, primes)
 
 
-def phi2(seq: IntSequence, n: int, primes=None) -> int:
+def phi2(seq: IntSequence, n: int) -> int:
     """Variant of phi1 that ranges over the distinct *odd* primes of n.
 
     When the odd part of n is 1 (n a power of two, including n = 1) the value
     is seq(n) - 1; otherwise it is the alternating sum over subsets of the
     odd primes, so the prime 2 never appears in a denominator.
-
-    primes, when given, must be the distinct primes of n, 2 included when n
-    is even, as for phi1; without it, phi2 factorizes n.
     """
     if n < 1:
         raise ValueError(f"phi2 requires n >= 1, got {n}")
-    if primes is None:
-        primes = factorize(n).primes
+    primes = factorize(n).primes
     with exact_context():
         return _odd_alternating_sum(seq, n, primes)
 

@@ -16,9 +16,9 @@ rows read, q(1..n_max // 2) (n_max // 3 for phi2); `seq` keeps none. A
 report row switches to exact decimal arithmetic once, for its value, its
 phi and its remainder together (see _divisibility_rows). `verify`,
 `conjecture` and `seq` import only the arith and sequences layers:
-interval_map and symbolic are imported inside `oracle` and `crosscheck`,
-and the piece cap and the oracle's errors, which every command may name,
-come from the small _errors module.
+`oracle` imports interval_map, and `crosscheck` interval_map and symbolic,
+inside their own bodies, and the piece cap and the oracle's errors, which
+every command may name, come from the small _errors module.
 
 Exit codes: 0 success/agreement, 1 verification failure or disagreement,
 2 usage error (including a map with a whole segment on y = x or y = -x,
@@ -35,7 +35,6 @@ import itertools
 import os
 import sys
 from decimal import getcontext, setcontext
-from importlib import import_module
 
 from . import __version__
 from ._errors import (
@@ -263,7 +262,8 @@ def _divisibility_rows(seq: Sequence, mode: str, n_max: int,
     ROUND_FLOOR caller turn an exact 0 into -0.
 
     Past the last n that can be computed, where a table ran out, a row
-    reports the TableRangeError that a fill to n would raise."""
+    reports the TableRangeError that a fill to n would raise; a csv/tsv
+    line has no column for it, so _report writes it to stderr."""
     factor = _MODES[mode][1]
     core, least_divisor = _ROW_RULES[mode]
     keep = n_max // least_divisor
@@ -304,10 +304,12 @@ def _divisibility_rows(seq: Sequence, mode: str, n_max: int,
         for n in range(stop + 1, n_max + 1):
             failures += 1
             first = first or n
-            row = {"n": n, "q": None, "phi": None, "modulus": factor * n,
-                   "remainder": None, "pass": False,
-                   "error": str(seq._refusal(n))}
-            yield row if sep is None else _line(sep, _REPORT_HEADER, row)
+            if sep is None:
+                yield {"n": n, "q": None, "phi": None, "modulus": factor * n,
+                       "remainder": None, "pass": False,
+                       "error": str(seq._refusal(n))}
+            else:
+                yield f"{n}{sep}{sep}{sep}{factor * n}{sep}{sep}false\n"
         if summary is not None:
             summary.update(checked=n_max, failures=failures,
                            first_failure=first)
@@ -329,38 +331,14 @@ def run_divisibility(seq: Sequence, mode: str, n_max: int) -> list[dict]:
     return list(_divisibility_rows(seq, mode, n_max))
 
 
-# the names that oracle and crosscheck call from interval_map and symbolic,
-# which _load_oracle binds into this module on their first use, so that the
-# other commands import neither layer
-_ORACLE_NAMES = {
-    "interval_map": ("build_gj", "count_antifixed", "count_fixed", "iterates",
-                     "load_map_file"),
-    "symbolic": ("c_count", "d_count", "initial_tensor", "step"),
-}
-
-
-def _load_oracle():
-    """Import interval_map and symbolic and bind _ORACLE_NAMES here, each
-    name that is not bound already (a test may have replaced one)."""
-    bound = globals()
-    for layer, names in _ORACLE_NAMES.items():
-        module = import_module(f"{__package__}.{layer}")
-        for name in names:
-            bound.setdefault(name, getattr(module, name))
-
-
-def __getattr__(name: str):
-    if any(name in names for names in _ORACLE_NAMES.values()):
-        _load_oracle()
-        return globals()[name]
-    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
-
-
-def _capped_gj(j: int, piece_cap: int):
-    """build_gj(j), refused first where its 2j - 1 pieces pass the cap, so a
-    huge j exits 3 before its 2j nodes are built. The bound is at most
-    DEFAULT_PIECE_CAP, whatever piece_cap says."""
-    _load_oracle()
+def _load_map(j: int | None, map_file: str | None, piece_cap: int):
+    """g_j, or the map in map_file when j is None. g_j is refused first
+    where its 2j - 1 pieces pass the cap, so a huge j exits 3 before its 2j
+    nodes are built; that bound is at most DEFAULT_PIECE_CAP, whatever
+    piece_cap says."""
+    from .interval_map import build_gj, load_map_file
+    if j is None:
+        return load_map_file(map_file)
     cap = min(piece_cap, DEFAULT_PIECE_CAP)
     if 2 * j - 1 > cap:
         raise PieceCapExceededError(
@@ -379,8 +357,9 @@ def run_crosscheck(j: int, n_max: int,
     cells, (2j - 1)**2, than the default one and an n_max past the fill cap
     are refused first, before any map is composed or tensor built.
     """
-    _load_oracle()
-    g = _capped_gj(j, piece_cap)
+    from .interval_map import count_antifixed, count_fixed, iterates
+    from .symbolic import c_count, d_count, initial_tensor, step
+    g = _load_map(j, None, piece_cap)
     cells = (2 * j - 1) ** 2
     if cells > DEFAULT_PIECE_CAP:
         raise PieceCapExceededError(f"the edge tensor of g_{j} has {cells} "
@@ -456,11 +435,6 @@ def _write(pieces):
         sys.stdout.write("".join(block))
 
 
-def _line(sep: str, header, row: dict) -> str:
-    """One csv/tsv line: the header columns of row, by _cell."""
-    return sep.join(map(_cell, map(row.__getitem__, header))) + "\n"
-
-
 def _table_text(fmt: str, meta: dict, header, rows, summary: dict | None):
     """Yield the text of one table in fmt, in pieces of about a row.
 
@@ -495,7 +469,7 @@ def _table_text(fmt: str, meta: dict, header, rows, summary: dict | None):
     sep = _SEPARATORS[fmt]
     yield sep.join(header) + "\n"
     for row in rows:
-        yield _line(sep, header, row)
+        yield sep.join(map(_cell, map(row.__getitem__, header))) + "\n"
 
 
 def _report(fmt: str, meta: dict, seq: Sequence, mode: str,
@@ -507,8 +481,8 @@ def _report(fmt: str, meta: dict, seq: Sequence, mode: str,
     The rows fill in the summary themselves when the last one is out (see
     _divisibility_rows), so no layer between them and the text counts
     them. The rows with an error are those past the last n that can be
-    computed, so their lines are rebuilt from seq._refusal(n) after the
-    table, not held while it is written."""
+    computed, so their stderr lines are built from seq._refusal(n) after
+    the table, once per row, not held while it is written."""
     summary = {"checked": 0, "failures": 0, "first_failure": None}
     if fmt == "json":
         _render(fmt, meta, _REPORT_HEADER,
@@ -564,13 +538,10 @@ def cmd_verify(args) -> int:
 
 
 def cmd_oracle(args) -> int:
-    _load_oracle()
-    if args.j is not None:
-        gmap = _capped_gj(args.j, args.piece_cap)
-        source = {"j": args.j}
-    else:
-        gmap = load_map_file(args.map_file)
-        source = {"map_file": args.map_file}
+    from .interval_map import count_antifixed, count_fixed, iterates
+    gmap = _load_map(args.j, args.map_file, args.piece_cap)
+    source = ({"j": args.j} if args.j is not None
+              else {"map_file": args.map_file})
     count = count_fixed if args.equation == "fixed" else count_antifixed
     rows = []
     try:

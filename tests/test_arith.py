@@ -23,6 +23,8 @@ from hypothesis import strategies as st
 from divseq.arith import (
     Factorization,
     PrimeTable,
+    _alternating_sum,
+    _odd_alternating_sum,
     divisibility_check,
     exact_context,
     factorize,
@@ -248,6 +250,8 @@ def test_prime_table_rejects_n_outside_its_range(limit, n):
 
 
 def test_phi_with_supplied_primes_equals_phi_that_factorizes():
+    # a report row calls the cores with its n's primes from a PrimeTable,
+    # inside one exact context; phi1/phi2 factorize n and enter their own
     rng = random.Random(11)
     cache: dict[int, int] = {}
 
@@ -261,16 +265,18 @@ def test_phi_with_supplied_primes_equals_phi_that_factorizes():
     for n in (*range(1, 300), 512, 1024, 2048, 1155, 2310):
         primes = table.primes(n)
         for values in (seq, psi, exact):
-            assert phi1(values, n, primes) == phi1(values, n), n
-            assert phi2(values, n, primes) == phi2(values, n), n
+            with exact_context():
+                one = _alternating_sum(values, n, primes)
+                two = _odd_alternating_sum(values, n, primes)
+            assert one == phi1(values, n), n
+            assert two == phi2(values, n), n
 
 
 @pytest.mark.parametrize("phi", [phi1, phi2])
-@pytest.mark.parametrize("primes", [None, ()])
-def test_phi_rejects_n_below_one(phi, primes):
+def test_phi_rejects_n_below_one(phi):
     for bad in (0, -4):
         with pytest.raises(ValueError):
-            phi(mersenne, bad, primes)
+            phi(mersenne, bad)
 
 
 def _wide(**settings) -> Context:

@@ -20,7 +20,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import divseq
-from divseq import __version__, arith, cli, sequences
+from divseq import __version__, arith, cli, interval_map, sequences, symbolic
 from divseq.arith import divisibility_check
 from divseq.cli import (
     ExpressionError,
@@ -707,7 +707,7 @@ def test_g_j_with_more_pieces_than_the_cap_is_refused_first(
     def no_map(j):
         raise AssertionError("build_gj was called")
 
-    monkeypatch.setattr(cli, "build_gj", no_map)
+    monkeypatch.setattr(interval_map, "build_gj", no_map)
     flags = [] if cap is None else ["--piece-cap", str(cap)]
     code, out, err = run_main(capsys, command, "--j", str(j), "--n-max", "1",
                               *flags)
@@ -728,7 +728,7 @@ def test_crosscheck_refuses_an_edge_tensor_past_the_cap_first(
     def no_tensor(j):
         raise AssertionError("initial_tensor was called")
 
-    monkeypatch.setattr(cli, "initial_tensor", no_tensor)
+    monkeypatch.setattr(symbolic, "initial_tensor", no_tensor)
     code, out, got = run_main(capsys, "crosscheck", "--j", str(j),
                               "--n-max", "1")
     assert (code, out, got) == (3, "", f"divseq: {err}\n")
@@ -947,16 +947,36 @@ def test_import_divseq_loads_no_layer():
     assert {name for name in loaded if name.startswith("divseq.")} == set()
 
 
-def test_verify_loads_neither_the_oracle_nor_the_edge_engine():
+def imported_by(*args: str) -> set[str]:
+    """The modules that `python -X importtime -m divseq ARGS` imports.
+
+    -X importtime lists what import statements load, and nothing that
+    importlib.import_module loads, as the package's __getattr__ does."""
     proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "divseq", "verify",
-         "theorem5phi(2)", "--mode", "phi1-mod-n", "--n-max", "3"],
+        [sys.executable, "-X", "importtime", "-m", "divseq", *args],
         env=child_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    imported = {line.rsplit("|", 1)[-1].strip()
-                for line in proc.stderr.splitlines()}
+    return {line.rsplit("|", 1)[-1].strip()
+            for line in proc.stderr.splitlines()}
+
+
+def test_verify_loads_neither_the_oracle_nor_the_edge_engine():
+    imported = imported_by("verify", "theorem5phi(2)", "--mode",
+                           "phi1-mod-n", "--n-max", "3")
     assert {"divseq.cli", "divseq.arith", "divseq.sequences"} <= imported
     assert imported.isdisjoint({"divseq.interval_map", "divseq.symbolic"})
+
+
+@pytest.mark.parametrize("command, layers", [
+    ("oracle", {"divseq.interval_map"}),
+    ("crosscheck", {"divseq.interval_map", "divseq.symbolic"}),
+])
+def test_oracle_and_crosscheck_load_only_the_layers_they_run(command,
+                                                              layers):
+    # oracle composes maps and never steps the edge engine
+    imported = imported_by(command, "--j", "2", "--n-max", "2")
+    assert "divseq.cli" in imported
+    assert imported & {"divseq.interval_map", "divseq.symbolic"} == layers
 
 
 def test_star_import_binds_every_layer_name():
@@ -1148,6 +1168,26 @@ def test_check_reach_asks_few_refusals(table_dir):
     table = parse_expression(f"table({table_dir}/short.txt)")
     with pytest.raises(sequences.FillCapExceededError, match="n=10000001 "):
         table._check_reach(10**30)
+
+
+def test_a_csv_error_row_walks_one_refusal(monkeypatch, tmp_path, capsys):
+    # past a 4-value table: one refusal per row, for its stderr line, and
+    # the few of _check_reach's bisection; the csv line needs none
+    (tmp_path / "four.txt").write_text("1\n3\n4\n7\n")
+    refusal, asked = sequences.Sequence._refusal, []
+
+    def counted(seq, n):
+        asked.append(n)
+        return refusal(seq, n)
+
+    monkeypatch.setattr(sequences.Sequence, "_refusal", counted)
+    code, out, err = run_main(capsys, "verify",
+                              f"table({tmp_path / 'four.txt'})", "--mode",
+                              "phi1-mod-n", "--n-max", "2000")
+    assert code == 1
+    assert out.splitlines()[5:7] == ["5,,,5,,false", "6,,,6,,false"]
+    assert len(err.splitlines()) == 1996
+    assert 1996 < len(asked) <= 1996 + 20
 
 
 @pytest.mark.parametrize("fmt", ["csv", "tsv", "json"])
