@@ -52,12 +52,11 @@ def exact_context():
     +, -, * and % on integral Decimals are exact; the caller's own decimal
     context is restored on exit.
 
-    phi1, phi2 and divisibility_check enter it on every call, and
-    Sequence._stream for every value. A report does not: it makes one copy
-    of _EXACT of its own, switches to it once per row (see
-    divseq.cli._divisibility_rows) and calls the context-free cores of
-    those functions, _alternating_sum, _odd_alternating_sum and
-    _remainder, inside that switch."""
+    phi1, phi2 and divisibility_check enter it on every call. Their
+    context-free cores, _alternating_sum, _odd_alternating_sum and
+    _remainder, and Sequence._stream compute in whatever context is
+    current, so the command line enters this once per command (see
+    divseq.cli.main and run_divisibility) and calls them inside it."""
     return localcontext(_EXACT)
 
 

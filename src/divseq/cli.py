@@ -13,8 +13,9 @@ goes out, so a command that fails writes nothing to stdout. The rows then
 stream, one at a time, in blocks of at least 64 KB. A report computes each
 value once, in order, for its own row, and keeps only the values that later
 rows read, q(1..n_max // 2) (n_max // 3 for phi2); `seq` keeps none. A
-report row switches to exact decimal arithmetic once, for its value, its
-phi and its remainder together (see _divisibility_rows). `verify`,
+command computes in exact decimal arithmetic, entered once: `main` enters
+arith.exact_context() around the whole command, and `run_divisibility`
+around its rows for a library caller. `verify`,
 `conjecture` and `seq` import only the arith and sequences layers:
 `oracle` imports interval_map, and `crosscheck` interval_map and symbolic,
 inside their own bodies, and the piece cap and the oracle's errors, which
@@ -34,7 +35,6 @@ import argparse
 import itertools
 import os
 import sys
-from decimal import getcontext, setcontext
 
 from . import __version__
 from ._errors import (
@@ -43,11 +43,11 @@ from ._errors import (
     PieceCapExceededError,
 )
 from .arith import (
-    _EXACT,
     PrimeTable,
     _alternating_sum,
     _odd_alternating_sum,
     _remainder,
+    exact_context,
     phi1,
     phi2,
 )
@@ -247,19 +247,13 @@ def _divisibility_rows(seq: Sequence, mode: str, n_max: int,
 
     Row n reads q(n) and q(n / d) for the squarefree divisors d > 1 of n
     that its transform ranges over, all at or below keep = n_max // 2
-    (n_max // 3 for phi2). The values come from one seq._bare_stream, each
+    (n_max // 3 for phi2). The values come from one seq._stream, each
     computed once, in order, for its row; the rows keep q(1..keep) of
     their own and drop the later ones. Each row reads its primes from one
-    PrimeTable.
-
-    The report makes one copy of the exact context (arith._EXACT) and
-    switches to it once per row, unconditionally: the row's value, phi and
-    remainder are all computed inside that one switch, by the context-free
-    cores of phi1/phi2 and divisibility_check, and the caller's context is
-    switched back before the row is yielded. The caller's settings are
-    never compared with the exact ones to skip the switch: a check of every
-    setting costs more than the switch, and a partial one lets a
-    ROUND_FLOOR caller turn an exact 0 into -0.
+    PrimeTable. A row's value, phi and remainder are computed by the
+    context-free cores of phi1/phi2 and divisibility_check in the decimal
+    context that is current, so the rows are read only inside exact
+    arithmetic, as main and run_divisibility read them.
 
     Past the last n that can be computed, where a table ran out, a row
     reports the TableRangeError that a fill to n would raise; a csv/tsv
@@ -269,24 +263,18 @@ def _divisibility_rows(seq: Sequence, mode: str, n_max: int,
     keep = n_max // least_divisor
     seq._check_reach(n_max)
     stop = min(n_max, seq._reach())
-    values = seq._bare_stream(stop)
+    values = seq._stream(stop)
     primes = PrimeTable(stop).primes
 
     def rows():
-        exact = _EXACT.copy()
         kept = {}  # q(m) for m <= keep, and q(n) while row n is computed
         at = kept.__getitem__
         failures, first = 0, None
         for n in range(1, stop + 1):
             modulus = factor * n
-            caller = getcontext()
-            setcontext(exact)
-            try:
-                q = kept[n] = next(values)
-                value = core(at, n, primes(n))
-                remainder = _remainder(value, modulus)
-            finally:
-                setcontext(caller)
+            q = kept[n] = next(values)
+            value = core(at, n, primes(n))
+            remainder = _remainder(value, modulus)
             if n > keep:
                 del kept[n]
             if remainder:
@@ -326,9 +314,11 @@ def run_divisibility(seq: Sequence, mode: str, n_max: int) -> list[dict]:
     evaluated (a table running out of values) fails with them None and the
     message under "error"; it is not raised. `verify` streams the same
     rows. The values are streamed, so seq caches none of them (see
-    _divisibility_rows).
+    _divisibility_rows), and computed in exact arithmetic, entered once
+    here, whatever the caller's decimal context is.
     """
-    return list(_divisibility_rows(seq, mode, n_max))
+    with exact_context():
+        return list(_divisibility_rows(seq, mode, n_max))
 
 
 def _load_map(j: int | None, map_file: str | None, piece_cap: int):
@@ -651,7 +641,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    with unlimited_int_digits():
+    with unlimited_int_digits(), exact_context():
         try:
             parser = _build_parser()
             args = parser.parse_args(argv)

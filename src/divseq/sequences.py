@@ -7,13 +7,12 @@ flags purely as report labels; it never skips a check because of them.
 
 A sequence's values are exact ints, from `eval(n)` (and `seq(n)`), which
 reads the sequence's one cache, or integral `decimal.Decimal`s, cached
-nowhere, from `_bare_stream(stop)`, which computes in whatever decimal
-context is current and so is advanced only inside exact arithmetic, or
-from `_stream(stop)`, which enters `divseq.arith.exact_context()` for each
-value itself. `str` of a Decimal is linear in its length, where `str` of
-an int is quadratic, so the command line prints values from these: `seq`
-from a stream, a report from a bare stream, advanced inside its one switch
-to exact arithmetic per row.
+nowhere, from `_stream(stop)`. A stream computes in whatever decimal
+context is current, so it is advanced only inside exact arithmetic: the
+command line enters `divseq.arith.exact_context()` once per command, and
+every stream it reads runs inside it. `str` of a Decimal is linear in its
+length, where `str` of an int is quadratic, so the command line prints
+values from a stream.
 
 A sequence computes values in one place only, its `_tail(num)`: an
 iterator of q(1), q(2), ... in number type num, read from fresh tails of
@@ -41,7 +40,6 @@ from operator import mul
 
 from ._charpoly import _x_power_mod
 from ._quote import quoted
-from .arith import exact_context
 
 __all__ = [
     "Sequence",
@@ -96,8 +94,7 @@ class Sequence:
     scan is linear in n and safe at any depth; eval() may instead jump to a
     far n without filling (see LinearRecurrence). The cache is guarded by
     a lock; concurrent eval() calls return identical values. Decimal values
-    come only from _bare_stream (and _stream, which wraps it), which caches
-    nothing.
+    come only from _stream, which caches nothing.
 
     A subclass computes its values in _tail(num), from q(1) on. One that
     reaches less far than FILL_CAP says so in _reach, and names the error
@@ -188,26 +185,19 @@ class Sequence:
         if i < len(past):
             raise self._refusal(past[i])
 
-    def _bare_stream(self, stop: int):
+    def _stream(self, stop: int):
         """An iterator of q(1), ..., q(stop) as integral Decimals, each
         computed when it is asked for and cached nowhere, a negative zero
         (0 times a negative number, or -0 in a table) as 0, which prints as
         the int 0 does. It computes in whatever decimal context is current
         when it is advanced, so it is advanced only inside exact
-        arithmetic: _stream enters exact_context() for each value, and a
-        report switches to its own exact context once per row.
+        arithmetic (divseq.arith.exact_context()).
 
         Where q(1..stop) cannot all be computed, it refuses at once with
         the error at _reach() + 1, the first n an ascent cannot compute."""
         if stop > self._reach():
             raise self._refusal(self._reach() + 1)
         return _unsigned_zeros(islice(self._tail(Decimal), stop))
-
-    def _stream(self, stop: int):
-        """_bare_stream(stop), each value computed inside exact_context() and
-        handed out in the caller's context, so that the caller's decimal
-        settings change no value."""
-        return _in_exact_context(self._bare_stream(stop))
 
     def __repr__(self):
         return f"<{type(self).__name__} {self.id}>"
@@ -405,17 +395,6 @@ def _unsigned_zeros(values):
     zero = Decimal()
     for value in values:
         yield value or zero
-
-
-def _in_exact_context(values):
-    """Yield the items of the iterator values, each computed inside
-    exact_context() and handed out in the caller's context."""
-    while True:
-        with exact_context():
-            value = next(values, None)
-        if value is None:
-            return
-        yield value
 
 
 @contextmanager

@@ -199,9 +199,11 @@ def test_phi_of_exact_values_ignores_the_callers_decimal_context():
     # phi1/phi2 of Decimal values run in the exact context; the caller's
     # five-digit, trap-free context would round them silently
     seq = make_theorem5_psi(3)
-    with localcontext(Context(prec=5, traps=[])):
-        # q(n) at index n, as Decimals, as a report reads them
+    # q(n) at index n, as Decimals, as a report reads them: streamed inside
+    # exact arithmetic
+    with exact_context():
         exact = [None, *seq._stream(210)].__getitem__
+    with localcontext(Context(prec=5, traps=[])):
         for n in (1, 2, 8, 30, 210):
             assert phi1(exact, n) == phi1(seq, n), n
             assert phi2(exact, n) == phi2(seq, n), n
@@ -260,7 +262,8 @@ def test_phi_with_supplied_primes_equals_phi_that_factorizes():
                                                                 10**9))))
 
     psi = make_theorem5_psi(3)
-    exact = [None, *psi._stream(2310)].__getitem__  # Decimals, as reports read
+    with exact_context():  # Decimals, as reports read them
+        exact = [None, *psi._stream(2310)].__getitem__
     table = PrimeTable(2310)
     for n in (*range(1, 300), 512, 1024, 2048, 1155, 2310):
         primes = table.primes(n)

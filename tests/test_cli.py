@@ -498,42 +498,47 @@ def test_first_failing_row_is_where_the_zeta_route_fails(table_dir, expr,
     assert failed == first_zeta_failure(q, n_max)
 
 
-def test_report_rows_leave_the_decimal_context_at_each_row():
-    # every exact context a row enters ends before the row is yielded, so
-    # the code that renders it runs in the caller's context
-    seen = set()
-    with decimal.localcontext() as caller:
-        for mode in ("phi1-mod-n", "phi2-mod-2n"):
-            seq = parse_expression("theorem5psi(2)")
-            for _ in cli._divisibility_rows(seq, mode, 40):
-                seen.add(decimal.getcontext() is caller)
-    assert seen == {True}
-
-
-@pytest.mark.parametrize("mode", ["phi1-mod-n", "phi2-mod-2n"])
-def test_a_report_row_switches_to_exact_arithmetic_once(monkeypatch, mode):
-    # every way into exact arithmetic is counted: the report's own switch,
-    # a cli.setcontext to a context other than the caller's, and every
-    # exact_context() entry, which phi1, phi2, divisibility_check and
-    # Sequence._stream make through arith.localcontext
-    caller, switches = decimal.getcontext(), []
-
-    def setcontext(context):
-        if context is not caller:
-            switches.append(context)
-        decimal.setcontext(context)
+def test_a_command_enters_exact_arithmetic_once(capsys, monkeypatch):
+    # every exact_context() entry goes through arith.localcontext: main
+    # enters it once around the whole command and run_divisibility once
+    # around its rows, where a switch per row or per value makes n_max
+    entries = []
 
     def localcontext(*args, **kwargs):
-        switches.append(None)
+        entries.append(args)
         return decimal.localcontext(*args, **kwargs)
 
-    monkeypatch.setattr(cli, "setcontext", setcontext)
     monkeypatch.setattr(arith, "localcontext", localcontext)
-    seq = parse_expression("theorem5phi(3)")
-    rows = list(cli._divisibility_rows(seq, mode, 300))
-    assert len(rows) == 300
-    assert decimal.getcontext() is caller
-    assert len(switches) <= 300 + 2
+    for args in (("verify", "theorem5phi(3)", "--mode", "phi1-mod-n"),
+                 ("verify", "theorem5psi(3)", "--mode", "phi2-mod-2n"),
+                 ("conjecture", "--j", "3"),
+                 ("seq", "theorem5-phi", "--j", "3")):
+        entries.clear()
+        code, out, _ = run_main(capsys, *args, "--n-max", "300")
+        assert code == 0 and out.count("\n") == 301, args
+        assert len(entries) == 1, args
+    entries.clear()
+    rows = run_divisibility(parse_expression("theorem5phi(3)"),
+                            "phi1-mod-n", 300)
+    assert len(rows) == 300 and len(entries) == 1
+
+
+def test_run_divisibility_is_exact_in_any_caller_context():
+    # 41-digit values, which a five-digit context with no traps would round
+    # silently; the caller's context is left as it was, flags included
+    def seq():
+        return sequences.linear_combine(1, sequences.make_theorem5_phi(2),
+                                        10**40, sequences.constant(1))
+
+    want = [str(seq()(n)) for n in range(1, 21)]
+    assert all(len(q) == 41 for q in want)
+    with decimal.localcontext(decimal.Context(prec=5, traps=[])) as caller:
+        rows = run_divisibility(seq(), "phi1-mod-n", 20)
+        assert decimal.getcontext() is caller
+        assert caller.prec == 5
+        assert not any(caller.flags.values())
+    assert [row["q"] for row in rows] == want
+    assert all(row["pass"] for row in rows)
 
 
 def test_verify_bad_expression_is_usage_error(capsys):
@@ -948,16 +953,20 @@ def test_import_divseq_loads_no_layer():
 
 
 def imported_by(*args: str) -> set[str]:
-    """The modules that `python -X importtime -m divseq ARGS` imports.
-
-    -X importtime lists what import statements load, and nothing that
-    importlib.import_module loads, as the package's __getattr__ does."""
-    proc = subprocess.run(
-        [sys.executable, "-X", "importtime", "-m", "divseq", *args],
-        env=child_env(), capture_output=True, text=True)
+    """The divseq modules in sys.modules once `divseq ARGS` has run in a
+    fresh interpreter, however they were loaded: by an import statement or
+    by importlib.import_module, as the package's __getattr__ loads a layer,
+    which -X importtime does not list."""
+    code = ("import contextlib, io, sys; from divseq.cli import main\n"
+            "with contextlib.redirect_stdout(io.StringIO()):\n"
+            "    code = main(sys.argv[1:])\n"
+            "print(*sorted(m for m in sys.modules\n"
+            "              if m.startswith('divseq.')))\n"
+            "sys.exit(code)")
+    proc = subprocess.run([sys.executable, "-c", code, *args],
+                          env=child_env(), capture_output=True, text=True)
     assert proc.returncode == 0, proc.stderr
-    return {line.rsplit("|", 1)[-1].strip()
-            for line in proc.stderr.splitlines()}
+    return set(proc.stdout.split())
 
 
 def test_verify_loads_neither_the_oracle_nor_the_edge_engine():
@@ -977,6 +986,16 @@ def test_oracle_and_crosscheck_load_only_the_layers_they_run(command,
     imported = imported_by(command, "--j", "2", "--n-max", "2")
     assert "divseq.cli" in imported
     assert imported & {"divseq.interval_map", "divseq.symbolic"} == layers
+
+
+def test_the_sequences_layer_loads_no_arith():
+    # a stream computes in the decimal context that is current, so the
+    # sequences layer needs nothing of arith
+    proc = run_python("import sys, divseq.sequences; "
+                      "print(*sorted(sys.modules))")
+    assert proc.returncode == 0, proc.stderr
+    loaded = set(proc.stdout.split())
+    assert "divseq.sequences" in loaded and "divseq.arith" not in loaded
 
 
 def test_star_import_binds_every_layer_name():

@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import decimal
 import math
 import os
 import sys
@@ -16,7 +15,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from divseq import sequences
-from divseq.arith import phi1, phi2
+from divseq.arith import exact_context, phi1, phi2
 from divseq.sequences import (
     FILL_CAP,
     MAP_DERIVED_PHI,
@@ -46,7 +45,10 @@ def values(seq, n_max):
 
 
 def decimals(seq, n_max):
-    return list(seq._stream(n_max))
+    # a stream computes in the current context, so it is read inside
+    # exact arithmetic, as the command line reads it
+    with exact_context():
+        return list(seq._stream(n_max))
 
 
 # -- theorem4 family --------------------------------------------------------
@@ -752,7 +754,7 @@ def test_stream_yields_the_filled_values_and_caches_nothing(recipe, stop):
                 seq._stream(stop)
             assert str(got.value) == str(exc)
         else:
-            streamed = list(seq._stream(stop))
+            streamed = decimals(seq, stop)
             assert all(type(v) is Decimal for v in streamed)
             # str tells a negative zero apart
             assert list(map(str, streamed)) == list(map(str, values))
@@ -850,18 +852,6 @@ def test_an_ascending_scan_builds_one_int_tail():
     assert tails == {s.id: 1 for s in [seq, *below(seq)]}
     assert decimals(seq, 200) == scanned
     assert tails == {s.id: 1 for s in [seq, *below(seq)]}
-
-
-def test_stream_values_are_computed_in_the_exact_context():
-    # 40-digit values, which the default 28-digit context would round
-    seq = linear_combine(1, make_theorem5_phi(2), 10**40, constant(1))
-    want = list(map(Decimal, values(seq, 20)))
-    with decimal.localcontext() as caller:
-        caller.prec = 5
-        streamed = list(linear_combine(1, make_theorem5_phi(2), 10**40,
-                                       constant(1))._stream(20))
-        assert decimal.getcontext() is caller
-    assert streamed == want
 
 
 # -- guarantee flags ---------------------------------------------------------
