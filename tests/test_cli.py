@@ -500,8 +500,8 @@ def test_first_failing_row_is_where_the_zeta_route_fails(table_dir, expr,
 
 def test_a_command_enters_exact_arithmetic_once(capsys, monkeypatch):
     # every exact_context() entry goes through arith.localcontext: main
-    # enters it once around the whole command and run_divisibility once
-    # around its rows, where a switch per row or per value makes n_max
+    # enters it once around the whole command, where a switch per row or
+    # per value makes n_max
     entries = []
 
     def localcontext(*args, **kwargs):
@@ -517,10 +517,36 @@ def test_a_command_enters_exact_arithmetic_once(capsys, monkeypatch):
         code, out, _ = run_main(capsys, *args, "--n-max", "300")
         assert code == 0 and out.count("\n") == 301, args
         assert len(entries) == 1, args
-    entries.clear()
-    rows = run_divisibility(parse_expression("theorem5phi(3)"),
-                            "phi1-mod-n", 300)
-    assert len(rows) == 300 and len(entries) == 1
+
+
+def test_report_rows_leave_the_decimal_context_at_each_row():
+    # a row computes in the context that is current and switches to none
+    # of its own, so the code that renders it runs in the caller's context
+    seen = set()
+    with arith.exact_context() as caller:
+        for mode in ("phi1-mod-n", "phi2-mod-2n"):
+            seq = parse_expression("theorem5psi(2)")
+            for _ in cli._divisibility_rows(seq, mode, 40):
+                seen.add(decimal.getcontext() is caller)
+    assert seen == {True}
+
+
+@pytest.mark.parametrize("mode", ["phi1-mod-n", "phi2-mod-2n"])
+def test_a_report_row_switches_to_exact_arithmetic_once(monkeypatch, mode):
+    # every exact_context() entry goes through arith.localcontext, the
+    # report's own, phi1's, phi2's and divisibility_check's alike: a report
+    # enters it once for all its rows, where a switch per row makes n_max
+    caller, entries = decimal.getcontext(), []
+
+    def localcontext(*args, **kwargs):
+        entries.append(args)
+        return decimal.localcontext(*args, **kwargs)
+
+    monkeypatch.setattr(arith, "localcontext", localcontext)
+    rows = run_divisibility(parse_expression("theorem5phi(3)"), mode, 300)
+    assert len(rows) == 300
+    assert decimal.getcontext() is caller
+    assert len(entries) == 1
 
 
 def test_run_divisibility_is_exact_in_any_caller_context():

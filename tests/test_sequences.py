@@ -8,7 +8,7 @@ import sys
 import threading
 import time
 import tracemalloc
-from decimal import Decimal
+from decimal import Context, Decimal, getcontext, localcontext
 
 import pytest
 from hypothesis import example, given, settings
@@ -852,6 +852,21 @@ def test_an_ascending_scan_builds_one_int_tail():
     assert tails == {s.id: 1 for s in [seq, *below(seq)]}
     assert decimals(seq, 200) == scanned
     assert tails == {s.id: 1 for s in [seq, *below(seq)]}
+
+
+def test_stream_values_are_computed_in_the_exact_context():
+    # 40-digit values, which a five-digit caller context would round; the
+    # stream computes in the exact context it is read in, and switches to
+    # no context of its own
+    seq = linear_combine(1, make_theorem5_phi(2), 10**40, constant(1))
+    want = list(map(Decimal, values(seq, 20)))
+    with localcontext(Context(prec=5, traps=[])), exact_context() as exact:
+        streamed = []
+        for value in linear_combine(1, make_theorem5_phi(2), 10**40,
+                                    constant(1))._stream(20):
+            assert getcontext() is exact
+            streamed.append(value)
+    assert streamed == want
 
 
 # -- guarantee flags ---------------------------------------------------------
