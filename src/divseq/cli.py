@@ -344,19 +344,16 @@ def run_crosscheck(j: int, n_max: int,
     cap. A piece-cap overflow on the oracle path is recorded in the affected
     rows as "error:piece-cap" rather than aborting the report; such a row
     does not agree. A g_j past either piece cap, an edge tensor of more
-    cells, (2j - 1)**2, than the default one and an n_max past the fill cap
-    are refused first, before any map is composed or tensor built.
+    cells, (2j - 1)**2, than the default one (initial_tensor refuses it)
+    and an n_max past the fill cap are refused first, in that order, before
+    any map is composed or tensor stepped.
     """
     from .interval_map import count_antifixed, count_fixed, iterates
     from .symbolic import c_count, d_count, initial_tensor, step
     g = _load_map(j, None, piece_cap)
-    cells = (2 * j - 1) ** 2
-    if cells > DEFAULT_PIECE_CAP:
-        raise PieceCapExceededError(f"the edge tensor of g_{j} has {cells} "
-                                    f"cells; cap is {DEFAULT_PIECE_CAP}")
+    tensor = initial_tensor(j)
     phi_seq, psi_seq = make_theorem5_phi(j), make_theorem5_psi(j)
     phi_seq._check_reach(n_max)
-    tensor = initial_tensor(j)
     powers = iterates(g, n_max, piece_cap)
     capped = False
     rows = []

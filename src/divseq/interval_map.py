@@ -122,11 +122,8 @@ class PLMap(Record):
         return len(self.xnum) - 1
 
     def __call__(self, x) -> Fraction:
-        if type(x) is int:
-            p, q = x, 1
-        else:
-            x = Fraction(x)
-            p, q = x.numerator, x.denominator
+        x = Fraction(x)
+        p, q = x.numerator, x.denominator
         xnum, den = self.xnum, self.den
         t = p * den                     # x * den == t / q
         if not xnum[0] * q <= t <= xnum[-1] * q:

@@ -13,11 +13,9 @@ All of them read one substitution rule, derived once per j from
 nodes from u to v (a Markov partition). The closure of g_j's own laps under
 it is the alphabet, numbered as in `label_pair`, and a label counts one
 solution in a bucket when its levels cover the bucket (its mirror image for
-h^n(x) = -x). One step sums each new entry from the old entries that split
-into it, most-used first, computing every shared prefix sum once: 2j-1
-big-int additions per computed row. The plan is data: a step copies the row
-into a slot list, appends slots[a] + slots[b] for each planned pair (a, b)
-and returns the picked slots. g_j is odd, so reversing a row mirrors it and
+h^n(x) = -x). One step sums each new entry from the two or three old
+entries that split into it, starting from the first of them: 4j-4 big-int
+additions per computed row. g_j is odd, so reversing a row mirrors it and
 commutes with the step (checked when the rule is derived); a read computes
 the rows up to the middle one and reverses each mirrored partner's new row
 for the rest, j of the 2j-1 rows for g_j's own tensors. `expand_word` needs
@@ -46,6 +44,7 @@ from functools import cache
 from operator import mul
 
 from ._charpoly import _charpoly, _x_power_mod
+from ._errors import DEFAULT_PIECE_CAP, PieceCapExceededError
 from ._record import Record
 from .interval_map import build_gj
 
@@ -91,7 +90,8 @@ class _Rule(namedtuple("_Rule", "nodes laps columns splits seed advance "
     columns    lap (u, v), either orientation -> column
     splits     lap (u, v) -> the laps it splits into, in order from u to v
     seed       the n=1 grid: each bucket's own lap
-    advance    one row of the grid, stepped once by the prefix-sum plan
+    advance    one row of the grid, stepped once: new column i sums the old
+               columns whose laps split into a label-i lap
     fixed      (row, column) cells whose lap covers the piece
     antifixed  (row, column) cells whose lap covers the piece's mirror image
     """
@@ -99,7 +99,13 @@ class _Rule(namedtuple("_Rule", "nodes laps columns splits seed advance "
 
 @cache
 def _rule(j: int) -> _Rule:
-    """Derive the substitution rule of g_j (j >= 2) from build_gj(j)."""
+    """Derive the substitution rule of g_j (j >= 2) from build_gj(j). An edge
+    tensor of more (2j - 1)**2 cells than DEFAULT_PIECE_CAP is refused
+    first, before g_j is built."""
+    grid = (2 * j - 1) ** 2
+    if grid > DEFAULT_PIECE_CAP:
+        raise PieceCapExceededError(f"the edge tensor of g_{j} has {grid} "
+                                    f"cells; cap is {DEFAULT_PIECE_CAP}")
     g = build_gj(j)
     nodes, values = g.xnum, g.ynum
     image = dict(zip(nodes, values))
@@ -126,26 +132,20 @@ def _rule(j: int) -> _Rule:
     seed = tuple(tuple(int(c == columns[u, v]) for c in range(len(pairs)))
                  for u, v in laps)
 
-    # new column i sums the old columns whose laps split into a label-i lap,
-    # most-used first; each slot past the old row holds one shared prefix sum
+    # new column i sums the old columns whose laps split into a label-i lap:
+    # it starts from the first of them and adds each of the rest once
     sources = [[] for _ in pairs]
     for c, lap in enumerate(pairs):
         for sub in splits[lap]:
             sources[columns[sub]].append(c)
-    uses = Counter(c for src in sources for c in set(src))
-    terms = [tuple(sorted(src, key=lambda c: (-uses[c], c))) for src in sources]
-    slot = {(c,): c for c in range(len(pairs))}
-    for prefix in sorted({t[:m] for t in terms for m in range(2, len(t) + 1)},
-                         key=len):
-        slot[prefix] = len(slot)
-    adds = [(slot[p[:-1]], p[-1]) for p in list(slot)[len(pairs):]]
-    picks = [slot[t] for t in terms]
+    firsts = [src[0] for src in sources]
+    rest = [(i, c) for i, src in enumerate(sources) for c in src[1:]]
 
     def advance(row):
-        slots = list(row)
-        for a, b in adds:
-            slots.append(slots[a] + slots[b])
-        return tuple(map(slots.__getitem__, picks))
+        new = [row[c] for c in firsts]
+        for i, c in rest:
+            new[i] += row[c]
+        return tuple(new)
 
     # reversing a row mirrors its labels; for odd g_j that commutes with the
     # step, which step relies on to share mirrored rows (linear, so unit
@@ -188,16 +188,16 @@ def _char_coeffs(j: int) -> list[int]:
 def _advanced(j: int, rows, start: int, n: int) -> tuple:
     """The grid rows of g_j's tensor at start, stepped to n > start.
 
-    Each row moves on its own. A distance d = n - start of at most 3 times
+    Each row moves on its own. A distance d = n - start of at most twice
     the order k = 2j-1 is stepped d times; a longer one is jumped, row v to
     the sum of r[i]*v*M_j**i for r = x**d modulo M_j's characteristic
     polynomial, k-1 steps and k**2 multiplications a row (the crossover was
-    measured at 9 to 115 steps for j = 2..12). Rows up to the middle one
+    measured at 8 to 58 steps for j = 2..12). Rows up to the middle one
     are computed; a later row that is its mirror partner's reverse gets the
     partner's result reversed (mirroring commutes with the step), any other
     row is computed."""
     d, advance = n - start, _rule(j).advance
-    if d <= 3 * (2 * j - 1):
+    if d <= 2 * (2 * j - 1):
         def row_at(row):
             for _ in range(d):
                 row = advance(row)
@@ -273,7 +273,9 @@ class EdgeTensor(Record):
 
 
 def initial_tensor(j: int) -> EdgeTensor:
-    """The n=1 tensor: one edge per bucket, read off the seed word."""
+    """The n=1 tensor: one edge per bucket, read off the seed word. A grid
+    of more (2j - 1)**2 cells than DEFAULT_PIECE_CAP raises
+    PieceCapExceededError before g_j is built."""
     _check_j(j)
     return EdgeTensor(j, 1, _rule(j).seed)
 

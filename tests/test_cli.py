@@ -756,10 +756,10 @@ def test_crosscheck_refuses_an_edge_tensor_past_the_cap_first(
         capsys, monkeypatch, j, err):
     # (2j - 1)**2 cells past the default piece cap, whatever --piece-cap
     # says: exit 3 before the grid is built; j = 1581 has 9 991 921 cells
-    def no_tensor(j):
-        raise AssertionError("initial_tensor was called")
+    def no_map(j):
+        raise AssertionError("build_gj was called")
 
-    monkeypatch.setattr(symbolic, "initial_tensor", no_tensor)
+    monkeypatch.setattr(symbolic, "build_gj", no_map)
     code, out, got = run_main(capsys, "crosscheck", "--j", str(j),
                               "--n-max", "1")
     assert (code, out, got) == (3, "", f"divseq: {err}\n")

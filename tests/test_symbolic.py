@@ -1,5 +1,5 @@
 """The edge-count engine: the substitution rule derived from g_j, the
-initial tensor, the prefix-sum step, the aggregates and the literal
+initial tensor, the column-sum step, the aggregates and the literal
 word-substitution cross-check, checked against the seven-case step and the
 Fraction expansion written out below."""
 
@@ -21,7 +21,9 @@ import divseq.symbolic
 from divseq._charpoly import _charpoly
 from divseq.arith import factorize
 from divseq.interval_map import (
+    DEFAULT_PIECE_CAP,
     PLMap,
+    PieceCapExceededError,
     build_gj,
     compose,
     count_antifixed,
@@ -83,6 +85,23 @@ def test_engine_rejects_j1():
         initial_tensor(1)
     with pytest.raises(ValueError, match="j >= 2"):
         expand_word(1, 1)
+
+
+def test_engine_refuses_an_edge_tensor_past_the_cap_first(monkeypatch):
+    # j = 1582 has (2j - 1)**2 = 10 004 569 cells, past DEFAULT_PIECE_CAP:
+    # every entry into the rule refuses before g_j is built
+    def no_map(j):
+        raise AssertionError("build_gj was called")
+
+    monkeypatch.setattr(divseq.symbolic, "build_gj", no_map)
+    message = ("the edge tensor of g_1582 has 10004569 cells; "
+               f"cap is {DEFAULT_PIECE_CAP}")
+    for call in (lambda: initial_tensor(1582), lambda: expand_word(1582, 1),
+                 lambda: pair_label(1582, -1582, 1),
+                 lambda: bucket_interval(1582, 0)):
+        with pytest.raises(PieceCapExceededError) as info:
+            call()
+        assert str(info.value) == message
 
 
 def test_edge_tensor_validation():
@@ -427,12 +446,14 @@ class CountedInt(int):
 
 
 @pytest.mark.parametrize("j", range(2, 13))
-def test_step_makes_2j_minus_1_additions_per_row(j):
+def test_step_makes_4j_minus_4_additions_per_row(j):
+    # each of the 2j - 1 new entries starts from the first of its two or
+    # three sources and adds the rest: 6j - 5 sources, 4j - 4 additions
     size = 2 * j - 1
     row = tuple(map(CountedInt, range(1, size + 1)))
     CountedInt.adds = 0
     got = step(EdgeTensor(j, 1, (row,) * size))
-    assert CountedInt.adds == size * size
+    assert CountedInt.adds == size * (4 * j - 4)
     assert got.counts == reference_step(EdgeTensor(j, 1, (row,) * size)).counts
 
 
@@ -524,7 +545,7 @@ def test_step_computes_j_rows_of_a_mirrored_tensor(j):
     t = EdgeTensor(j, 1, mirrored(upper, half))
     CountedInt.adds = 0
     got = step(t)
-    assert CountedInt.adds == j * size
+    assert CountedInt.adds == j * (4 * j - 4)
     assert got.counts == reference_step(t).counts
 
 
@@ -694,10 +715,36 @@ def test_a_far_read_jumps_once(monkeypatch):
     assert calls == [2999]
 
 
+@pytest.mark.parametrize("j, n", [(3, 10**4), (5, 5 * 10**3), (8, 3 * 10**3)])
+def test_a_far_read_steps_few_rows_of_small_entries(monkeypatch, j, n):
+    # a census-shaped read, k = 2j - 1: k steps of the unit rows feed
+    # Berkowitz, k**2 check Cayley-Hamilton on them, and the jump steps j
+    # rows k - 1 times; every entry stepped fits in 32 bits
+    rows = []
+    rule = _rule(j)
+
+    def counted(row):
+        rows.append(row)
+        return rule.advance(row)
+
+    monkeypatch.setattr(divseq.symbolic, "_rule",
+                        lambda j: rule._replace(advance=counted))
+    monkeypatch.setattr(divseq.symbolic, "_char_coeffs",
+                        _char_coeffs.__wrapped__)
+    t = initial_tensor(j)
+    for _ in range(n - 1):
+        t = lazy_step(t)
+    assert (c_count(t), d_count(t)) == (make_theorem5_phi(j)(n),
+                                        make_theorem5_psi(j)(n))
+    k = 2 * j - 1
+    assert len(rows) == k * k + k + j * (k - 1) == {3: 42, 5: 130, 8: 352}[j]
+    assert max(max(row) for row in rows) < 2**32
+
+
 @pytest.mark.parametrize("j", [2, 3, 8])
-def test_reads_step_to_three_orders_from_the_anchor_and_jump_past(
+def test_reads_step_to_two_orders_from_the_anchor_and_jump_past(
         monkeypatch, j):
-    # the step/jump crossover is 3 * (2j - 1) steps from the anchor
+    # the step/jump crossover is 2 * (2j - 1) steps from the anchor
     calls = []
 
     def counted(m, coeffs):
@@ -706,7 +753,7 @@ def test_reads_step_to_three_orders_from_the_anchor_and_jump_past(
 
     x_power_mod = divseq.symbolic._x_power_mod
     monkeypatch.setattr(divseq.symbolic, "_x_power_mod", counted)
-    limit = 3 * (2 * j - 1)
+    limit = 2 * (2 * j - 1)
     want = [initial_tensor(j).counts]
     for _ in range(limit + 1):
         want.append(interpreted_step(j, want[-1]))
@@ -721,8 +768,7 @@ def test_reads_step_to_three_orders_from_the_anchor_and_jump_past(
 
 @pytest.mark.parametrize("j", range(2, 13))
 def test_the_step_is_plain_code_in_this_module(j):
-    # the prefix-sum plan is data that one closure walks, not generated
-    # source
+    # the step is one closure over the rule's sources, not generated source
     assert _rule(j).advance.__code__.co_filename == divseq.symbolic.__file__
 
 
